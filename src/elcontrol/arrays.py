@@ -1,0 +1,198 @@
+"""Array namespaces: the three evaluation modes of the network blocks.
+
+A block's pass is written once against a namespace `xp`, which supplies
+what operators (+ - * / @, unary minus, `.T`) cannot express: `mlp` (a
+conditioning net), `softplus`, `exp`, `sinh`, `asinh`, `narrow` (a slice of
+the last axis) and `reshape`.  `NUMPY` evaluates float64 arrays, `GRAPH`
+builds `autodiff` graphs, and `TANGENT` propagates forward-mode `Tangent`
+values (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008), in
+which plain arrays are constants.  Conditioning nets run through
+`ParamMlp.forward_np` or `ParamMlp.forward_and_input_jacobian_np` with
+plain array inputs in both numpy modes, so code that wraps those two
+methods sees every conditioning evaluation.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from . import autodiff as ad
+
+
+def _tan_sum(a, b):
+    """Sum of two tangents; a narrower one covers the leading columns only."""
+    ka, kb = a.shape[-1], b.shape[-1]
+    if ka == kb:
+        return a + b
+    if ka < kb:
+        a, b, kb = b, a, ka
+    if a.shape[:-1] != b.shape[:-1]:
+        a = np.broadcast_to(a, np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + a.shape[-1:])
+    out = np.array(a)
+    out[..., :kb] += b
+    return out
+
+
+class Tangent:
+    """A value and its Jacobian with respect to the seeded inputs.
+
+    `tan` has the shape of `val` plus one trailing axis of tangent columns,
+    or broadcasts to it.  A tangent narrower than another covers its leading
+    columns; the others are zero and never stored.  `eye` marks a seed whose
+    tangent is the identity, so the first product with it can be skipped.
+    """
+
+    __slots__ = ("val", "tan", "eye")
+    # numpy operands defer to the reflected operators below
+    __array_ufunc__ = None
+
+    def __init__(self, val, tan, eye=False):
+        self.val = val
+        self.tan = tan
+        self.eye = eye
+
+    @property
+    def shape(self):
+        return self.val.shape
+
+    def __add__(self, other):
+        if isinstance(other, Tangent):
+            return Tangent(self.val + other.val, _tan_sum(self.tan, other.tan))
+        return Tangent(self.val + other, self.tan)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Tangent(-self.val, -self.tan)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Tangent):
+            return Tangent(self.val * other.val, _tan_sum(self.tan * other.val[..., None],
+                                                          other.tan * self.val[..., None]))
+        return Tangent(self.val * other, self.tan * (other[..., None] if np.ndim(other) else other))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if isinstance(other, Tangent):
+            # d(A B) = dA B + A dB, with the tangent columns kept last
+            left = np.swapaxes(other.val, -1, -2)[..., None, :, :] @ self.tan
+            val, right = _const_matmul(self.val, other)
+            return Tangent(val, _tan_sum(left, right))
+        return Tangent(self.val @ other, other.T if self.eye else other.T @ self.tan)
+
+    def __rmatmul__(self, other):
+        return Tangent(*_const_matmul(other, self))
+
+
+def _const_matmul(a, t):
+    """Value and tangent of a @ t for a constant matrix a."""
+    flat = t.tan.reshape(t.tan.shape[:-2] + (-1,))
+    out = a @ t.val
+    return out, (a @ flat).reshape(out.shape + t.tan.shape[-1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(dim):
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
+def seed(x, offset=0):
+    """`x` as the independent variable of tangent columns [offset, offset + dim)."""
+    dim = x.shape[-1]
+    if offset == 0:
+        return Tangent(x, _eye(dim), eye=True)
+    tan = np.zeros(x.shape + (offset + dim,))
+    tan[..., offset:] = _eye(dim)
+    return Tangent(x, tan)
+
+
+_softplus = functools.partial(np.logaddexp, 0.0)
+
+
+class NumpyOps:
+    """Plain float64 evaluation."""
+
+    softplus = _softplus
+    exp = staticmethod(np.exp)
+    sinh = staticmethod(np.sinh)
+    asinh = staticmethod(np.arcsinh)
+    reshape = staticmethod(np.reshape)
+
+    def mlp(self, net, params, x):
+        return net.forward_np(params, x)
+
+    def narrow(self, x, start, length):
+        return x[..., start:start + length]
+
+
+def _elementwise(value, slope):
+    """Tangent-mode form of `value`, whose derivative is slope(x, value(x))."""
+
+    def op(x):
+        if not isinstance(x, Tangent):
+            return value(x)
+        out = value(x.val)
+        return Tangent(out, x.tan * slope(x.val, out)[..., None])
+
+    return staticmethod(op)
+
+
+class TangentOps(NumpyOps):
+    """Forward-mode evaluation; plain arrays pass through as numpy values."""
+
+    # sigmoid(x) = exp(x - softplus(x)) is stable in both tails
+    softplus = _elementwise(_softplus, lambda x, out: np.exp(x - out))
+    exp = _elementwise(np.exp, lambda x, out: out)
+    sinh = _elementwise(np.sinh, lambda x, out: np.cosh(x))
+    asinh = _elementwise(np.arcsinh, lambda x, out: 1.0 / np.sqrt(1.0 + x * x))
+
+    def mlp(self, net, params, x):
+        if not isinstance(x, Tangent):
+            return net.forward_np(params, x)
+        val, jac = net.forward_and_input_jacobian_np(params, x.val)
+        return Tangent(val, jac if x.eye else jac @ x.tan)
+
+    def narrow(self, x, start, length):
+        if not isinstance(x, Tangent):
+            return x[..., start:start + length]
+        return Tangent(x.val[..., start:start + length], x.tan[..., start:start + length, :])
+
+    def reshape(self, x, shape):
+        if not isinstance(x, Tangent):
+            return np.reshape(x, shape)
+        tan = x.tan
+        if tan.ndim <= x.val.ndim:
+            tan = np.broadcast_to(tan, x.val.shape + tan.shape[-1:])
+        return Tangent(np.reshape(x.val, shape), np.reshape(tan, shape + tan.shape[-1:]))
+
+
+class GraphOps:
+    """`autodiff` graph construction, node for node the primitives of the numpy pass."""
+
+    softplus = staticmethod(ad.softplus)
+    exp = staticmethod(ad.exp)
+    sinh = staticmethod(ad.sinh)
+    asinh = staticmethod(ad.asinh)
+    reshape = staticmethod(ad.reshape)
+
+    def mlp(self, net, params, x):
+        return net.forward(self, params, x)
+
+    def narrow(self, x, start, length):
+        return ad.narrow(x, -1, start, length)
+
+
+NUMPY = NumpyOps()
+TANGENT = TangentOps()
+GRAPH = GraphOps()

@@ -29,7 +29,7 @@ __all__ = [
     "softplus", "relu", "square", "sum", "mean", "solve",
     "reshape", "transpose", "concat", "narrow", "stack", "expand_dims",
     "squeeze", "matvec", "dot",
-    "backward", "evaluate", "gradient", "jacobian", "jacobian_fn",
+    "backward", "evaluate", "gradient", "jacobian", "jacobian_fn", "jacobian_rows",
 ]
 
 _builtin_sum = sum
@@ -94,8 +94,16 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
+    def __truediv__(self, other):
+        """Division by a constant, as multiplication by its reciprocal."""
+        return mul(self, 1.0 / np.asarray(other, dtype=np.float64))
+
     def __matmul__(self, other):
         return matmul(self, other)
+
+    @property
+    def T(self):
+        return transpose(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -488,7 +496,6 @@ class Graph:
         self.fn = fn
         self.parameters = {k: as_tensor(v) for k, v in parameters.items()}
         self.input_names = tuple(input_names)
-        self._inputs: dict[str, Tensor] | None = None
         self._output: Tensor | None = None
 
     @property
@@ -496,11 +503,6 @@ class Graph:
         if self._output is None:
             raise GraphStateError("graph has not been evaluated yet")
         return self._output
-
-    def input(self, name) -> Tensor:
-        if self._inputs is None:
-            raise GraphStateError("graph has not been evaluated yet")
-        return self._inputs[name]
 
 
 def evaluate(graph: Graph, inputs: dict | None = None) -> Tensor:
@@ -516,7 +518,6 @@ def evaluate(graph: Graph, inputs: dict | None = None) -> Tensor:
     out = graph.fn(**graph.parameters, **bound)
     if not np.all(np.isfinite(out.data)):
         raise NonFiniteError("graph evaluation produced non-finite entries")
-    graph._inputs = bound
     graph._output = out
     return out
 
@@ -542,6 +543,23 @@ def gradient(graph: Graph, seed=None) -> dict[str, np.ndarray]:
     return result
 
 
+def jacobian_rows(out: Tensor, wrt) -> list[Tensor]:
+    """Jacobians of `out` with respect to each tensor in `wrt`.
+
+    One backward pass per component of the last axis of `out`, seeded with
+    that component; the adjoints are stacked along that axis, so for `out`
+    of shape (..., m) and an input of shape (..., n) the Jacobian has shape
+    (..., m, n).  The results stay connected to the graph.
+    """
+    m = out.shape[-1]
+    rows = []
+    for i in range(m):
+        seed = np.zeros(out.shape)
+        seed[..., i] = 1.0
+        rows.append(backward(out, constant(seed), wrt))
+    return [stack([r[j] for r in rows], axis=out.ndim - 1) for j in range(len(wrt))]
+
+
 def jacobian_fn(fn, point: np.ndarray) -> Tensor:
     """Differentiable Jacobian of a vector-to-vector graph function.
 
@@ -550,21 +568,10 @@ def jacobian_fn(fn, point: np.ndarray) -> Tensor:
     contain Jacobians are well defined.
     """
     x = as_tensor(np.asarray(point, dtype=np.float64))
-    return _jacobian_rows(fn, x)
-
-
-def _jacobian_rows(fn, x: Tensor) -> Tensor:
     out = fn(x)
     if out.ndim != 1 or x.ndim != 1:
         raise ShapeError(f"jacobian expects vector->vector, got {x.shape} -> {out.shape}")
-    m = out.shape[0]
-    rows = []
-    for i in range(m):
-        seed = np.zeros(m)
-        seed[i] = 1.0
-        (gx,) = backward(out, seed, [x])
-        rows.append(gx)
-    return stack(rows, axis=0)
+    return jacobian_rows(out, [x])[0]
 
 
 def jacobian(graph: Graph, point: np.ndarray, input_name=None) -> np.ndarray:
@@ -573,12 +580,7 @@ def jacobian(graph: Graph, point: np.ndarray, input_name=None) -> np.ndarray:
         if len(graph.input_names) != 1:
             raise ShapeError("jacobian requires a single-input graph or an explicit input name")
         input_name = graph.input_names[0]
-
-    def fn(x):
-        out = graph.fn(**graph.parameters, **{input_name: x})
-        return out
-
-    jac = _jacobian_rows(fn, as_tensor(np.asarray(point, dtype=np.float64))).data
+    jac = jacobian_fn(lambda x: graph.fn(**graph.parameters, **{input_name: x}), point).data
     if not np.all(np.isfinite(jac)):
         raise NonFiniteError("jacobian produced non-finite entries")
     return jac

@@ -35,8 +35,9 @@ from . import liecheck
 from .control import BarrierSpec, design_lqr
 from .errors import ElcontrolError, ValidationError
 from .liecheck import VectorFieldPair, check_linearizable, compile_field
-from .model import (ELModel, ModelArch, ModelDims, TrainConfig, load_model,
-                    read_csv, save_model, write_csv)
+from .model import (ELModel, ModelArch, ModelDims, TrainConfig,
+                    TrajectoryDataset, load_model, read_csv, save_model,
+                    write_csv, write_table)
 from .model import train as train_model
 from .simulate import (MismatchPlant, TeacherPlant, gen_excitation,
                        metrics_r2, simulate_closed_loop, simulate_open_loop,
@@ -185,15 +186,6 @@ def _write_json(run, name, obj):
     run.written.append(name)
 
 
-def _write_table(run, name, header, rows):
-    with open(os.path.join(run.out, name), "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row)
-                    + "\n")
-    run.written.append(name)
-
-
 class _Run:
     """One run directory: tracks the files written for the summary."""
 
@@ -213,7 +205,9 @@ def _safe_r2(predicted, actual):
         return float("nan")
 
 
-def _r2_table(model, ds):
+def _write_r2(run, model, ds):
+    """Per-channel R^2 of the model on `ds`: written to r2.csv and returned
+    as summary entries."""
     pred_ydot = model.predict_ydot(ds.v, ds.y, ds.d, ds.d_dot)
     pred_z = model.predict_z(ds.v, ds.y, ds.d)
     rows = []
@@ -221,7 +215,8 @@ def _r2_table(model, ds):
         rows.append((f"ydot{j + 1}", _safe_r2(pred_ydot[:, j], ds.y_dot[:, j])))
     for j in range(ds.z.shape[1]):
         rows.append((f"z{j + 1}", _safe_r2(pred_z[:, j], ds.z[:, j])))
-    return rows
+    write_table(run.path("r2.csv"), ["channel", "r2"], rows)
+    return {"r2": dict(rows), "r2_mean": float(np.mean([r for _, r in rows]))}
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +239,6 @@ def _plant_from(node, seed, where):
     raise ValidationError(f"{where}.kind must be teacher or mismatch, got {kind!r}")
 
 
-def _empty_dataset_csv(run, name, dims, fd_tol):
-    header = ["t"]
-    for base, width in (("v", dims.nu), ("d", dims.nd), ("y", dims.ny),
-                        ("z", dims.nz), ("ydot", dims.ny), ("ddot", dims.nd)):
-        header.extend(f"{base}{i + 1}" for i in range(width))
-    with open(run.path(name), "w") as f:
-        f.write(",".join(header) + "\n")
-    meta = {"format_version": 1, "period": None, "fd_tol": fd_tol, "units": {"t": "s"}}
-    with open(run.path(f"{name}.meta.json"), "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
 def _run_gen_data(cfg, seed, run):
     _check_keys(cfg, {"seed", "output", "plant", "dataset", "excitation"}, "config")
     plant, synthesized = _plant_from(_get(cfg, "plant", "config"), seed, "plant")
@@ -277,7 +259,13 @@ def _run_gen_data(cfg, seed, run):
                     {"kind", "period", "low", "high", "seed"}, f"excitation.{name}")
     if duration == 0.0:
         # no samples to take; publish the column layout and succeed
-        _empty_dataset_csv(run, "dataset.csv", plant.dims, fd_tol)
+        dims = plant.dims
+        empty = TrajectoryDataset(
+            np.zeros(0), np.zeros((0, dims.nu)), np.zeros((0, dims.nd)),
+            np.zeros((0, dims.ny)), np.zeros((0, dims.nz)),
+            d_dot=np.zeros((0, dims.nd)), y_dot=np.zeros((0, dims.ny)), fd_tol=fd_tol)
+        write_csv(empty, run.path("dataset.csv"))
+        run.written.append("dataset.csv.meta.json")
         return {"rows": 0, "duration": 0.0}
 
     y0 = _vector(_get(ds_cfg, "y0", "dataset", 0.0), "dataset.y0", plant.dims.ny)
@@ -321,7 +309,7 @@ def _run_train(cfg, seed, run):
     header = ["epoch", "train_loss"] + (["val_loss"] if has_val else [])
     rows = [(float(i), tl) + ((history["val"][i],) if has_val else ())
             for i, tl in enumerate(history["train"])]
-    _write_table(run, "history.csv", header, rows)
+    write_table(run.path("history.csv"), header, rows)
 
     summary = {"epochs": train_cfg.epochs, "rows": len(dataset)}
     if history["train"]:
@@ -329,11 +317,7 @@ def _run_train(cfg, seed, run):
     if has_val:
         summary["final_val_loss"] = history["val"][-1]
     if "holdout" in cfg:
-        table = _r2_table(trained, read_csv(cfg["holdout"]))
-        _write_table(run, "r2.csv", ["channel", "r2"], table)
-        scores = [r for _, r in table]
-        summary["r2"] = {name: value for name, value in table}
-        summary["r2_mean"] = float(np.mean(scores))
+        summary.update(_write_r2(run, trained, read_csv(cfg["holdout"])))
     return summary
 
 
@@ -344,11 +328,7 @@ def _run_eval(cfg, seed, run):
     if (dataset.y.shape[1], dataset.v.shape[1], dataset.d.shape[1], dataset.z.shape[1]) \
             != (model.dims.ny, model.dims.nu, model.dims.nd, model.dims.nz):
         raise ValidationError("dataset channel counts do not match the model")
-    table = _r2_table(model, dataset)
-    _write_table(run, "r2.csv", ["channel", "r2"], table)
-    scores = [r for _, r in table]
-    return {"rows": len(dataset), "r2": {name: value for name, value in table},
-            "r2_mean": float(np.mean(scores))}
+    return {"rows": len(dataset), **_write_r2(run, model, dataset)}
 
 
 def _run_design_lqr(cfg, seed, run):

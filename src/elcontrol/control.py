@@ -4,15 +4,13 @@ Tracking works in the latent coordinates: a steady target (x_d, u_d) solves
 A x_d + B u_d + c = 0, an infinite-horizon LQR gain stabilizes the error
 dynamics, and the published input is recovered through the learned input
 map.  Constraint handling keeps barrier rows h(x, u) <= 0 (each row convex
-in u by construction).  Two filters are provided: a one-shot QP that
-projects a nominal law onto the constraint set when h depends on x alone,
-and a rate-based filter for input-dependent rows that integrates du/dt =
+in u by construction) with a rate-based filter: it integrates du/dt =
 lambda with lambda chosen by a small QP so that every row satisfies
 
     dh/dx (f + g u) + dh/du lambda <= alpha(-h)
 
-with alpha a per-row class-K function k1*s + k2*s^2.  A Sontag-type law and
-the control Lyapunov function V(y) = Phi(y)' P Phi(y) cover the nonlinear
+with alpha a per-row class-K function k1*s + k2*s^2.  A Sontag-type law on
+the Lie derivatives of the latent LQR value function covers the nonlinear
 design route, and an equilibrium KKT residual certifies converged filter
 states as minimizers of ||u - k(x)||^2 over the constraint set.
 
@@ -310,53 +308,6 @@ def barrier_values(model, x, u, d_bar, spec):
     return h, dh_dx, dh_du
 
 
-def _raise_infeasible(message, solution, labels):
-    cert = dict(solution.certificate or {})
-    mult = cert.get("farkas_multipliers")
-    if mult is not None and len(labels) == len(mult):
-        worst = int(np.argmax(mult))
-        message = f"{message}; most implicated row: {labels[worst]}"
-        cert["worst_row"] = labels[worst]
-    raise InfeasibleError(message, certificate=cert)
-
-
-def cbf_qp(f_vec, g_mat, h, dh_dx, alpha, u_ref, u_min=None, u_max=None):
-    """Project a nominal input onto the state-barrier constraint set.
-
-    Solves min ||u - u_ref||^2 subject to dh/dx (f + g u) <= alpha(-h) per
-    row plus optional box bounds, for barriers that depend on the state
-    alone.  alpha is a callable class-K bound.  Returns (u, solution) where
-    the solution carries the verified KKT certificate; infeasibility raises
-    InfeasibleError naming the most implicated row.
-    """
-    f_vec = np.asarray(f_vec, dtype=np.float64).reshape(-1)
-    g_mat = np.asarray(g_mat, dtype=np.float64).reshape(f_vec.size, -1)
-    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
-    dh_dx = np.asarray(dh_dx, dtype=np.float64).reshape(h.size, f_vec.size)
-    u_ref = np.asarray(u_ref, dtype=np.float64).reshape(-1)
-    m = u_ref.size
-
-    rows = [dh_dx @ g_mat]
-    bounds = [np.asarray(alpha(-h), dtype=np.float64) - dh_dx @ f_vec]
-    labels = [f"barrier[{i}]" for i in range(h.size)]
-    eye = np.eye(m)
-    if u_max is not None:
-        rows.append(eye)
-        bounds.append(np.asarray(u_max, dtype=np.float64).reshape(-1))
-        labels += [f"u_max[{j}]" for j in range(m)]
-    if u_min is not None:
-        rows.append(-eye)
-        bounds.append(-np.asarray(u_min, dtype=np.float64).reshape(-1))
-        labels += [f"u_min[{j}]" for j in range(m)]
-
-    problem = QpProblem(2.0 * eye, -2.0 * u_ref,
-                        np.vstack(rows), np.concatenate(bounds))
-    sol = qpsolver.solve(problem)
-    if sol.status != "optimal":
-        _raise_infeasible("safety projection is infeasible", sol, labels)
-    return sol.x, sol
-
-
 @dataclass(frozen=True)
 class ControllerState:
     """Integrated internal input of the rate-based filter, plus its clock."""
@@ -419,20 +370,6 @@ def icbf_step(model, state, x, d_bar, design, spec, dt):
     y = model.y_from_x(np.asarray(x, dtype=np.float64).reshape(-1), d_bar)
     v = model.v_from_u(u_new, y, d_bar)
     return lam, ControllerState(u=u_new, t=state.t + dt), v
-
-
-def clf_value(model, design, y):
-    """Lyapunov candidate V(y) = Phi(y)' P Phi(y) at zero disturbance."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    x = model.x_from_y(y, np.zeros(model.dims.nd))
-    return float(x @ design.P @ x)
-
-
-def clf_gradient(model, design, y):
-    """Gradient of the Lyapunov candidate with respect to the output."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    x, dx_dy, _ = model.state_jacobians(y, np.zeros(model.dims.nd))
-    return 2.0 * dx_dy.T @ (design.P @ x)
 
 
 def sontag_control(lf_v, lg_v):

@@ -37,6 +37,10 @@ class InfeasibleError(ElcontrolError):
         self.certificate = certificate
 
 
+class SolverError(ElcontrolError):
+    """A numerical solver failed to converge or to certify its own result."""
+
+
 class ValidationError(ElcontrolError):
     """Input data or configuration violates a documented precondition."""
 

@@ -49,24 +49,14 @@ class VectorFieldPair:
             raise ValidationError("state dimension must be at least 1")
 
 
-def _jacobian_and_value(field, x):
-    out = field(x)
-    n_out = out.shape[0]
-    rows = []
-    for i in range(n_out):
-        seed = np.zeros(n_out)
-        seed[i] = 1.0
-        (gx,) = ad.backward(out, seed, [x])
-        rows.append(gx)
-    return ad.stack(rows, axis=0), out
-
-
 def bracket_field(f, g):
     """The field y -> (dg/dy) f(y) - (df/dy) g(y), differentiable again."""
 
     def field(x):
-        jf, fx = _jacobian_and_value(f, x)
-        jg, gx = _jacobian_and_value(g, x)
+        fx = f(x)
+        (jf,) = ad.jacobian_rows(fx, [x])
+        gx = g(x)
+        (jg,) = ad.jacobian_rows(gx, [x])
         return ad.sub(ad.matvec(jg, fx), ad.matvec(jf, gx))
 
     return field

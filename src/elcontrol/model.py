@@ -34,6 +34,7 @@ import numpy as np
 from numpy.lib import format as npformat
 
 from . import autodiff as ad
+from .arrays import GRAPH, TANGENT, seed
 from .errors import (ConditioningError, NonFiniteError, ShapeError,
                      TrainingDivergedError, ValidationError)
 from .networks import COND_LIMIT, Bnn, DiagonalBnn, ParamMlp, Picnn, Scaler
@@ -68,35 +69,12 @@ class ModelArch:
     core_hidden: int = 16
 
 
-def _as_batch(**named):
-    """Coerce named channel arrays to a common (N, dim) batch.
-
-    Each value is an (array, dim) pair.  Returns (arrays dict, single) where
-    `single` is True when every argument came in one-dimensional.
-    """
-    out = {}
-    single = True
-    rows = 1
-    for name, (arr, dim) in named.items():
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim == 0 and dim == 1:
-            a = a.reshape(1)
-        if a.ndim == 1:
-            a = a[None, :]
-        elif a.ndim == 2:
-            single = False
-        else:
-            raise ShapeError(f"{name}: expected (dim,) or (N, dim), got {a.shape}")
-        if a.shape[1] != dim:
-            raise ShapeError(f"{name}: expected {dim} channels, got {a.shape[1]}")
-        rows = max(rows, a.shape[0])
-        out[name] = a
-    for name, a in out.items():
-        if a.shape[0] == 1 and rows > 1:
-            out[name] = np.broadcast_to(a, (rows, a.shape[1]))
-        elif a.shape[0] != rows:
-            raise ShapeError(f"{name}: batch size {a.shape[0]} != {rows}")
-    return out, single
+def _unbatch(single, *arrays):
+    """The arrays, or their first rows for a single-record call; one array
+    comes back bare, several as a tuple."""
+    if single:
+        arrays = tuple(a[0] for a in arrays)
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
 class ELModel:
@@ -196,8 +174,8 @@ class ELModel:
         p = model.params
         for net in model.state_map.nets + model.input_map.nets:
             net.init(p, rng, scale=1.0, out_scale=map_scale)
-        ys = scalers["y"].transform_np(dataset.y)
-        vs = scalers["v"].transform_np(dataset.v)
+        ys = scalers["y"].transform(dataset.y)
+        vs = scalers["v"].transform(dataset.v)
         target = dataset.y_dot / scalers["y"].std
         design = np.concatenate([ys, vs, np.ones((len(ys), 1))], axis=1)
         coef = np.linalg.lstsq(design, target, rcond=None)[0]
@@ -214,136 +192,127 @@ class ELModel:
 
     # -- coordinate maps ---------------------------------------------------
 
-    def _cond(self, ys, ds):
-        return np.concatenate([ys, ds], axis=-1)
+    def _batch(self, **named):
+        """Coerce named physical channels to a common (N, dim) batch.
 
-    def x_from_y(self, y, d):
-        b, single = _as_batch(y=(y, self.dims.ny), d=(d, self.dims.nd))
-        ys = self.scalers["y"].transform_np(b["y"])
-        ds = self.scalers["d"].transform_np(b["d"])
-        x = self.state_map.forward_np(self.params, ys, ds)
-        return x[0] if single else x
+        Returns (arrays dict, single) where `single` is True when every
+        argument came in one-dimensional; y, v and d also come back
+        standardized, as ys, vs and ds.
+        """
+        ny, nu, nd = self.dims.ny, self.dims.nu, self.dims.nd
+        widths = {"y": ny, "x": ny, "v": nu, "u": nu, "d": nd, "d_dot": nd}
+        out = {}
+        single = True
+        rows = 1
+        for name, arr in named.items():
+            a = np.asarray(arr, dtype=np.float64)
+            dim = widths[name]
+            if a.ndim == 0 and dim == 1:
+                a = a.reshape(1)
+            if a.ndim == 1:
+                a = a[None, :]
+            elif a.ndim == 2:
+                single = False
+            else:
+                raise ShapeError(f"{name}: expected (dim,) or (N, dim), got {a.shape}")
+            if a.shape[1] != dim:
+                raise ShapeError(f"{name}: expected {dim} channels, got {a.shape[1]}")
+            rows = max(rows, a.shape[0])
+            out[name] = a
+        for name, a in out.items():
+            if a.shape[0] == 1 and rows > 1:
+                out[name] = np.broadcast_to(a, (rows, a.shape[1]))
+            elif a.shape[0] != rows:
+                raise ShapeError(f"{name}: batch size {a.shape[0]} != {rows}")
+        for name in ("y", "v", "d"):
+            if name in out:
+                out[name + "s"] = self.scalers[name].transform(out[name])
+        return out, single
 
-    def y_from_x(self, x, d):
-        b, single = _as_batch(x=(x, self.dims.ny), d=(d, self.dims.nd))
-        ds = self.scalers["d"].transform_np(b["d"])
-        ys = self.state_map.inverse_np(self.params, b["x"], ds)
-        y = self.scalers["y"].inverse_np(ys)
-        return y[0] if single else y
+    def _cond(self, b):
+        return np.concatenate([b["ys"], b["ds"]], axis=-1)
 
-    def u_from_v(self, v, y, d):
-        b, single = _as_batch(v=(v, self.dims.nu), y=(y, self.dims.ny),
-                              d=(d, self.dims.nd))
-        ys = self.scalers["y"].transform_np(b["y"])
-        ds = self.scalers["d"].transform_np(b["d"])
-        vs = self.scalers["v"].transform_np(b["v"])
-        u = self.input_map.inverse_np(self.params, vs, self._cond(ys, ds))
-        return u[0] if single else u
-
-    def v_from_u(self, u, y, d):
-        b, single = _as_batch(u=(u, self.dims.nu), y=(y, self.dims.ny),
-                              d=(d, self.dims.nd))
-        ys = self.scalers["y"].transform_np(b["y"])
-        ds = self.scalers["d"].transform_np(b["d"])
-        vs = self.input_map.forward_np(self.params, b["u"], self._cond(ys, ds))
-        v = self.scalers["v"].inverse_np(vs)
-        return v[0] if single else v
-
-    def u_from_v_with_jac(self, v, y, d):
-        """u = Psi^{-1}(v,y,d) and its physical Jacobians du/dy, du/dd."""
-        b, single = _as_batch(v=(v, self.dims.nu), y=(y, self.dims.ny),
-                              d=(d, self.dims.nd))
-        ys = self.scalers["y"].transform_np(b["y"])
-        ds = self.scalers["d"].transform_np(b["d"])
-        vs = self.scalers["v"].transform_np(b["v"])
-        u, J = self.input_map.inverse_with_cond_jac_np(self.params, vs, self._cond(ys, ds))
-        ny = self.dims.ny
-        J_y = J[..., :ny] / self.scalers["y"].std
-        J_d = J[..., ny:] / self.scalers["d"].std
-        if single:
-            return u[0], J_y[0], J_d[0]
-        return u, J_y, J_d
-
-    def state_jacobians(self, y, d):
-        """x = Phi(y,d) with physical Jacobians dx/dy and dx/dd."""
-        b, single = _as_batch(y=(y, self.dims.ny), d=(d, self.dims.nd))
-        ys = self.scalers["y"].transform_np(b["y"])
-        ds = self.scalers["d"].transform_np(b["d"])
-        x, J_y, J_d = self.state_map.forward_with_jac_np(self.params, ys, ds, want_dgrad=True)
-        J_y = J_y / self.scalers["y"].std
-        J_d = J_d / self.scalers["d"].std
-        if single:
-            return x[0], J_y[0], J_d[0]
-        return x, J_y, J_d
-
-    def linear_core(self, d):
-        """A(d), B(d), c(d) of the latent dynamics."""
-        b, single = _as_batch(d=(d, self.dims.nd))
-        ds = self.scalers["d"].transform_np(b["d"])
+    def _core(self, ds):
         ny, nu = self.dims.ny, self.dims.nu
         A = self.a_net.forward_np(self.params, ds).reshape(-1, ny, ny)
         B = self.b_net.forward_np(self.params, ds).reshape(-1, ny, nu)
-        c = self.c_net.forward_np(self.params, ds)
-        if single:
-            return A[0], B[0], c[0]
-        return A, B, c
+        return A, B, self.c_net.forward_np(self.params, ds)
+
+    def x_from_y(self, y, d):
+        b, single = self._batch(y=y, d=d)
+        return _unbatch(single, self.state_map.forward_np(self.params, b["ys"], b["ds"]))
+
+    def y_from_x(self, x, d):
+        b, single = self._batch(x=x, d=d)
+        ys = self.state_map.inverse_np(self.params, b["x"], b["ds"])
+        return _unbatch(single, self.scalers["y"].inverse(ys))
+
+    def u_from_v(self, v, y, d):
+        b, single = self._batch(v=v, y=y, d=d)
+        return _unbatch(single, self.input_map.inverse_np(self.params, b["vs"], self._cond(b)))
+
+    def v_from_u(self, u, y, d):
+        b, single = self._batch(u=u, y=y, d=d)
+        vs = self.input_map.forward_np(self.params, b["u"], self._cond(b))
+        return _unbatch(single, self.scalers["v"].inverse(vs))
+
+    def u_from_v_with_jac(self, v, y, d):
+        """u = Psi^{-1}(v,y,d) and its physical Jacobians du/dy, du/dd."""
+        b, single = self._batch(v=v, y=y, d=d)
+        u = self.input_map.inverse(TANGENT, self.params, b["vs"], seed(self._cond(b)))
+        ny = self.dims.ny
+        return _unbatch(single, u.val, u.tan[..., :ny] / self.scalers["y"].std,
+                        u.tan[..., ny:] / self.scalers["d"].std)
+
+    def state_jacobians(self, y, d):
+        """x = Phi(y,d) with physical Jacobians dx/dy and dx/dd."""
+        b, single = self._batch(y=y, d=d)
+        x, J_y, J_d = self.state_map.forward_with_jacobians(self.params, b["ys"], b["ds"])
+        return _unbatch(single, x, J_y / self.scalers["y"].std, J_d / self.scalers["d"].std)
+
+    def linear_core(self, d):
+        """A(d), B(d), c(d) of the latent dynamics."""
+        b, single = self._batch(d=d)
+        return _unbatch(single, *self._core(b["ds"]))
 
     def z_from_latent(self, x, u, d, with_gradients=False):
         """zhat = Xi(x,u,d); optionally also dz/dx and dz/du."""
-        b, single = _as_batch(x=(x, self.dims.ny), u=(u, self.dims.nu),
-                              d=(d, self.dims.nd))
-        ds = self.scalers["d"].transform_np(b["d"])
+        b, single = self._batch(x=x, u=u, d=d)
         xi = np.concatenate([b["x"], b["u"]], axis=-1)
         sz = self.scalers["z"]
         if not with_gradients:
-            z = sz.inverse_np(self.z_map.forward_np(self.params, xi, ds))
-            return z[0] if single else z
-        zs, G = self.z_map.forward_and_xi_jacobian_np(self.params, xi, ds)
-        z = sz.inverse_np(zs)
-        G = G * sz.std[:, None]
+            return _unbatch(single, sz.inverse(self.z_map.forward_np(self.params, xi, b["ds"])))
+        zs = self.z_map.forward(TANGENT, self.params, seed(xi), b["ds"])
+        G = zs.tan * sz.std[:, None]
         ny = self.dims.ny
-        if single:
-            return z[0], G[0, :, :ny], G[0, :, ny:]
-        return z, G[..., :ny], G[..., ny:]
+        return _unbatch(single, sz.inverse(zs.val), G[..., :ny], G[..., ny:])
 
     # -- predictions --------------------------------------------------------
 
     def predict_ydot(self, v, y, d, d_dot):
         """Output-derivative prediction; Jacobian inverse applied by dense solve."""
-        b, single = _as_batch(v=(v, self.dims.nu), y=(y, self.dims.ny),
-                              d=(d, self.dims.nd), d_dot=(d_dot, self.dims.nd))
-        ys = self.scalers["y"].transform_np(b["y"])
-        ds = self.scalers["d"].transform_np(b["d"])
-        vs = self.scalers["v"].transform_np(b["v"])
-        x, J_y, J_d = self.state_map.forward_with_jac_np(self.params, ys, ds, want_dgrad=True)
+        b, single = self._batch(v=v, y=y, d=d, d_dot=d_dot)
+        ds = b["ds"]
+        x, J_y, J_d = self.state_map.forward_with_jacobians(self.params, b["ys"], ds)
         cond = np.linalg.cond(J_y)
         if not np.all(np.isfinite(cond)) or np.any(cond > COND_LIMIT):
             raise ConditioningError(
                 f"state-map output Jacobian condition number {np.max(cond):.3e} "
                 f"exceeds limit {COND_LIMIT:.1e}")
-        u = self.input_map.inverse_np(self.params, vs, self._cond(ys, ds))
-        ny, nu = self.dims.ny, self.dims.nu
-        A = self.a_net.forward_np(self.params, ds).reshape(-1, ny, ny)
-        B = self.b_net.forward_np(self.params, ds).reshape(-1, ny, nu)
-        c = self.c_net.forward_np(self.params, ds)
+        u = self.input_map.inverse_np(self.params, b["vs"], self._cond(b))
+        A, B, c = self._core(ds)
         dds = b["d_dot"] / self.scalers["d"].std
         rhs = (np.einsum("bij,bj->bi", A, x) + np.einsum("bij,bj->bi", B, u) + c
                - np.einsum("bij,bj->bi", J_d, dds))
         ydot = np.linalg.solve(J_y, rhs[..., None])[..., 0] * self.scalers["y"].std
-        return ydot[0] if single else ydot
+        return _unbatch(single, ydot)
 
     def predict_z(self, v, y, d):
         """Constrained-output prediction zhat = Xi(Phi(y,d), Psi^{-1}(v,y,d), d)."""
-        b, single = _as_batch(v=(v, self.dims.nu), y=(y, self.dims.ny),
-                              d=(d, self.dims.nd))
-        ys = self.scalers["y"].transform_np(b["y"])
-        ds = self.scalers["d"].transform_np(b["d"])
-        vs = self.scalers["v"].transform_np(b["v"])
-        x = self.state_map.forward_np(self.params, ys, ds)
-        u = self.input_map.inverse_np(self.params, vs, self._cond(ys, ds))
-        xi = np.concatenate([x, u], axis=-1)
-        z = self.scalers["z"].inverse_np(self.z_map.forward_np(self.params, xi, ds))
-        return z[0] if single else z
+        b, single = self._batch(v=v, y=y, d=d)
+        x = self.state_map.forward_np(self.params, b["ys"], b["ds"])
+        u = self.input_map.inverse_np(self.params, b["vs"], self._cond(b))
+        return _unbatch(single, self.z_from_latent(x, u, b["d"]))
 
     # -- training loss -------------------------------------------------------
 
@@ -354,28 +323,20 @@ class ELModel:
         def fn(**kw):
             pt = {k: kw[k] for k in self.params}
             Y, V, D, DDOT = kw["y"], kw["v"], kw["d"], kw["d_dot"]
-            ys = self.scalers["y"].transform_t(Y)
-            ds = self.scalers["d"].transform_t(D)
-            vs = self.scalers["v"].transform_t(V)
-            x = self.state_map.forward_t(pt, ys, ds)
-            rows_y, rows_d = [], []
-            for i in range(ny):
-                seed = np.zeros((n_records, ny))
-                seed[:, i] = 1.0
-                gy, gd = ad.backward(x, ad.constant(seed), [Y, D])
-                rows_y.append(gy)
-                rows_d.append(gd)
-            J_y = ad.stack(rows_y, axis=1)
-            J_d = ad.stack(rows_d, axis=1)
-            u = self.input_map.inverse_t(pt, vs, ad.concat([ys, ds], axis=-1))
-            A = ad.reshape(self.a_net.forward_t(pt, ds), (n_records, ny, ny))
-            B = ad.reshape(self.b_net.forward_t(pt, ds), (n_records, ny, self.dims.nu))
-            c = self.c_net.forward_t(pt, ds)
+            ys = self.scalers["y"].transform(Y)
+            ds = self.scalers["d"].transform(D)
+            vs = self.scalers["v"].transform(V)
+            x = self.state_map.forward(GRAPH, pt, ys, ds)
+            J_y, J_d = ad.jacobian_rows(x, [Y, D])
+            u = self.input_map.inverse(GRAPH, pt, vs, ad.concat([ys, ds], axis=-1))
+            A = ad.reshape(self.a_net.forward(GRAPH, pt, ds), (n_records, ny, ny))
+            B = ad.reshape(self.b_net.forward(GRAPH, pt, ds), (n_records, ny, self.dims.nu))
+            c = self.c_net.forward(GRAPH, pt, ds)
             rhs = ad.sub(ad.add(ad.add(ad.matvec(A, x), ad.matvec(B, u)), c),
                          ad.matvec(J_d, DDOT))
             ydot_hat = ad.squeeze(ad.solve(J_y, ad.expand_dims(rhs, -1)), -1)
-            zs = self.z_map.forward_t(pt, ad.concat([x, u], axis=-1), ds)
-            z_hat = self.scalers["z"].inverse_t(zs)
+            zs = self.z_map.forward(GRAPH, pt, ad.concat([x, u], axis=-1), ds)
+            z_hat = self.scalers["z"].inverse(zs)
             e = ad.concat([ad.sub(ydot_hat, kw["ydot"]), ad.sub(z_hat, kw["z"])], axis=-1)
             weighted = ad.mul(ad.matmul(e, ad.constant(q_e)), e)
             return ad.mul(ad.sum(weighted), 1.0 / n_records)
@@ -486,32 +447,36 @@ class TrajectoryDataset:
                                  y_dot=self.y_dot[sl], fd_tol=self.fd_tol)
 
 
-def write_csv(dataset: TrajectoryDataset, path, include_derivatives=True, units=None):
+def write_table(path, header, rows):
+    """CSV with one header line; numbers as %.17g so float64 round trips exactly."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row) + "\n")
+
+
+def write_blocks(path, blocks):
+    """`write_table` for named blocks of channels: a 1-D block is one column
+    under its name, a 2-D block one column per channel numbered from 1."""
+    header = []
+    for name, arr in blocks:
+        header.extend([name] if arr.ndim == 1 else
+                      [f"{name}{i + 1}" for i in range(arr.shape[1])])
+    write_table(path, header, np.column_stack([arr for _, arr in blocks]).tolist())
+
+
+def write_csv(dataset: TrajectoryDataset, path):
     """Write the dataset as CSV plus a `<path>.meta.json` sidecar.
 
     Values are formatted with %.17g so float64 round trips exactly.
     """
-    cols = [("t", dataset.t[:, None]), ("v", dataset.v), ("d", dataset.d),
-            ("y", dataset.y), ("z", dataset.z)]
-    if include_derivatives:
-        cols += [("ydot", dataset.y_dot), ("ddot", dataset.d_dot)]
-    header = []
-    blocks = []
-    for name, arr in cols:
-        if name == "t":
-            header.append("t")
-        else:
-            header.extend(f"{name}{i + 1}" for i in range(arr.shape[1]))
-        blocks.append(arr)
-    table = np.concatenate(blocks, axis=1)
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in table:
-            f.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_blocks(path, [("t", dataset.t), ("v", dataset.v), ("d", dataset.d),
+                        ("y", dataset.y), ("z", dataset.z),
+                        ("ydot", dataset.y_dot), ("ddot", dataset.d_dot)])
     meta = {"format_version": 1,
             "period": dataset.period if len(dataset) > 1 else None,
             "fd_tol": dataset.fd_tol,
-            "units": units or {"t": "s"}}
+            "units": {"t": "s"}}
     with open(f"{path}.meta.json", "w") as f:
         json.dump(meta, f, sort_keys=True, indent=1)
         f.write("\n")
@@ -700,17 +665,47 @@ def save_model(model: ELModel, path):
 
 
 def load_model(path) -> ELModel:
-    with np.load(path) as data:
-        if "__meta__" not in data:
-            raise ValidationError(f"{path}: not a model container")
+    """Read a model container.
+
+    Anything but a well-formed container with finite values raises
+    ValidationError; a missing file raises OSError.
+    """
+    data = {}
+    try:
+        with zipfile.ZipFile(path) as zf:
+            for name in zf.namelist():
+                with zf.open(name) as fh:
+                    data[name.removesuffix(".npy")] = npformat.read_array(fh, allow_pickle=False)
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise ValidationError(f"{path}: not a model container ({exc})") from exc
+    if "__meta__" not in data:
+        raise ValidationError(f"{path}: not a model container")
+    try:
         meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValidationError(
-                f"{path}: unsupported format_version {meta.get('format_version')}")
-        dims = ModelDims(*meta["dims"])
-        arch = ModelArch(**meta["arch"])
-        scalers = {name: Scaler(data[f"scaler.{name}.mean"], data[f"scaler.{name}.std"])
-                   for name in ("y", "v", "d", "z")}
-        params = {key[len("param."):]: data[key].copy()
-                  for key in data.files if key.startswith("param.")}
-    return ELModel(dims, arch, scalers, params)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: unreadable model metadata") from exc
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{path}: unreadable model metadata")
+    if meta.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ValidationError(
+            f"{path}: unsupported format_version {meta.get('format_version')}")
+    arch, dims = meta.get("arch"), meta.get("dims")
+    if not (isinstance(arch, dict) and isinstance(dims, list) and len(dims) == 4
+            and all(type(v) is int for v in [*dims, *arch.values()])):
+        raise ValidationError(f"{path}: model metadata lacks integer dims or arch")
+    unknown = sorted(set(arch) - {f.name for f in dataclasses.fields(ModelArch)})
+    if unknown:
+        raise ValidationError(f"{path}: unknown arch keys {unknown}")
+    scaler_keys = [f"scaler.{name}.{part}" for name in ("y", "v", "d", "z")
+                   for part in ("mean", "std")]
+    missing = [key for key in scaler_keys if key not in data]
+    if missing:
+        raise ValidationError(f"{path}: missing entries {missing}")
+    nonfinite = sorted(key for key, arr in data.items()
+                       if key != "__meta__" and not np.all(np.isfinite(arr)))
+    if nonfinite:
+        raise ValidationError(f"{path}: non-finite values in {nonfinite}")
+    scalers = {name: Scaler(data[f"scaler.{name}.mean"], data[f"scaler.{name}.std"])
+               for name in ("y", "v", "d", "z")}
+    params = {key[len("param."):]: arr for key, arr in data.items() if key.startswith("param.")}
+    return ELModel(ModelDims(*dims), ModelArch(**arch), scalers, params)

@@ -1,9 +1,9 @@
 """Network building blocks for learned exactly-linearizable models.
 
-Three specialised architectures, each available in two forms: a graph form
-built from `autodiff` primitives (used inside training losses) and a plain
-numpy form with hand-derived Jacobians (used at simulation rate).  Tests pin
-the two forms against each other.
+Each block defines its forward pass once, against an array namespace
+(`arrays`), and that one definition runs in three modes: plain numpy for
+simulation (`forward_np`, `inverse_np`), `autodiff` graph tensors for
+training, and forward-mode tangents for the value plus its input Jacobian.
 
 * `Bnn` - a bijective map y <-> x conditioned on a disturbance vector.  Each
   layer is ``asinh(c(d) + sinh(W(d) y + b(d)))`` with W(d) = L(d) U(d), L
@@ -23,36 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .errors import ConditioningError, ShapeError
+from .arrays import NUMPY, TANGENT, seed
+from .errors import ConditioningError
 
 COND_LIMIT = 1e12
-
-
-# ---------------------------------------------------------------------------
-# numpy helpers
-
-def softplus_np(x):
-    return np.logaddexp(0.0, x)
-
-
-def sigmoid_np(x):
-    # stable both tails
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def dasinh_np(q):
-    """Derivative of asinh at q."""
-    return 1.0 / np.sqrt(1.0 + np.square(q))
-
-
-def matvec_np(a, x):
-    return (a @ x[..., None])[..., 0]
 
 
 class Scaler:
@@ -79,17 +53,12 @@ class Scaler:
     def dim(self):
         return self.mean.shape[0]
 
-    def transform_np(self, x):
+    def transform(self, x):
+        """Standardize an array or a graph tensor."""
         return (x - self.mean) / self.std
 
-    def inverse_np(self, x):
+    def inverse(self, x):
         return x * self.std + self.mean
-
-    def transform_t(self, x):
-        return ad.mul(ad.sub(x, ad.constant(self.mean)), ad.constant(1.0 / self.std))
-
-    def inverse_t(self, x):
-        return ad.add(ad.mul(x, ad.constant(self.std)), ad.constant(self.mean))
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +76,11 @@ class ParamMlp:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.hidden = hidden
+        self.keys = tuple(f"{prefix}.{k}" for k in ("W1", "b1", "W2", "b2", "W3", "b3"))
 
     def param_shapes(self):
         h, i, o = self.hidden, self.in_dim, self.out_dim
-        return {
-            f"{self.prefix}.W1": (h, i), f"{self.prefix}.b1": (h,),
-            f"{self.prefix}.W2": (h, h), f"{self.prefix}.b2": (h,),
-            f"{self.prefix}.W3": (o, h), f"{self.prefix}.b3": (o,),
-        }
+        return dict(zip(self.keys, [(h, i), (h,), (h, h), (h,), (o, h), (o,)]))
 
     def init(self, params, rng, scale=1.0, out_scale=None, last_bias=None):
         h, i, o = self.hidden, self.in_dim, self.out_dim
@@ -133,52 +99,23 @@ class ParamMlp:
         if last_bias is not None:
             params[f"{self.prefix}.b3"] = np.asarray(last_bias, dtype=np.float64).reshape(self.out_dim).copy()
 
-    def _p(self, params, key):
-        return params[f"{self.prefix}.{key}"]
+    def forward(self, xp, params, x):
+        W1, b1, W2, b2, W3, b3 = map(params.__getitem__, self.keys)
+        h1 = xp.softplus(x @ W1.T + b1)
+        h2 = xp.softplus(h1 @ W2.T + b2)
+        return h2 @ W3.T + b3
 
     def forward_np(self, params, x):
-        a1 = x @ self._p(params, "W1").T + self._p(params, "b1")
-        h1 = softplus_np(a1)
-        a2 = h1 @ self._p(params, "W2").T + self._p(params, "b2")
-        h2 = softplus_np(a2)
-        return h2 @ self._p(params, "W3").T + self._p(params, "b3")
+        return self.forward(NUMPY, params, x)
 
     def forward_and_input_jacobian_np(self, params, x):
         """Value and d(out)/d(x), shapes (..., O) and (..., O, I)."""
-        W1, W2, W3 = (self._p(params, k) for k in ("W1", "W2", "W3"))
-        a1 = x @ W1.T + self._p(params, "b1")
-        h1 = softplus_np(a1)
-        a2 = h1 @ W2.T + self._p(params, "b2")
-        h2 = softplus_np(a2)
-        out = h2 @ W3.T + self._p(params, "b3")
-        J = sigmoid_np(a1)[..., :, None] * W1
-        J = W2 @ J if J.ndim == 2 else np.einsum("ik,...kj->...ij", W2, J)
-        J = sigmoid_np(a2)[..., :, None] * J
-        J = W3 @ J if J.ndim == 2 else np.einsum("ik,...kj->...ij", W3, J)
-        return out, J
-
-    def forward_t(self, params_t, x):
-        g = lambda key: params_t[f"{self.prefix}.{key}"]
-        h1 = ad.softplus(ad.add(ad.matmul(x, ad.transpose(g("W1"))), g("b1")))
-        h2 = ad.softplus(ad.add(ad.matmul(h1, ad.transpose(g("W2"))), g("b2")))
-        return ad.add(ad.matmul(h2, ad.transpose(g("W3"))), g("b3"))
+        out = self.forward(TANGENT, params, seed(x))
+        return out.val, out.tan
 
 
 # ---------------------------------------------------------------------------
 # bijective conditioned network
-
-def _tri_indices(n):
-    lower = [(i, j) for i in range(n) for j in range(n) if i > j]
-    upper = [(i, j) for i in range(n) for j in range(n) if i < j]
-    return lower, upper
-
-
-def _selection_matrix(idx_pairs, n):
-    S = np.zeros((len(idx_pairs), n * n))
-    for k, (i, j) in enumerate(idx_pairs):
-        S[k, i * n + j] = 1.0
-    return S
-
 
 class BnnLayer:
     """One bijective layer: asinh(c(d) + sinh(W(d) y + b(d)))."""
@@ -186,11 +123,13 @@ class BnnLayer:
     def __init__(self, prefix, n, cond_dim, hidden=32):
         self.prefix = prefix
         self.n = n
-        lower, upper = _tri_indices(n)
-        self.k_low = len(lower)
-        self.s_low = _selection_matrix(lower, n)
-        self.s_diag = _selection_matrix([(i, i) for i in range(n)], n)
-        self.s_up = _selection_matrix(upper, n)
+        # rows of the identity that pick the strict lower triangle, the
+        # diagonal and the strict upper triangle out of a flat n x n matrix
+        flat, eye = np.arange(n * n).reshape(n, n), np.eye(n * n)
+        self.s_low = eye[flat[np.tril_indices(n, -1)]]
+        self.s_diag = eye[np.diag(flat)]
+        self.s_up = eye[flat[np.triu_indices(n, 1)]]
+        self.k_low = self.s_low.shape[0]
         self.wnet = ParamMlp(f"{prefix}.w", cond_dim, n * n, hidden)
         self.bnet = ParamMlp(f"{prefix}.b", cond_dim, n, hidden)
         self.cnet = ParamMlp(f"{prefix}.c", cond_dim, n, hidden)
@@ -199,62 +138,26 @@ class BnnLayer:
     def nets(self):
         return (self.wnet, self.bnet, self.cnet)
 
-    def _split_raw(self, raw):
+    def weight(self, xp, params, dc):
+        """W(d) = L(d) U(d), shape (..., n, n)."""
+        raw = xp.mlp(self.wnet, params, dc)
         n, k = self.n, self.k_low
-        return raw[..., :k], raw[..., k:k + n], raw[..., k + n:]
+        L_flat = xp.narrow(raw, 0, k) @ self.s_low + np.eye(n).reshape(-1)
+        U_flat = (xp.exp(xp.narrow(raw, k, n)) @ self.s_diag
+                  + xp.narrow(raw, k + n, n * n - k - n) @ self.s_up)
+        shape = raw.shape[:-1] + (n, n)
+        return xp.reshape(L_flat, shape) @ xp.reshape(U_flat, shape)
 
-    def weight_np(self, params, dc):
-        raw_low, raw_diag, raw_up = self._split_raw(self.wnet.forward_np(params, dc))
-        n = self.n
-        L = (raw_low @ self.s_low + np.eye(n).reshape(-1)).reshape(*raw_low.shape[:-1], n, n)
-        U = (np.exp(raw_diag) @ self.s_diag + raw_up @ self.s_up).reshape(*raw_diag.shape[:-1], n, n)
-        return L @ U
-
-    def weight_and_dgrad_np(self, params, dc):
-        """W(d) and dW/dd contracted over nothing: shapes (..., n, n) and (..., n, n, l)."""
-        raw, raw_J = self.wnet.forward_and_input_jacobian_np(params, dc)
-        n, k = self.n, self.k_low
-        raw_low, raw_diag, raw_up = self._split_raw(raw)
-        J_low, J_diag, J_up = raw_J[..., :k, :], raw_J[..., k:k + n, :], raw_J[..., k + n:, :]
-        L = (raw_low @ self.s_low + np.eye(n).reshape(-1)).reshape(*raw.shape[:-1], n, n)
-        ediag = np.exp(raw_diag)
-        U = (ediag @ self.s_diag + raw_up @ self.s_up).reshape(*raw.shape[:-1], n, n)
-        lshape = raw.shape[:-1] + (n, n, dc.shape[-1])
-        dL = np.einsum("kf,...kl->...fl", self.s_low, J_low).reshape(lshape)
-        dU = (np.einsum("kf,...kl->...fl", self.s_diag, ediag[..., None] * J_diag)
-              + np.einsum("kf,...kl->...fl", self.s_up, J_up)).reshape(lshape)
-        W = L @ U
-        dW = np.einsum("...ikl,...kj->...ijl", dL, U) + np.einsum("...ik,...kjl->...ijl", L, dU)
-        return W, dW
+    def forward(self, xp, params, y, dc):
+        Wy = self.weight(xp, params, dc) @ xp.reshape(y, y.shape + (1,))
+        t = xp.reshape(Wy, Wy.shape[:-1]) + xp.mlp(self.bnet, params, dc)
+        return xp.asinh(xp.mlp(self.cnet, params, dc) + xp.sinh(t))
 
     def forward_np(self, params, y, dc):
-        W = self.weight_np(params, dc)
-        t = matvec_np(W, y) + self.bnet.forward_np(params, dc)
-        q = self.cnet.forward_np(params, dc) + np.sinh(t)
-        return np.arcsinh(q)
-
-    def forward_with_jac_np(self, params, y, dc, want_dgrad=False):
-        """Returns (out, J_y) or (out, J_y, J_d)."""
-        if want_dgrad:
-            W, dW = self.weight_and_dgrad_np(params, dc)
-            b, Jb = self.bnet.forward_and_input_jacobian_np(params, dc)
-            c, Jc = self.cnet.forward_and_input_jacobian_np(params, dc)
-        else:
-            W = self.weight_np(params, dc)
-            b = self.bnet.forward_np(params, dc)
-            c = self.cnet.forward_np(params, dc)
-        t = matvec_np(W, y) + b
-        q = c + np.sinh(t)
-        out = np.arcsinh(q)
-        J_y = (dasinh_np(q) * np.cosh(t))[..., :, None] * W
-        if not want_dgrad:
-            return out, J_y
-        dWy = np.einsum("...ijl,...j->...il", dW, y)
-        J_d = dasinh_np(q)[..., :, None] * (Jc + np.cosh(t)[..., :, None] * (dWy + Jb))
-        return out, J_y, J_d
+        return self.forward(NUMPY, params, y, dc)
 
     def inverse_np(self, params, x, dc, cond_limit=COND_LIMIT):
-        W = self.weight_np(params, dc)
+        W = self.weight(NUMPY, params, dc)
         cond = np.linalg.cond(W)
         if np.any(cond > cond_limit):
             raise ConditioningError(
@@ -263,22 +166,6 @@ class BnnLayer:
         t = np.arcsinh(np.sinh(x) - self.cnet.forward_np(params, dc))
         rhs = t - self.bnet.forward_np(params, dc)
         return np.linalg.solve(W, rhs[..., None])[..., 0]
-
-    def forward_t(self, params_t, y, dc):
-        raw = self.wnet.forward_t(params_t, dc)
-        n, k = self.n, self.k_low
-        raw_low = ad.narrow(raw, -1, 0, k)
-        raw_diag = ad.narrow(raw, -1, k, n)
-        raw_up = ad.narrow(raw, -1, k + n, raw.shape[-1] - k - n)
-        L_flat = ad.add(ad.matmul(raw_low, ad.constant(self.s_low)),
-                        ad.constant(np.eye(n).reshape(-1)))
-        U_flat = ad.add(ad.matmul(ad.exp(raw_diag), ad.constant(self.s_diag)),
-                        ad.matmul(raw_up, ad.constant(self.s_up)))
-        batch = raw.shape[:-1]
-        W = ad.matmul(ad.reshape(L_flat, batch + (n, n)), ad.reshape(U_flat, batch + (n, n)))
-        t = ad.add(ad.matvec(W, y), self.bnet.forward_t(params_t, dc))
-        q = ad.add(self.cnet.forward_t(params_t, dc), ad.sinh(t))
-        return ad.asinh(q)
 
 
 class Bnn:
@@ -294,37 +181,24 @@ class Bnn:
     def nets(self):
         return [net for layer in self.layers for net in layer.nets]
 
-    def forward_np(self, params, y, dc):
+    def forward(self, xp, params, y, dc):
         for layer in self.layers:
-            y = layer.forward_np(params, y, dc)
+            y = layer.forward(xp, params, y, dc)
         return y
 
-    def forward_with_jac_np(self, params, y, dc, want_dgrad=False):
-        """Value, d(out)/dy and optionally d(out)/dd, accumulated across layers."""
-        J_y = np.broadcast_to(np.eye(self.n), y.shape[:-1] + (self.n, self.n)).copy()
-        J_d = None
-        if want_dgrad:
-            J_d = np.zeros(y.shape[:-1] + (self.n, dc.shape[-1]))
-        for layer in self.layers:
-            if want_dgrad:
-                y, Jl_y, Jl_d = layer.forward_with_jac_np(params, y, dc, want_dgrad=True)
-                J_d = Jl_y @ J_d + Jl_d
-            else:
-                y, Jl_y = layer.forward_with_jac_np(params, y, dc)
-            J_y = Jl_y @ J_y
-        if want_dgrad:
-            return y, J_y, J_d
-        return y, J_y
+    def forward_np(self, params, y, dc):
+        return self.forward(NUMPY, params, y, dc)
+
+    def forward_with_jacobians(self, params, y, dc):
+        """Value, d(out)/dy and d(out)/dd by one tangent pass over [d | y]."""
+        nd = dc.shape[-1]
+        out = self.forward(TANGENT, params, seed(y, offset=nd), seed(dc))
+        return out.val, out.tan[..., nd:], out.tan[..., :nd]
 
     def inverse_np(self, params, x, dc, cond_limit=COND_LIMIT):
         for layer in reversed(self.layers):
             x = layer.inverse_np(params, x, dc, cond_limit)
         return x
-
-    def forward_t(self, params_t, y, dc):
-        for layer in self.layers:
-            y = layer.forward_t(params_t, y, dc)
-        return y
 
 
 # ---------------------------------------------------------------------------
@@ -353,61 +227,27 @@ class DiagonalBnn:
     def depth(self):
         return len(self.wnets)
 
-    def forward_np(self, params, u, cond):
+    def forward(self, xp, params, u, cond):
         for k in range(self.depth):
-            w = np.exp(self.wnets[k].forward_np(params, cond))
-            b = self.bnets[k].forward_np(params, cond)
-            c = self.cnets[k].forward_np(params, cond)
-            u = np.arcsinh(c + np.sinh(w * u + b))
+            w = xp.exp(xp.mlp(self.wnets[k], params, cond))
+            b = xp.mlp(self.bnets[k], params, cond)
+            c = xp.mlp(self.cnets[k], params, cond)
+            u = xp.asinh(c + xp.sinh(w * u + b))
         return u
+
+    def inverse(self, xp, params, v, cond):
+        for k in reversed(range(self.depth)):
+            raw = xp.mlp(self.wnets[k], params, cond)
+            b = xp.mlp(self.bnets[k], params, cond)
+            c = xp.mlp(self.cnets[k], params, cond)
+            v = (xp.asinh(xp.sinh(v) - c) - b) * xp.exp(-raw)
+        return v
+
+    def forward_np(self, params, u, cond):
+        return self.forward(NUMPY, params, u, cond)
 
     def inverse_np(self, params, v, cond):
-        for k in reversed(range(self.depth)):
-            raw = self.wnets[k].forward_np(params, cond)
-            b = self.bnets[k].forward_np(params, cond)
-            c = self.cnets[k].forward_np(params, cond)
-            v = (np.arcsinh(np.sinh(v) - c) - b) * np.exp(-raw)
-        return v
-
-    def inverse_with_cond_jac_np(self, params, v, cond):
-        """Inverse and its Jacobian w.r.t. the conditioning vector.
-
-        Returns (u, J) with J of shape (..., m, cond_dim).
-        """
-        J = np.zeros(v.shape[:-1] + (self.m, cond.shape[-1]))
-        for k in reversed(range(self.depth)):
-            raw, Jr = self.wnets[k].forward_and_input_jacobian_np(params, cond)
-            b, Jb = self.bnets[k].forward_and_input_jacobian_np(params, cond)
-            c, Jc = self.cnets[k].forward_and_input_jacobian_np(params, cond)
-            s = np.sinh(v)
-            q = s - c
-            a = np.arcsinh(q)
-            einv = np.exp(-raw)
-            out = (a - b) * einv
-            d_v = einv * dasinh_np(q) * np.cosh(v)      # diagonal
-            d_c = -einv * dasinh_np(q)
-            J = (d_v[..., :, None] * J
-                 + d_c[..., :, None] * Jc
-                 - einv[..., :, None] * Jb
-                 - out[..., :, None] * Jr)
-            v = out
-        return v, J
-
-    def forward_t(self, params_t, u, cond):
-        for k in range(self.depth):
-            w = ad.exp(self.wnets[k].forward_t(params_t, cond))
-            b = self.bnets[k].forward_t(params_t, cond)
-            c = self.cnets[k].forward_t(params_t, cond)
-            u = ad.asinh(ad.add(c, ad.sinh(ad.add(ad.mul(w, u), b))))
-        return u
-
-    def inverse_t(self, params_t, v, cond):
-        for k in reversed(range(self.depth)):
-            raw = self.wnets[k].forward_t(params_t, cond)
-            b = self.bnets[k].forward_t(params_t, cond)
-            c = self.cnets[k].forward_t(params_t, cond)
-            v = ad.mul(ad.sub(ad.asinh(ad.sub(ad.sinh(v), c)), b), ad.exp(ad.mul(raw, -1.0)))
-        return v
+        return self.inverse(NUMPY, params, v, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +318,12 @@ class Picnn:
 
     def validate(self, params):
         for k in range(1, self.depth):
-            w = softplus_np(params[f"{self.prefix}.l{k}.Wz_raw"])
+            w = NUMPY.softplus(params[f"{self.prefix}.l{k}.Wz_raw"])
             if np.any(w < 0):
                 raise ValueError(f"nonnegativity-constrained weight {self.prefix}.l{k}.Wz_raw "
                                  "has a negative entry")
 
-    def forward_np(self, params, xi, ctx):
+    def forward(self, xp, params, xi, ctx):
         s = ctx
         z = None
         for k in range(self.depth):
@@ -491,52 +331,12 @@ class Picnn:
             pre = (xi * (s @ params[f"{p}.Wxis"].T + params[f"{p}.bxi"])) @ params[f"{p}.Wxi"].T
             pre = pre + s @ params[f"{p}.Ws"].T + params[f"{p}.b"]
             if z is not None:
-                gate = softplus_np(s @ params[f"{p}.Wzs"].T + params[f"{p}.bz"])
-                pre = pre + (z * gate) @ softplus_np(params[f"{p}.Wz_raw"]).T
-            z = pre if k == self.depth - 1 else softplus_np(pre)
+                gate = xp.softplus(s @ params[f"{p}.Wzs"].T + params[f"{p}.bz"])
+                pre = pre + (z * gate) @ xp.softplus(params[f"{p}.Wz_raw"]).T
+            z = pre if k == self.depth - 1 else xp.softplus(pre)
             if k < self.depth - 1:
-                s = softplus_np(s @ params[f"{p}.V"].T + params[f"{p}.r"])
+                s = xp.softplus(s @ params[f"{p}.V"].T + params[f"{p}.r"])
         return z
 
-    def forward_and_xi_jacobian_np(self, params, xi, ctx):
-        """Value and d(out)/d(xi), shapes (..., out) and (..., out, xi_dim)."""
-        s = ctx
-        z, G = None, None
-        for k in range(self.depth):
-            p = f"{self.prefix}.l{k}"
-            gxi = s @ params[f"{p}.Wxis"].T + params[f"{p}.bxi"]
-            Wxi = params[f"{p}.Wxi"]
-            pre = (xi * gxi) @ Wxi.T + s @ params[f"{p}.Ws"].T + params[f"{p}.b"]
-            Gpre = gxi[..., None, :] * Wxi
-            if z is not None:
-                gate = softplus_np(s @ params[f"{p}.Wzs"].T + params[f"{p}.bz"])
-                Wz = softplus_np(params[f"{p}.Wz_raw"])
-                pre = pre + (z * gate) @ Wz.T
-                Gpre = Gpre + np.einsum("ik,...kj->...ij", Wz, gate[..., :, None] * G)
-            if k == self.depth - 1:
-                z, G = pre, Gpre
-            else:
-                z = softplus_np(pre)
-                G = sigmoid_np(pre)[..., :, None] * Gpre
-                s = softplus_np(s @ params[f"{p}.V"].T + params[f"{p}.r"])
-        return z, G
-
-    def forward_t(self, params_t, xi, ctx):
-        s = ctx
-        z = None
-        for k in range(self.depth):
-            p = f"{self.prefix}.l{k}"
-            gxi = ad.add(ad.matmul(s, ad.transpose(params_t[f"{p}.Wxis"])), params_t[f"{p}.bxi"])
-            pre = ad.matmul(ad.mul(xi, gxi), ad.transpose(params_t[f"{p}.Wxi"]))
-            pre = ad.add(ad.add(pre, ad.matmul(s, ad.transpose(params_t[f"{p}.Ws"]))),
-                         params_t[f"{p}.b"])
-            if z is not None:
-                gate = ad.softplus(ad.add(ad.matmul(s, ad.transpose(params_t[f"{p}.Wzs"])),
-                                          params_t[f"{p}.bz"]))
-                pre = ad.add(pre, ad.matmul(ad.mul(z, gate),
-                                            ad.transpose(ad.softplus(params_t[f"{p}.Wz_raw"]))))
-            z = pre if k == self.depth - 1 else ad.softplus(pre)
-            if k < self.depth - 1:
-                s = ad.softplus(ad.add(ad.matmul(s, ad.transpose(params_t[f"{p}.V"])),
-                                       params_t[f"{p}.r"]))
-        return z
+    def forward_np(self, params, xi, ctx):
+        return self.forward(NUMPY, params, xi, ctx)

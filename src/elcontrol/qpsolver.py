@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import ConditioningError
+from .errors import ConditioningError, SolverError
 
 FEAS_TOL = 1e-9
 MU_TOL = 1e-10
@@ -133,7 +133,7 @@ def _active_set_iterate(problem: QpProblem, x0, working, max_iter):
     while True:
         iters += 1
         if iters > max_iter:
-            raise RuntimeError("active-set iteration limit exceeded")
+            raise SolverError("QP active-set iteration limit exceeded")
         g = H @ x + q
         if working:
             p, nu = _eqp_step(H, g, G, w, x, working)
@@ -225,6 +225,7 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
 
     Returns a QpSolution with status "optimal" (KKT-verified, tolerance 1e-8
     on the scaled residual) or "infeasible" (with a Farkas certificate).
+    Raises SolverError when the iteration limit is hit or the KKT check fails.
     """
     n, r = problem.n, problem.r
     L = _chol(problem.H)
@@ -262,5 +263,5 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     res = kkt_residual(problem, x, mu)
     scale = 1.0 + float(np.max(np.abs(problem.q))) + float(np.max(np.abs(problem.H)))
     if res > 1e-8 * scale:
-        raise RuntimeError(f"QP solution failed its own KKT certificate: residual {res:.3e}")
+        raise SolverError(f"QP solution failed its own KKT certificate: residual {res:.3e}")
     return QpSolution(x, mu, active, "optimal", iters, res)

@@ -21,7 +21,7 @@ import numpy as np
 from .control import (BarrierSpec, ControllerState, DesignCache,
                       barrier_values, icbf_step, lqr_control, sontag_control)
 from .errors import ValidationError
-from .model import ELModel, ModelDims, TrajectoryDataset
+from .model import ELModel, ModelDims, TrajectoryDataset, write_blocks
 
 SAFETY_FACTOR = 10.0
 SUBSTEPS_PER_TICK = 10
@@ -243,8 +243,7 @@ def _rk4_step(fn, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def simulate_open_loop(plant, v, d, y0, step, steps=None, method="rk4",
-                       fd_tol=1e-2):
+def simulate_open_loop(plant, v, d, y0, step, steps=None, fd_tol=1e-2):
     """Integrate the plant under v(t), d(t) and log a training dataset.
 
     v is held constant over each step (zero-order hold); d is evaluated at
@@ -253,8 +252,6 @@ def simulate_open_loop(plant, v, d, y0, step, steps=None, method="rk4",
     function, not from differencing.  steps defaults to v.duration / step
     when the signal carries a duration.
     """
-    if method != "rk4":
-        raise ValidationError(f"unknown integration method {method!r}")
     if not step > 0:
         raise ValidationError("step must be positive")
     if steps is None:
@@ -335,22 +332,9 @@ class SimulationTrace:
 
 def write_trace_csv(trace, path):
     """One CSV row per control tick; column order fixed by the header."""
-    cols = [("t", trace.t[:, None]), ("y", trace.y), ("x", trace.x),
-            ("u", trace.u), ("v", trace.v), ("z", trace.z), ("h", trace.h),
-            ("lam", trace.lam), ("d", trace.d)]
-    header = []
-    blocks = []
-    for name, arr in cols:
-        if name == "t":
-            header.append("t")
-        else:
-            header.extend(f"{name}{i + 1}" for i in range(arr.shape[1]))
-        blocks.append(arr)
-    table = np.concatenate(blocks, axis=1) if len(trace) else np.zeros((0, len(header)))
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in table:
-            f.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_blocks(path, [("t", trace.t), ("y", trace.y), ("x", trace.x),
+                        ("u", trace.u), ("v", trace.v), ("z", trace.z), ("h", trace.h),
+                        ("lam", trace.lam), ("d", trace.d)])
 
 
 CONTROLLERS = ("lqr", "icbf", "sontag")

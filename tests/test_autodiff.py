@@ -312,7 +312,7 @@ def test_nested_jacobian_of_jacobian_row():
         return ad.concat([ad.mul(ad.sinh(y1), y2), ad.square(y1)], axis=0)
 
     def h(y):
-        J = ad._jacobian_rows(f, y)
+        (J,) = ad.jacobian_rows(f(y), [y])
         return ad.matvec(J, ad.constant(v))
 
     def h_np(y):

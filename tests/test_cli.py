@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from elcontrol import qpsolver
 from elcontrol.cli import main
 from elcontrol.control import design_lqr
 from elcontrol.model import ELModel, ModelArch, ModelDims, load_model, read_csv, save_model
@@ -243,6 +244,40 @@ def test_eval_missing_model_is_a_clean_error(tmp_path, teacher_run, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _bad_model_file(path, source, case):
+    if case == "not a zip archive":
+        with open(path, "wb") as f:
+            np.save(f, np.zeros(3))
+    elif case in ("unknown arch key", "non-integer dims"):
+        with np.load(source) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        if case == "unknown arch key":
+            meta["arch"]["phi_width"] = 3
+        else:
+            meta["dims"][0] = "2"
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+    else:
+        model = load_model(source)
+        key = sorted(model.params)[0]
+        model.params[key] = np.full_like(model.params[key], np.nan)
+        save_model(model, path)
+
+
+@pytest.mark.parametrize("case", ["not a zip archive", "unknown arch key", "non-integer dims",
+                                  "nan parameter"])
+def test_eval_rejects_bad_model_files(tmp_path, teacher_run, capsys, case):
+    bad = tmp_path / "bad.npz"
+    _bad_model_file(bad, teacher_run / "plant_model.npz", case)
+    cfg = {"output": str(tmp_path / "run"), "model": str(bad),
+           "dataset": str(teacher_run / "dataset.csv")}
+    assert run_cli(tmp_path, "eval", cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # design-lqr / simulate
 
@@ -312,6 +347,26 @@ def test_simulate_icbf_without_barrier_is_an_error(tmp_path, teacher_run, capsys
     del cfg["barrier"]
     assert run_cli(tmp_path, "simulate", cfg) == 1
     assert "barrier" in capsys.readouterr().err
+
+
+def test_simulate_qp_failure_is_an_error_with_partial_trace(tmp_path, teacher_run,
+                                                            capsys, monkeypatch):
+    # from the third QP on, the solver's KKT self-check fails
+    calls = []
+    real = qpsolver.kkt_residual
+
+    def failing(problem, x, mu):
+        calls.append(None)
+        return np.inf if len(calls) >= 3 else real(problem, x, mu)
+
+    monkeypatch.setattr(qpsolver, "kkt_residual", failing)
+    out = tmp_path / "run"
+    cfg = sim_config(out, str(teacher_run / "plant_model.npz"), ["icbf"])
+    assert run_cli(tmp_path, "simulate", cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "KKT" in err[0]
+    partial = np.loadtxt(out / "trace_icbf.partial.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert partial.shape[0] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from elcontrol.control import (BarrierSpec, ControllerState, DesignCache,
-                               LqrDesign, barrier_values, cbf_qp, clf_gradient,
-                               clf_value, design_lqr, equilibrium_kkt_residual,
+                               LqrDesign, barrier_values, design_lqr,
+                               equilibrium_kkt_residual,
                                icbf_problem, icbf_step, lqr_control,
                                solve_care, sontag_control, steady_target)
 from elcontrol.errors import (InfeasibleError, NonFiniteError,
@@ -227,36 +227,6 @@ def test_barrier_values_rejects_overflowing_bounds():
 
 
 # ---------------------------------------------------------------------------
-# state-barrier QP filter
-
-def test_cbf_qp_inactive_active_boundary():
-    f = np.zeros(1); g = np.eye(1)
-    alpha = lambda s: s
-    for x, expect in [(-1.0, 1.0), (0.5, 0.5), (0.0, 1.0)]:
-        h = x - 1.0
-        u, sol = cbf_qp(f, g, h, np.ones(1), alpha, np.ones(1))
-        assert u[0] == pytest.approx(expect, abs=1e-9)
-        assert sol.kkt_residual < 1e-8
-
-
-def test_cbf_qp_box_bound():
-    u, _ = cbf_qp(np.zeros(1), np.eye(1), -10.0, np.ones(1), lambda s: s,
-                  np.ones(1), u_min=[-0.2], u_max=[0.2])
-    assert u[0] == pytest.approx(0.2, abs=1e-10)
-
-
-def test_cbf_qp_infeasible_names_row():
-    # drift +1 through the active barrier forces u <= -1 while the box
-    # forces u >= 0
-    with pytest.raises(InfeasibleError) as info:
-        cbf_qp(np.array([1.0]), np.eye(1), 0.0, np.ones(1), lambda s: s,
-               np.zeros(1), u_min=[0.0])
-    assert "row" in str(info.value)
-    assert info.value.certificate is not None
-    assert "worst_row" in info.value.certificate
-
-
-# ---------------------------------------------------------------------------
 # rate-based filter
 
 def test_icbf_objective_identity():
@@ -389,28 +359,7 @@ def test_equilibrium_residual_rejects_infeasible_point():
 
 
 # ---------------------------------------------------------------------------
-# CLF and Sontag law
-
-def test_clf_value_hand_cases():
-    m = ELModel(ModelDims(2, 2, 1, 1))
-    design = LqrDesign(P=np.eye(2), K=np.eye(2), x_d=np.zeros(2),
-                       u_d=np.zeros(2), Q=np.eye(2), R=np.eye(2))
-    assert clf_value(m, design, np.zeros(2)) == 0.0
-    assert clf_value(m, design, np.array([1.0, 2.0])) == pytest.approx(5.0)
-
-
-def test_clf_gradient_matches_fd():
-    m = ELModel.random(ModelDims(2, 2, 1, 1), seed=14)
-    design = LqrDesign(P=np.array([[2.0, 0.3], [0.3, 1.0]]), K=np.eye(2),
-                       x_d=np.zeros(2), u_d=np.zeros(2), Q=np.eye(2), R=np.eye(2))
-    y = np.array([0.3, -0.5])
-    grad = clf_gradient(m, design, y)
-    step = 1e-6
-    for j in range(2):
-        e = np.zeros(2); e[j] = step
-        fd = (clf_value(m, design, y + e) - clf_value(m, design, y - e)) / (2 * step)
-        assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
+# Sontag law
 
 def test_sontag_branches():
     assert np.array_equal(sontag_control(3.0, np.zeros(2)), np.zeros(2))

@@ -1,10 +1,11 @@
 """Tests for the network components: bijectivity, monotonicity, convexity,
-and agreement between the graph path and the numpy fast path."""
+and agreement between the numpy, graph and tangent evaluation modes."""
 
 import numpy as np
 import pytest
 
 import elcontrol.autodiff as ad
+from elcontrol.arrays import GRAPH, TANGENT, seed
 from elcontrol.errors import ConditioningError
 from elcontrol.networks import Bnn, BnnLayer, DiagonalBnn, ParamMlp, Picnn, Scaler
 
@@ -59,8 +60,10 @@ def test_mlp_graph_matches_numpy():
     mlp = ParamMlp("f", 3, 4, hidden=8)
     params = random_params([mlp], rng)
     X = rng.normal(size=(5, 3))
-    out_t = mlp.forward_t(tensorize(params), ad.as_tensor(X))
+    out_t = mlp.forward(GRAPH, tensorize(params), ad.as_tensor(X))
     assert np.allclose(out_t.data, mlp.forward_np(params, X), atol=1e-14)
+    assert np.array_equal(mlp.forward_and_input_jacobian_np(params, X)[0],
+                          mlp.forward_np(params, X))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ def test_bnn_jacobian_matches_autodiff_and_fd():
     y0 = rng.uniform(-1, 1, size=3)
     d0 = rng.uniform(-1, 1, size=2)
 
-    out, J_y, J_d = bnn.forward_with_jac_np(params, y0, d0, want_dgrad=True)
+    out, J_y, J_d = bnn.forward_with_jacobians(params, y0, d0)
     assert np.allclose(out, bnn.forward_np(params, y0, d0), atol=1e-14)
 
     h = 1e-6
@@ -143,7 +146,7 @@ def test_bnn_jacobian_matches_autodiff_and_fd():
     pt = tensorize(params)
 
     def fwd(y):
-        out = bnn.forward_t(pt, ad.expand_dims(y, 0), ad.constant(d0[None, :]))
+        out = bnn.forward(GRAPH, pt, ad.expand_dims(y, 0), ad.constant(d0[None, :]))
         return ad.squeeze(out, 0)
 
     J_ad = ad.jacobian_fn(fwd, y0).data
@@ -156,9 +159,9 @@ def test_bnn_batched_forward_matches_loop():
     params = random_params(bnn.nets, rng, scale=0.4)
     Y = rng.uniform(-1, 1, size=(6, 3))
     D = rng.uniform(-1, 1, size=(6, 2))
-    batched, J = bnn.forward_with_jac_np(params, Y, D)
+    batched, J, _ = bnn.forward_with_jacobians(params, Y, D)
     for i in range(6):
-        row, Ji = bnn.forward_with_jac_np(params, Y[i], D[i])
+        row, Ji, _ = bnn.forward_with_jacobians(params, Y[i], D[i])
         assert np.allclose(batched[i], row, atol=1e-13)
         assert np.allclose(J[i], Ji, atol=1e-13)
 
@@ -169,8 +172,10 @@ def test_bnn_graph_matches_numpy():
     params = random_params(bnn.nets, rng, scale=0.4)
     Y = rng.uniform(-1, 1, size=(4, 2))
     D = rng.uniform(-1, 1, size=(4, 2))
-    out_t = bnn.forward_t(tensorize(params), ad.as_tensor(Y), ad.as_tensor(D))
+    out_t = bnn.forward(GRAPH, tensorize(params), ad.as_tensor(Y), ad.as_tensor(D))
     assert np.allclose(out_t.data, bnn.forward_np(params, Y, D), atol=1e-13)
+    assert np.array_equal(bnn.forward_with_jacobians(params, Y, D)[0],
+                          bnn.forward_np(params, Y, D))
 
 
 def test_bnn_inverse_conditioning_guard():
@@ -247,7 +252,8 @@ def test_dbnn_inverse_cond_jacobian_matches_fd():
     params = random_params(dbnn.nets, rng, scale=0.4)
     v0 = rng.uniform(-1, 1, size=3)
     c0 = rng.uniform(-1, 1, size=4)
-    u, J = dbnn.inverse_with_cond_jac_np(params, v0, c0)
+    out = dbnn.inverse(TANGENT, params, v0, seed(c0))
+    u, J = out.val, out.tan
     assert np.allclose(u, dbnn.inverse_np(params, v0, c0), atol=1e-13)
     h = 1e-6
     J_fd = np.column_stack([
@@ -263,10 +269,14 @@ def test_dbnn_graph_matches_numpy():
     U = rng.uniform(-1, 1, size=(5, 2))
     C = rng.uniform(-1, 1, size=(5, 3))
     pt = tensorize(params)
-    fwd = dbnn.forward_t(pt, ad.as_tensor(U), ad.as_tensor(C))
+    fwd = dbnn.forward(GRAPH, pt, ad.as_tensor(U), ad.as_tensor(C))
     assert np.allclose(fwd.data, dbnn.forward_np(params, U, C), atol=1e-13)
-    inv = dbnn.inverse_t(pt, ad.as_tensor(fwd.data), ad.as_tensor(C))
+    inv = dbnn.inverse(GRAPH, pt, ad.as_tensor(fwd.data), ad.as_tensor(C))
     assert np.allclose(inv.data, U, atol=1e-10)
+    assert np.array_equal(dbnn.forward(TANGENT, params, seed(U), C).val,
+                          dbnn.forward_np(params, U, C))
+    assert np.array_equal(dbnn.inverse(TANGENT, params, fwd.data, seed(C)).val,
+                          dbnn.inverse_np(params, fwd.data, C))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +317,8 @@ def test_picnn_xi_gradient_matches_fd_and_graph():
     picnn.init(params, rng, scale=0.8)
     xi0 = rng.uniform(-1, 1, size=3)
     ctx0 = rng.uniform(-1, 1, size=2)
-    out, G = picnn.forward_and_xi_jacobian_np(params, xi0, ctx0)
+    tangent = picnn.forward(TANGENT, params, seed(xi0), ctx0)
+    out, G = tangent.val, tangent.tan
     assert np.allclose(out, picnn.forward_np(params, xi0, ctx0), atol=1e-14)
     h = 1e-6
     G_fd = np.column_stack([
@@ -319,7 +330,7 @@ def test_picnn_xi_gradient_matches_fd_and_graph():
     pt = tensorize(params)
 
     def fwd(xi):
-        out = picnn.forward_t(pt, ad.expand_dims(xi, 0), ad.constant(ctx0[None, :]))
+        out = picnn.forward(GRAPH, pt, ad.expand_dims(xi, 0), ad.constant(ctx0[None, :]))
         return ad.squeeze(out, 0)
 
     G_ad = ad.jacobian_fn(fwd, xi0).data
@@ -333,8 +344,10 @@ def test_picnn_graph_matches_numpy():
     picnn.init(params, rng, scale=0.6)
     XI = rng.uniform(-1, 1, size=(6, 4))
     CTX = rng.uniform(-1, 1, size=(6, 2))
-    out_t = picnn.forward_t(tensorize(params), ad.as_tensor(XI), ad.as_tensor(CTX))
+    out_t = picnn.forward(GRAPH, tensorize(params), ad.as_tensor(XI), ad.as_tensor(CTX))
     assert np.allclose(out_t.data, picnn.forward_np(params, XI, CTX), atol=1e-13)
+    assert np.array_equal(picnn.forward(TANGENT, params, seed(XI), CTX).val,
+                          picnn.forward_np(params, XI, CTX))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +356,9 @@ def test_picnn_graph_matches_numpy():
 def test_scaler_fit_and_constant_feature():
     data = np.column_stack([np.linspace(0, 1, 50), np.full(50, 3.0)])
     sc = Scaler.fit(data)
-    z = sc.transform_np(data)
+    z = sc.transform(data)
     assert abs(z[:, 0].mean()) < 1e-12 and abs(z[:, 0].std() - 1) < 1e-12
     # constant feature is centered but not rescaled
     assert np.allclose(z[:, 1], 0.0)
-    zt = sc.transform_t(ad.as_tensor(data))
+    zt = sc.transform(ad.as_tensor(data))
     assert np.allclose(zt.data, z, atol=1e-15)

@@ -207,9 +207,6 @@ def test_open_loop_uses_signal_duration_and_validates_arguments():
         simulate_open_loop(DecayPlant(), ZERO1, ZERO1, np.zeros(1), step=0.1)
     with pytest.raises(ValidationError):
         simulate_open_loop(DecayPlant(), sig, ZERO1, np.zeros(1), step=-0.1)
-    with pytest.raises(ValidationError):
-        simulate_open_loop(DecayPlant(), sig, ZERO1, np.zeros(1), step=0.1,
-                           method="euler")
 
 
 def test_open_loop_divergence_is_reported():
