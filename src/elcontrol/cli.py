@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from . import liecheck
-from .control import BarrierSpec, design_lqr
+from .control import CONTROLLERS, BarrierSpec, design_lqr
 from .errors import ElcontrolError, ValidationError
 from .liecheck import VectorFieldPair, check_linearizable, compile_field
 from .model import (ELModel, ModelArch, ModelDims, TrainConfig,
@@ -72,10 +72,10 @@ def _get(node, key, where, default=_MISSING):
 
 def _float(node, key, where, default=_MISSING):
     value = _get(node, key, where, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}.{key} must be a number, got {value!r}") from None
+    number = _numbers(value, f"{where}.{key}")
+    if number.ndim or not np.isfinite(number):
+        raise ValidationError(f"{where}.{key} must be a finite number, got {value!r}")
+    return float(number)
 
 
 def _int(node, key, where, default=_MISSING):
@@ -85,11 +85,16 @@ def _int(node, key, where, default=_MISSING):
     return value
 
 
-def _vector(value, where, width=None):
+def _numbers(value, where):
+    """A number or (nested) list of numbers as a float64 array."""
     try:
-        arr = np.asarray(value, dtype=np.float64).reshape(-1)
+        return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
-        raise ValidationError(f"{where} must be a number or list of numbers") from None
+        raise ValidationError(f"{where} must be numeric, got {value!r}") from None
+
+
+def _vector(value, where, width=None):
+    arr = _numbers(value, where).reshape(-1)
     if width is not None:
         if arr.size == 1:
             arr = np.full(width, arr[0])
@@ -98,22 +103,29 @@ def _vector(value, where, width=None):
     return arr
 
 
-def _weight(node, key, n, where):
+def _weight(node, key, n):
     """Quadratic cost weight: scalar -> scaled identity, vector -> diagonal,
     nested lists -> full matrix."""
-    value = _get(node, key, where, None)
+    value = _get(node, key, "weights", None)
     if value is None:
         return np.eye(n)
-    arr = np.asarray(value, dtype=np.float64)
+    arr = _numbers(value, f"weights.{key}")
     if arr.ndim == 0:
         return float(arr) * np.eye(n)
     if arr.ndim == 1:
         if arr.size != n:
-            raise ValidationError(f"{where}.{key} diagonal must have {n} entries")
+            raise ValidationError(f"weights.{key} diagonal must have {n} entries")
         return np.diag(arr)
     if arr.shape != (n, n):
-        raise ValidationError(f"{where}.{key} must be {n}x{n}, got {arr.shape}")
+        raise ValidationError(f"weights.{key} must be {n}x{n}, got {arr.shape}")
     return arr
+
+
+def _weights(cfg, dims):
+    """The (Q, R) pair of the config's optional `weights` section."""
+    weights = _mapping(_get(cfg, "weights", "config", {}), "weights")
+    _check_keys(weights, {"q", "r"}, "weights")
+    return _weight(weights, "q", dims.ny), _weight(weights, "r", dims.nu)
 
 
 def _dims(node, where):
@@ -155,7 +167,7 @@ def _timeseries(node, width, where):
     sched = _mapping(node["schedule"], f"{where}.schedule")
     _check_keys(sched, {"times", "values"}, f"{where}.schedule")
     times = _vector(_get(sched, "times", where), f"{where}.schedule.times")
-    values = np.atleast_2d(np.asarray(_get(sched, "values", where), dtype=np.float64))
+    values = np.atleast_2d(_numbers(_get(sched, "values", where), f"{where}.schedule.values"))
     if values.shape[1] != width:
         raise ValidationError(f"{where}.schedule.values rows must have {width} entries")
     return step_schedule(times, values)
@@ -180,10 +192,9 @@ def _jsonable(value):
 
 
 def _write_json(run, name, obj):
-    with open(os.path.join(run.out, name), "w") as f:
+    with open(run.path(name), "w") as f:
         json.dump(_jsonable(obj), f, sort_keys=True, indent=1)
         f.write("\n")
-    run.written.append(name)
 
 
 class _Run:
@@ -272,8 +283,7 @@ def _run_gen_data(cfg, seed, run):
     v = _signal(exc["v"], plant.dims.nu, duration, seed + 1, "excitation.v")
     d = _signal(exc["d"], plant.dims.nd, duration, seed + 2, "excitation.d")
 
-    steps = int(round(duration / step))
-    dataset = simulate_open_loop(plant, v, d, y0, step, steps=steps, fd_tol=fd_tol)
+    dataset = simulate_open_loop(plant, v, d, y0, step, fd_tol=fd_tol)
     write_csv(dataset, run.path("dataset.csv"))
     run.written.append("dataset.csv.meta.json")
     return {"rows": len(dataset), "duration": duration, "step": step}
@@ -338,10 +348,7 @@ def _run_design_lqr(cfg, seed, run):
     _check_keys(target, {"y", "d", "tol"}, "target")
     y_target = _vector(_get(target, "y", "target"), "target.y", model.dims.ny)
     d_bar = _vector(_get(target, "d", "target"), "target.d", model.dims.nd)
-    weights = _mapping(_get(cfg, "weights", "config", {}), "weights")
-    _check_keys(weights, {"q", "r"}, "weights")
-    Q = _weight(weights, "q", model.dims.ny, "weights")
-    R = _weight(weights, "r", model.dims.nu, "weights")
+    Q, R = _weights(cfg, model.dims)
 
     design = design_lqr(model, y_target, d_bar, Q, R,
                         target_tol=_float(target, "tol", "target", 1e-6))
@@ -407,15 +414,16 @@ def _run_simulate(cfg, seed, run):
     controllers = _get(cfg, "controllers", "config")
     if not isinstance(controllers, list) or not controllers:
         raise ValidationError("controllers must be a nonempty list")
+    unknown = [c for c in controllers if not isinstance(c, str) or c not in CONTROLLERS]
+    if unknown:
+        raise ValidationError(f"controllers: unknown {unknown}; "
+                              f"known controllers are {sorted(CONTROLLERS)}")
     if len(set(controllers)) != len(controllers):
         raise ValidationError("controllers are repeated")
 
     y_d = _timeseries(_get(cfg, "target", "config"), model.dims.ny, "target")
     d = _timeseries(_get(cfg, "disturbance", "config"), model.dims.nd, "disturbance")
-    weights = _mapping(_get(cfg, "weights", "config", {}), "weights")
-    _check_keys(weights, {"q", "r"}, "weights")
-    Q = _weight(weights, "q", model.dims.ny, "weights")
-    R = _weight(weights, "r", model.dims.nu, "weights")
+    Q, R = _weights(cfg, model.dims)
     spec = (_barrier(cfg["barrier"], model.dims.nu, model.dims.nz, "barrier")
             if "barrier" in cfg else None)
     if "icbf" in controllers and spec is None:
@@ -425,11 +433,9 @@ def _run_simulate(cfg, seed, run):
         control_period=_float(cfg, "control_period", "config", 1e-3),
         substeps=_int(cfg, "substeps", "config", 10),
         noise_std=_float(cfg, "noise_std", "config", 0.0),
-        Q=Q, R=R, spec=spec, seed=seed)
-    if "y0" in cfg:
-        kwargs["y0"] = _vector(cfg["y0"], "config.y0", model.dims.ny)
-    if "u0" in cfg:
-        kwargs["u0"] = _vector(cfg["u0"], "config.u0", model.dims.nu)
+        Q=Q, R=R, spec=spec, seed=seed,
+        y0=_vector(cfg["y0"], "config.y0", model.dims.ny) if "y0" in cfg else None,
+        u0=_vector(cfg["u0"], "config.u0", model.dims.nu) if "u0" in cfg else None)
     horizon = _float(cfg, "horizon", "config")
 
     summaries = {}
@@ -556,9 +562,9 @@ def main(argv=None):
         cfg = _mapping({} if cfg is None else cfg, "config")
         seed = args.seed if args.seed is not None else _int(cfg, "seed", "config", 0)
         out = args.out if args.out is not None else _get(cfg, "output", "config", None)
-        if out is None:
+        if not isinstance(out, str):
             raise ValidationError(
-                "no output directory: set `output` in the config or pass --out")
+                "no output directory path: set `output` in the config or pass --out")
         os.makedirs(out, exist_ok=True)
         run = _Run(out)
         with open(run.path("config.echo.yaml"), "w") as f:

@@ -14,6 +14,14 @@ the Lie derivatives of the latent LQR value function covers the nonlinear
 design route, and an equilibrium KKT residual certifies converged filter
 states as minimizers of ||u - k(x)||^2 over the constraint set.
 
+Closed-loop controllers share one tick, `(model, state, x, y, d_bar,
+design, spec, dt) -> (lam, state, u, v)`: the latent state x of the
+measured output y, the frozen disturbance, the tick's LQR design, the
+barrier spec (or None) and the control period go in; the input rate, the
+carried state, the latent input and the published input come out.
+`CONTROLLERS` maps each name to its tick, so adding a controller is one
+function plus one entry; only the rate filter carries a state.
+
 All operations here are single-sample; controller stepping is sequential
 by nature (the filter state carries the integrated input).  Design-time
 solves are pure functions and safe to run concurrently.
@@ -287,6 +295,8 @@ def barrier_values(model, x, u, d_bar, spec):
         raise ValidationError("input bound dimension does not match the model")
 
     z, dz_dx, dz_du = model.z_from_latent(x, u, d_bar, with_gradients=True)
+    if spec.z_max.size != z.size:
+        raise ValidationError("output bound dimension does not match the model")
     y = model.y_from_x(x, d_bar)
     _, dx_dy, _ = model.state_jacobians(y, d_bar)
     if np.linalg.cond(dx_dy) > COND_LIMIT:
@@ -384,6 +394,34 @@ def sontag_control(lf_v, lg_v):
     if gg == 0.0:
         return np.zeros_like(lg_v)
     return -((lf_v + np.sqrt(lf_v ** 2 + gg ** 2)) / gg) * lg_v
+
+
+def lqr_tick(model, state, x, y, d_bar, design, spec, dt):
+    """Unfiltered regulator: u = lqr_control(design, x), published through Psi."""
+    u = lqr_control(design, x)
+    return np.zeros_like(u), state, u, model.v_from_u(u, y, d_bar)
+
+
+def sontag_tick(model, state, x, y, d_bar, design, spec, dt):
+    """Sontag's law around u_d on the Lie derivatives of V = (x - x_d)' P (x - x_d)."""
+    A, B, c = model.linear_core(d_bar)
+    pe = design.P @ (x - design.x_d)
+    lf = 2.0 * pe @ (A @ x + B @ design.u_d + c)
+    lg = 2.0 * B.T @ pe
+    u = design.u_d + sontag_control(lf, lg)
+    return np.zeros_like(u), state, u, model.v_from_u(u, y, d_bar)
+
+
+def icbf_tick(model, state, x, y, d_bar, design, spec, dt):
+    """Rate filter; without a state yet, the integrated input starts at the
+    preimage of the midpoint of (v_min, v_max)."""
+    if state is None:
+        state = ControllerState(u=model.u_from_v(0.5 * (spec.v_min + spec.v_max), y, d_bar))
+    lam, state, v = icbf_step(model, state, x, d_bar, design, spec, dt)
+    return lam, state, state.u, v
+
+
+CONTROLLERS = {"lqr": lqr_tick, "icbf": icbf_tick, "sontag": sontag_tick}
 
 
 def equilibrium_kkt_residual(model, design, spec, x, u, d_bar=None, feas_tol=1e-6):

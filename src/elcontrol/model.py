@@ -486,7 +486,10 @@ def read_csv(path, fd_tol=None):
     """Read a dataset CSV; derivative columns are used if present else differenced."""
     with open(path) as f:
         header = f.readline().strip().split(",")
-        table = np.loadtxt(f, delimiter=",", ndmin=2)
+        try:
+            table = np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not a numeric table ({exc})") from None
     if table.shape[1] != len(header):
         raise ValidationError(f"{path}: {table.shape[1]} columns != header {len(header)}")
     groups: dict[str, list[int]] = {}

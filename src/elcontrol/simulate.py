@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import (BarrierSpec, ControllerState, DesignCache,
-                      barrier_values, icbf_step, lqr_control, sontag_control)
+from .control import (CONTROLLERS, BarrierSpec, ControllerState, DesignCache,
+                      barrier_values)
 from .errors import ValidationError
 from .model import ELModel, ModelDims, TrajectoryDataset, write_blocks
 
@@ -235,12 +235,22 @@ def _check_inside_safety_box(y, plant):
             f"({SAFETY_FACTOR:g}x the operating range)")
 
 
-def _rk4_step(fn, t, y, h):
-    k1 = fn(t, y)
-    k2 = fn(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = fn(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = fn(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _hold(plant, y, v, d, d_slope, t, period, substeps):
+    """Integrate the plant from y over [t, t + period] with v held, by `substeps` RK4 steps."""
+    def ydot(tau, state):
+        return plant.derivative(state, v,
+                                np.atleast_1d(np.asarray(d(tau), dtype=np.float64)),
+                                np.atleast_1d(np.asarray(d_slope(tau), dtype=np.float64)))
+
+    h = period / substeps
+    for j in range(substeps):
+        tau = t + j * h
+        k1 = ydot(tau, y)
+        k2 = ydot(tau + 0.5 * h, y + 0.5 * h * k1)
+        k3 = ydot(tau + 0.5 * h, y + 0.5 * h * k2)
+        k4 = ydot(tau + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 def simulate_open_loop(plant, v, d, y0, step, steps=None, fd_tol=1e-2):
@@ -260,34 +270,21 @@ def simulate_open_loop(plant, v, d, y0, step, steps=None, fd_tol=1e-2):
         steps = int(round(v.duration / step))
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
-    nd = plant.dims.nd
-    d_slope = _slope_of(d, nd)
+    d_slope = _slope_of(d, plant.dims.nd)
     y = np.asarray(y0, dtype=np.float64).copy()
     t_grid = np.arange(steps + 1) * step
-    rows = {name: [] for name in ("v", "d", "d_dot", "y", "y_dot", "z")}
-    for k in range(steps + 1):
-        t = t_grid[k]
+    rows = []
+    for k, t in enumerate(t_grid):
         _check_inside_safety_box(y, plant)
-        v_k = np.atleast_1d(np.asarray(v(t), dtype=np.float64))
-        d_k = np.atleast_1d(np.asarray(d(t), dtype=np.float64))
-        dd_k = np.atleast_1d(np.asarray(d_slope(t), dtype=np.float64))
-        rows["v"].append(v_k)
-        rows["d"].append(d_k)
-        rows["d_dot"].append(dd_k)
-        rows["y"].append(y.copy())
-        rows["y_dot"].append(plant.derivative(y, v_k, d_k, dd_k))
-        rows["z"].append(np.atleast_1d(plant.outputs(y, v_k, d_k)))
+        v_k, d_k, dd_k = (np.atleast_1d(np.asarray(f(t), dtype=np.float64))
+                          for f in (v, d, d_slope))
+        rows.append((v_k, d_k, dd_k, y.copy(), plant.derivative(y, v_k, d_k, dd_k),
+                     np.atleast_1d(plant.outputs(y, v_k, d_k))))
         if k < steps:
-            def ydot(tau, state):
-                return plant.derivative(state, v_k,
-                                        np.atleast_1d(np.asarray(d(tau), dtype=np.float64)),
-                                        np.atleast_1d(np.asarray(d_slope(tau), dtype=np.float64)))
-
-            y = _rk4_step(ydot, t, y, step)
-    return TrajectoryDataset(t_grid, np.array(rows["v"]), np.array(rows["d"]),
-                             np.array(rows["y"]), np.array(rows["z"]),
-                             d_dot=np.array(rows["d_dot"]),
-                             y_dot=np.array(rows["y_dot"]), fd_tol=fd_tol)
+            y = _hold(plant, y, v_k, d, d_slope, t, step, 1)
+    v_col, d_col, dd_col, y_col, ydot_col, z_col = (np.array(col) for col in zip(*rows))
+    return TrajectoryDataset(t_grid, v_col, d_col, y_col, z_col, d_dot=dd_col,
+                             y_dot=ydot_col, fd_tol=fd_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +334,6 @@ def write_trace_csv(trace, path):
                         ("lam", trace.lam), ("d", trace.d)])
 
 
-CONTROLLERS = ("lqr", "icbf", "sontag")
-
-
 def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
                          control_period=1e-3, Q=None, R=None, spec=None,
                          y0=None, u0=None, substeps=SUBSTEPS_PER_TICK,
@@ -348,19 +342,20 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
     """Run one controller against the plant and log every tick.
 
     At each tick the output is measured, lifted to latent coordinates
-    through the model, and the controller picks the physical input u; the
-    commanded input v = Psi(u) is held for one control period while the
-    plant integrates with RK4 substeps.  y_d and d may be constant vectors
-    or callables of time (see step_schedule); linear designs are cached per
-    target and per quantized disturbance.  The rate-based filter needs
-    `spec`; when u0 is omitted its input state starts at the preimage of the
-    box midpoint of (v_min, v_max).  Optional Gaussian measurement noise
-    (noise_std > 0) perturbs only what the controller sees.
+    through the model, and the controller's tick function
+    (`control.CONTROLLERS[controller]`) picks the physical input u; v = Psi(u)
+    is held for one control period while the plant integrates with RK4
+    substeps.  y_d and d may be constant vectors or callables of time (see
+    step_schedule); linear designs are cached per target and per quantized
+    disturbance.  The rate-based filter needs `spec`; its input state starts
+    at u0, by default at the preimage of the box midpoint of (v_min, v_max).
+    Optional Gaussian measurement noise (noise_std > 0) perturbs only what
+    the controller sees.
 
-    A controller failure mid-run re-raises with `trace` attached holding the
-    ticks completed so far.
+    A failure mid-run re-raises with `trace` attached holding every row
+    written so far, including a tick whose plant integration then failed.
     """
-    if controller not in CONTROLLERS:
+    if not isinstance(controller, str) or controller not in CONTROLLERS:
         raise ValidationError(f"unknown controller {controller!r}")
     if plant.dims != model.dims:
         raise ValidationError("plant and model dimensions disagree")
@@ -373,6 +368,7 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
     if controller == "icbf" and spec is None:
         raise ValidationError("the rate-based filter needs a BarrierSpec")
 
+    tick = CONTROLLERS[controller]
     dims = model.dims
     Q = np.eye(dims.ny) if Q is None else np.asarray(Q, dtype=np.float64)
     R = np.eye(dims.nu) if R is None else np.asarray(R, dtype=np.float64)
@@ -385,28 +381,21 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
     dt = float(control_period)
     ticks = int(round(horizon / dt))
     caches = {}
-    filter_state = None
     meta = {"controller": controller, "control_period": dt, "horizon": float(horizon),
-            "substeps": int(substeps), "seed": int(seed), "noise_std": float(noise_std)}
-    meta.update(metadata or {})
-    rows = {name: [] for name in ("t", "y", "x", "u", "v", "z", "h", "lam", "d")}
+            "substeps": int(substeps), "seed": int(seed), "noise_std": float(noise_std),
+            **(metadata or {})}
+    shapes = {"t": (), "y": (dims.ny,), "x": (dims.ny,), "u": (dims.nu,), "v": (dims.nu,),
+              "z": (dims.nz,), "h": (spec.n_rows if spec is not None else 0,),
+              "lam": (dims.nu,), "d": (dims.nd,)}
+    columns = {name: np.zeros((ticks,) + shape) for name, shape in shapes.items()}
+    done = 0
 
-    def build_trace():
-        n_rows = len(rows["t"])
-
-        def block(name, width):
-            if n_rows == 0:
-                return np.zeros((0, width))
-            return np.array(rows[name])
-
-        h_width = len(rows["h"][0]) if n_rows else (spec.n_rows if spec is not None else 0)
-        return SimulationTrace(t=np.array(rows["t"]), y=block("y", dims.ny),
-                               x=block("x", dims.ny), u=block("u", dims.nu),
-                               v=block("v", dims.nu), z=block("z", dims.nz),
-                               h=block("h", h_width), lam=block("lam", dims.nu),
-                               d=block("d", dims.nd), metadata=meta)
+    def trace(rows):
+        return SimulationTrace(**{name: col[:rows] for name, col in columns.items()},
+                               metadata=meta)
 
     try:
+        state = None if u0 is None else ControllerState(u=u0)
         for k in range(ticks):
             t = k * dt
             _check_inside_safety_box(y, plant)
@@ -419,56 +408,19 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
 
             measured = y + rng.normal(0.0, noise_std, dims.ny) if noise_std > 0 else y
             x = model.x_from_y(measured, d_bar)
-            lam = np.zeros(dims.nu)
-            if controller == "lqr":
-                u = lqr_control(design, x)
-                v_cmd = model.v_from_u(u, measured, d_bar)
-            elif controller == "sontag":
-                A, B, c = model.linear_core(d_bar)
-                pe = design.P @ (x - design.x_d)
-                lf = 2.0 * pe @ (A @ x + B @ design.u_d + c)
-                lg = 2.0 * B.T @ pe
-                u = design.u_d + sontag_control(lf, lg)
-                v_cmd = model.v_from_u(u, measured, d_bar)
-            else:
-                if filter_state is None:
-                    if u0 is None:
-                        v_mid = 0.5 * (spec.v_min + spec.v_max)
-                        start = model.u_from_v(v_mid, measured, d_bar)
-                    else:
-                        start = np.asarray(u0, dtype=np.float64)
-                    filter_state = ControllerState(u=start, t=t)
-                lam, filter_state, v_cmd = icbf_step(model, filter_state, x, d_bar,
-                                                     design, spec, dt)
-                u = filter_state.u
-
-            rows["t"].append(t)
-            rows["y"].append(np.asarray(measured, dtype=np.float64).copy())
-            rows["x"].append(x)
-            rows["u"].append(u)
-            rows["v"].append(v_cmd)
-            rows["z"].append(np.atleast_1d(plant.outputs(y, v_cmd, d_bar)))
-            if spec is not None:
-                h, _, _ = barrier_values(model, x, u, d_bar, spec)
-                rows["h"].append(h)
-            else:
-                rows["h"].append(np.zeros(0))
-            rows["lam"].append(lam)
-            rows["d"].append(d_bar)
-
-            def ydot(tau, state, held=v_cmd):
-                return plant.derivative(
-                    state, held,
-                    np.atleast_1d(np.asarray(d_fn(tau), dtype=np.float64)),
-                    np.atleast_1d(np.asarray(d_slope(tau), dtype=np.float64)))
-
-            h_sub = dt / substeps
-            for j in range(substeps):
-                y = _rk4_step(ydot, t + j * h_sub, y, h_sub)
+            lam, state, u, v_cmd = tick(model, state, x, measured, d_bar, design, spec, dt)
+            row = {"t": t, "y": measured, "x": x, "u": u, "v": v_cmd,
+                   "z": plant.outputs(y, v_cmd, d_bar),
+                   "h": barrier_values(model, x, u, d_bar, spec)[0] if spec is not None else (),
+                   "lam": lam, "d": d_bar}
+            for name, value in row.items():
+                columns[name][k] = value
+            done = k + 1
+            y = _hold(plant, y, v_cmd, d_fn, d_slope, t, dt, substeps)
     except Exception as exc:
-        exc.trace = build_trace()
+        exc.trace = trace(done)
         raise
-    return build_trace()
+    return trace(ticks)
 
 
 # ---------------------------------------------------------------------------

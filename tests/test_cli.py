@@ -369,6 +369,64 @@ def test_simulate_qp_failure_is_an_error_with_partial_trace(tmp_path, teacher_ru
     assert partial.shape[0] == 2
 
 
+@pytest.mark.parametrize("controllers", [["lqr", "bogus"], [[1]]])
+def test_simulate_checks_controller_names_before_running(tmp_path, teacher_run, capsys,
+                                                         controllers):
+    out = tmp_path / "run"
+    cfg = sim_config(out, str(teacher_run / "plant_model.npz"), controllers)
+    assert run_cli(tmp_path, "simulate", cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "controller" in err[0]
+    assert not list(out.glob("trace_*"))
+
+
+def _non_numeric_dataset(tmp_path, source):
+    lines = (source / "dataset.csv").read_text().splitlines()
+    parts = lines[3].split(",")
+    parts[1] = "abc"
+    lines[3] = ",".join(parts)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    return str(bad)
+
+
+def _malformed_value(tmp_path, source, case):
+    """(command, config) with one malformed value."""
+    model = str(source / "plant_model.npz")
+    sim = sim_config(tmp_path / "run", model, ["lqr"])
+    if case == "non-numeric weight":
+        sim["weights"] = {"q": "abc"}
+    elif case == "non-numeric schedule value":
+        sim["target"]["schedule"]["values"][1] = ["x", 0.0]
+    elif case == "nan horizon":
+        sim["horizon"] = float("nan")
+    elif case == "numeric output":
+        sim["output"] = 5
+    elif case == "zero step":
+        cfg = gen_config(tmp_path / "run")
+        cfg["dataset"]["step"] = 0.0
+        return "gen-data", cfg
+    elif case == "non-numeric csv cell (eval)":
+        return "eval", {"output": str(tmp_path / "run"), "model": model,
+                        "dataset": _non_numeric_dataset(tmp_path, source)}
+    else:
+        return "train", {"output": str(tmp_path / "run"), "dims": TINY_DIMS,
+                         "dataset": _non_numeric_dataset(tmp_path, source),
+                         "train": {"epochs": 1}}
+    return "simulate", sim
+
+
+@pytest.mark.parametrize("case", ["non-numeric weight", "non-numeric schedule value",
+                                  "nan horizon", "numeric output", "zero step",
+                                  "non-numeric csv cell (eval)",
+                                  "non-numeric csv cell (train)"])
+def test_malformed_config_values_are_one_error_line(tmp_path, teacher_run, capsys, case):
+    command, cfg = _malformed_value(tmp_path, teacher_run, case)
+    assert run_cli(tmp_path, command, cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # check-linearizable
 

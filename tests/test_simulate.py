@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from elcontrol.control import BarrierSpec
-from elcontrol.errors import InfeasibleError, ValidationError
+from elcontrol.control import (CONTROLLERS, BarrierSpec, ControllerState,
+                               DesignCache, icbf_step, lqr_control)
+from elcontrol.errors import ElcontrolError, InfeasibleError, ValidationError
 from elcontrol.model import (ELModel, ModelArch, ModelDims, TrainConfig,
                              train)
 from elcontrol.simulate import (MismatchPlant, Plant, SimulationTrace,
@@ -382,6 +383,82 @@ def test_closed_loop_input_validation():
                              control_period=0.0)
     with pytest.raises(ValidationError):
         simulate_closed_loop(plant, m, "icbf", np.zeros(1), np.zeros(1), 1.0)
+
+
+REPLAY_SPEC = BarrierSpec(z_max=[5.0], v_min=[-2.0, -2.0], v_max=[2.0, 2.0],
+                          k1=10.0, k2=1.0, rate_weight=0.05)
+
+
+@pytest.mark.parametrize("controller", ["lqr", "icbf", "sontag"])
+def test_trace_matches_the_public_tick_functions(controller):
+    # every logged tick is reproduced bit for bit from the trace's own y and d
+    # through the public per-tick API, across a target switch, a disturbance
+    # step and measurement noise
+    m = ELModel.random(ModelDims(2, 2, 1, 1), seed=3)
+    plant = TeacherPlant(model=m)
+    y_d = step_schedule([0.0, 0.01], [[0.2, -0.1], [0.4, 0.1]])
+    d = step_schedule([0.0, 0.015], [[0.0], [0.2]])
+    Q, dt = 4.0 * np.eye(2), 1e-3
+    trace = simulate_closed_loop(plant, m, controller, y_d, d, horizon=0.03,
+                                 control_period=dt, Q=Q, spec=REPLAY_SPEC, substeps=1,
+                                 noise_std=0.01, seed=4)
+    assert len(trace) == 30
+    caches = {}
+    for k in range(len(trace)):
+        y, d_bar = trace.y[k], trace.d[k]
+        target = np.asarray(y_d(k * dt))
+        key = target.tobytes()
+        if key not in caches:
+            caches[key] = DesignCache(m, target, Q, np.eye(2))
+        x = m.x_from_y(y, d_bar)
+        design = caches[key].design_for(d_bar)
+        if controller == "icbf":
+            u_prev = (trace.u[k - 1] if k else
+                      m.u_from_v(0.5 * (REPLAY_SPEC.v_min + REPLAY_SPEC.v_max), y, d_bar))
+            lam, state, v = icbf_step(m, ControllerState(u=u_prev), x, d_bar, design,
+                                      REPLAY_SPEC, dt)
+            u = state.u
+        elif controller == "lqr":
+            lam, u = np.zeros(2), lqr_control(design, x)
+            v = m.v_from_u(u, y, d_bar)
+        else:
+            lam, _, u, v = CONTROLLERS["sontag"](m, None, x, y, d_bar, design,
+                                                 REPLAY_SPEC, dt)
+        for name, value in (("x", x), ("lam", lam), ("u", u), ("v", v)):
+            assert np.array_equal(value, getattr(trace, name)[k]), (name, k)
+
+
+class FailingPlant(TeacherPlant):
+    """A teacher plant whose derivative raises on its `fail_at`-th call."""
+
+    def __init__(self, model, fail_at):
+        super().__init__(model=model, operating_box=(-10 * np.ones(1), 10 * np.ones(1)))
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def derivative(self, y, v, d, d_dot=None):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise ElcontrolError("injected plant failure")
+        return super().derivative(y, v, d, d_dot)
+
+
+@pytest.mark.parametrize("controller", ["lqr", "icbf", "sontag"])
+def test_plant_failure_keeps_the_rows_already_written(controller):
+    m = scalar_core_model(-4.0, 1.0)
+    spec = BarrierSpec(z_max=[1e6], v_min=[-100.0], v_max=[1.0],
+                       k1=10.0, k2=1.0, rate_weight=0.05)
+    kwargs = dict(y_d=np.array([1.5]), d=np.zeros(1), horizon=0.02,
+                  control_period=2e-3, spec=spec, substeps=2)
+    full = simulate_closed_loop(FailingPlant(m, fail_at=0), m, controller, **kwargs)
+    # 4 RK4 stages x 2 substeps per tick: call 29 is in tick 3's integration
+    with pytest.raises(ElcontrolError, match="injected") as info:
+        simulate_closed_loop(FailingPlant(m, fail_at=29), m, controller, **kwargs)
+    partial = info.value.trace
+    assert len(partial) == 4
+    assert partial.metadata == full.metadata
+    for name in ("t", "y", "x", "u", "v", "z", "h", "lam", "d"):
+        assert np.array_equal(getattr(partial, name), getattr(full, name)[:4]), name
 
 
 # ---------------------------------------------------------------------------
