@@ -1,15 +1,17 @@
 """Array namespaces: the three evaluation modes of the network blocks.
 
 A block's pass is written once against a namespace `xp`, which supplies
-what operators (+ - * / @, unary minus, `.T`) cannot express: `mlp` (a
-conditioning net), `softplus`, `exp`, `sinh`, `asinh`, `narrow` (a slice of
-the last axis) and `reshape`.  `NUMPY` evaluates float64 arrays, `GRAPH`
-builds `autodiff` graphs, and `TANGENT` propagates forward-mode `Tangent`
-values (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008), in
-which plain arrays are constants.  Conditioning nets run through
-`ParamMlp.forward_np` or `ParamMlp.forward_and_input_jacobian_np` with
-plain array inputs in both numpy modes, so code that wraps those two
-methods sees every conditioning evaluation.
+what operators (+ - * / @, unary minus, `.T`) cannot express: `mlps` (the
+outputs of the conditioning nets in a `networks.MlpStack`), `softplus`,
+`exp`, `sinh`, `asinh`, `narrow` (a slice of the last axis), `reshape` and,
+in the numpy modes only, `transpose`.  `NUMPY` evaluates float64 arrays,
+`GRAPH` builds `autodiff` graphs, and `TANGENT` propagates forward-mode
+`Tangent` values (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+2008), in which plain arrays are constants.  In both numpy modes a stack
+runs as one net, through `ParamMlp.forward_np` or
+`ParamMlp.forward_and_input_jacobian_np` with a plain array input, so code
+that wraps those two methods sees every conditioning evaluation; the graph
+mode evaluates the nets one by one.
 """
 
 from __future__ import annotations
@@ -128,9 +130,15 @@ class NumpyOps:
     sinh = staticmethod(np.sinh)
     asinh = staticmethod(np.arcsinh)
     reshape = staticmethod(np.reshape)
+    transpose = staticmethod(np.transpose)
 
     def mlp(self, net, params, x):
         return net.forward_np(params, x)
+
+    def mlps(self, stack, params, x):
+        """The member nets' outputs of an `MlpStack`, from one evaluation of it."""
+        out = self.mlp(stack, params, x)
+        return [self.narrow(out, k * stack.width, net.out_dim) for k, net in enumerate(stack.nets)]
 
     def narrow(self, x, start, length):
         return x[..., start:start + length]
@@ -176,6 +184,12 @@ class TangentOps(NumpyOps):
             tan = np.broadcast_to(tan, x.val.shape + tan.shape[-1:])
         return Tangent(np.reshape(x.val, shape), np.reshape(tan, shape + tan.shape[-1:]))
 
+    def transpose(self, x, axes):
+        if not isinstance(x, Tangent):
+            return np.transpose(x, axes)
+        tan = np.broadcast_to(x.tan, x.val.shape + x.tan.shape[-1:])
+        return Tangent(np.transpose(x.val, axes), np.transpose(tan, axes + (len(axes),)))
+
 
 class GraphOps:
     """`autodiff` graph construction, node for node the primitives of the numpy pass."""
@@ -186,8 +200,8 @@ class GraphOps:
     asinh = staticmethod(ad.asinh)
     reshape = staticmethod(ad.reshape)
 
-    def mlp(self, net, params, x):
-        return net.forward(self, params, x)
+    def mlps(self, stack, params, x):
+        return [net.forward(self, params, x) for net in stack.nets]
 
     def narrow(self, x, start, length):
         return ad.narrow(x, -1, start, length)

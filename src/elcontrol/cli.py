@@ -73,7 +73,7 @@ def _get(node, key, where, default=_MISSING):
 def _float(node, key, where, default=_MISSING):
     value = _get(node, key, where, default)
     number = _numbers(value, f"{where}.{key}")
-    if number.ndim or not np.isfinite(number):
+    if number.ndim:
         raise ValidationError(f"{where}.{key} must be a finite number, got {value!r}")
     return float(number)
 
@@ -86,11 +86,14 @@ def _int(node, key, where, default=_MISSING):
 
 
 def _numbers(value, where):
-    """A number or (nested) list of numbers as a float64 array."""
+    """A finite number or (nested) list of finite numbers as a float64 array."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise ValidationError(f"{where} must be numeric, got {value!r}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{where} must be finite, got {value!r}")
+    return arr
 
 
 def _vector(value, where, width=None):
@@ -429,13 +432,14 @@ def _run_simulate(cfg, seed, run):
     if "icbf" in controllers and spec is None:
         raise ValidationError("config: the icbf controller needs a barrier section")
 
+    y0, u0 = (_get(cfg, key, "config", None) for key in ("y0", "u0"))
     kwargs = dict(
         control_period=_float(cfg, "control_period", "config", 1e-3),
         substeps=_int(cfg, "substeps", "config", 10),
         noise_std=_float(cfg, "noise_std", "config", 0.0),
         Q=Q, R=R, spec=spec, seed=seed,
-        y0=_vector(cfg["y0"], "config.y0", model.dims.ny) if "y0" in cfg else None,
-        u0=_vector(cfg["u0"], "config.u0", model.dims.nu) if "u0" in cfg else None)
+        y0=None if y0 is None else _vector(y0, "config.y0", model.dims.ny),
+        u0=None if u0 is None else _vector(u0, "config.u0", model.dims.nu))
     horizon = _float(cfg, "horizon", "config")
 
     summaries = {}

@@ -287,6 +287,11 @@ def barrier_values(model, x, u, d_bar, spec):
     input bound, then the latent image of the lower bound minus u.  The
     margin is already added, so the filters can treat h <= 0 uniformly.
     """
+    return _barrier_rows(model, x, u, d_bar, spec, model.maps_at(x, d_bar))
+
+
+def _barrier_rows(model, x, u, d_bar, spec, maps):
+    """`barrier_values` on the caller's `model.maps_at(x, d_bar)`."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     d_bar = np.asarray(d_bar, dtype=np.float64).reshape(-1)
@@ -297,20 +302,16 @@ def barrier_values(model, x, u, d_bar, spec):
     z, dz_dx, dz_du = model.z_from_latent(x, u, d_bar, with_gradients=True)
     if spec.z_max.size != z.size:
         raise ValidationError("output bound dimension does not match the model")
-    y = model.y_from_x(x, d_bar)
-    _, dx_dy, _ = model.state_jacobians(y, d_bar)
-    if np.linalg.cond(dx_dy) > COND_LIMIT:
+    if np.linalg.cond(maps.dx_dy) > COND_LIMIT:
         raise ValidationError("state map Jacobian is too ill-conditioned for barrier gradients")
 
-    u_hi, du_hi_dy, _ = model.u_from_v_with_jac(spec.v_max, y, d_bar)
-    u_lo, du_lo_dy, _ = model.u_from_v_with_jac(spec.v_min, y, d_bar)
+    (u_hi, u_lo), du_dy = maps.u_from_v_with_jac(np.stack([spec.v_max, spec.v_min]))
     # chain through y(x): dy/dx is the inverse state-map Jacobian
-    du_hi_dx = np.linalg.solve(dx_dy.T, du_hi_dy.T).T
-    du_lo_dx = np.linalg.solve(dx_dy.T, du_lo_dy.T).T
+    du_dx = np.linalg.solve(maps.dx_dy.T, du_dy.reshape(2 * m, n).T).T
 
     h = np.concatenate([z - spec.z_max, u - u_hi, u_lo - u]) + spec.margin
     eye = np.eye(m)
-    dh_dx = np.vstack([dz_dx, -du_hi_dx, du_lo_dx])
+    dh_dx = np.vstack([dz_dx, -du_dx[:m], du_dx[m:]])
     dh_du = np.vstack([dz_du, eye, -eye])
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(dh_dx)) and np.all(np.isfinite(dh_du))):
         raise NonFiniteError("barrier evaluation produced non-finite values; "
@@ -343,12 +344,16 @@ def icbf_problem(model, x, u, d_bar, design, spec):
     lambda-independent term, so problem.objective(lam) + objective_shift
     equals the full expression.
     """
+    return _icbf_problem(model, x, u, d_bar, design, spec, model.maps_at(x, d_bar))
+
+
+def _icbf_problem(model, x, u, d_bar, design, spec, maps):
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     A, B, c = model.linear_core(d_bar)
     drift = A @ x + B @ u + c
     err = u - lqr_control(design, x)
-    h, dh_dx, dh_du = barrier_values(model, x, u, d_bar, spec)
+    h, dh_dx, dh_du = _barrier_rows(model, x, u, d_bar, spec, maps)
 
     m = u.size
     problem = QpProblem(2.0 * spec.rate_weight * np.eye(m), 2.0 * err,
@@ -362,14 +367,17 @@ def icbf_step(model, state, x, d_bar, design, spec, dt):
     """One sampled step of the rate-based safety filter.
 
     Solves the rate QP at (x, state.u), integrates u by an explicit Euler
-    step of length dt, and maps the result to the published input.  Returns
-    (lam, new_state, v).  An infeasible QP raises InfeasibleError carrying
-    every barrier value for diagnosis.
+    step of length dt, and maps the result to the published input
+    v = Psi(u, y_from_x(x, d_bar), d_bar).  Returns (lam, new_state, v).  The
+    maps at x are evaluated once and shared by the barrier rows and v.  An
+    infeasible QP raises InfeasibleError carrying every barrier value for
+    diagnosis.
     """
     if not dt > 0:
         raise ValidationError("control period must be positive")
     d_bar = np.asarray(d_bar, dtype=np.float64).reshape(-1)
-    problem, _, h = icbf_problem(model, x, state.u, d_bar, design, spec)
+    maps = model.maps_at(x, d_bar)
+    problem, _, h = _icbf_problem(model, x, state.u, d_bar, design, spec, maps)
     sol = qpsolver.solve(problem)
     if sol.status != "optimal":
         cert = dict(sol.certificate or {})
@@ -377,9 +385,7 @@ def icbf_step(model, state, x, d_bar, design, spec, dt):
         raise InfeasibleError("rate filter QP is infeasible", certificate=cert)
     lam = sol.x
     u_new = state.u + dt * lam
-    y = model.y_from_x(np.asarray(x, dtype=np.float64).reshape(-1), d_bar)
-    v = model.v_from_u(u_new, y, d_bar)
-    return lam, ControllerState(u=u_new, t=state.t + dt), v
+    return lam, ControllerState(u=u_new, t=state.t + dt), maps.v_from_u(u_new)
 
 
 def sontag_control(lf_v, lg_v):

@@ -24,6 +24,7 @@ record (dim,) or a batch (N, dim).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import io
 import json
@@ -34,10 +35,10 @@ import numpy as np
 from numpy.lib import format as npformat
 
 from . import autodiff as ad
-from .arrays import GRAPH, TANGENT, seed
+from .arrays import GRAPH, NUMPY, TANGENT, seed
 from .errors import (ConditioningError, NonFiniteError, ShapeError,
                      TrainingDivergedError, ValidationError)
-from .networks import COND_LIMIT, Bnn, DiagonalBnn, ParamMlp, Picnn, Scaler
+from .networks import COND_LIMIT, Bnn, DiagonalBnn, MlpStack, ParamMlp, Picnn, Scaler
 
 MODEL_FORMAT_VERSION = 1
 GRAD_CLIP_NORM = 10.0
@@ -69,6 +70,11 @@ class ModelArch:
     core_hidden: int = 16
 
 
+# ELModel.maps_at(x, d): y = y_from_x(x, d), dx/dy at y, and Psi at (y, d)
+# as v (k, nu) -> (u, du/dy) and u (nu,) -> v
+PointMaps = collections.namedtuple("PointMaps", "y dx_dy u_from_v_with_jac v_from_u")
+
+
 def _unbatch(single, *arrays):
     """The arrays, or their first rows for a single-record call; one array
     comes back bare, several as a tuple."""
@@ -92,6 +98,7 @@ class ELModel:
         self.a_net = ParamMlp("core.a", nd, ny * ny, a.core_hidden)
         self.b_net = ParamMlp("core.b", nd, ny * nu, a.core_hidden)
         self.c_net = ParamMlp("core.c", nd, ny, a.core_hidden)
+        self.core = MlpStack([self.a_net, self.b_net, self.c_net])
         self.z_map = Picnn("xi", xi_dim=ny + nu, ctx_dim=nd, out_dim=nz,
                            depth=a.xi_depth, hidden=a.xi_hidden, ctx_hidden=a.xi_hidden)
         if scalers is None:
@@ -232,11 +239,10 @@ class ELModel:
     def _cond(self, b):
         return np.concatenate([b["ys"], b["ds"]], axis=-1)
 
-    def _core(self, ds):
+    def _core(self, xp, params, ds):
         ny, nu = self.dims.ny, self.dims.nu
-        A = self.a_net.forward_np(self.params, ds).reshape(-1, ny, ny)
-        B = self.b_net.forward_np(self.params, ds).reshape(-1, ny, nu)
-        return A, B, self.c_net.forward_np(self.params, ds)
+        A, B, c = xp.mlps(self.core, params, ds)
+        return xp.reshape(A, A.shape[:-1] + (ny, ny)), xp.reshape(B, B.shape[:-1] + (ny, nu)), c
 
     def x_from_y(self, y, d):
         b, single = self._batch(y=y, d=d)
@@ -244,8 +250,8 @@ class ELModel:
 
     def y_from_x(self, x, d):
         b, single = self._batch(x=x, d=d)
-        ys = self.state_map.inverse_np(self.params, b["x"], b["ds"])
-        return _unbatch(single, self.scalers["y"].inverse(ys))
+        phi = self.state_map.coefficients(NUMPY, self.params, b["ds"])
+        return _unbatch(single, self._y_with(phi, b["x"]))
 
     def u_from_v(self, v, y, d):
         b, single = self._batch(v=v, y=y, d=d)
@@ -253,16 +259,14 @@ class ELModel:
 
     def v_from_u(self, u, y, d):
         b, single = self._batch(u=u, y=y, d=d)
-        vs = self.input_map.forward_np(self.params, b["u"], self._cond(b))
-        return _unbatch(single, self.scalers["v"].inverse(vs))
+        psi = self.input_map.coefficients(NUMPY, self.params, self._cond(b))
+        return _unbatch(single, self._v_with(psi, b["u"]))
 
     def u_from_v_with_jac(self, v, y, d):
         """u = Psi^{-1}(v,y,d) and its physical Jacobians du/dy, du/dd."""
         b, single = self._batch(v=v, y=y, d=d)
-        u = self.input_map.inverse(TANGENT, self.params, b["vs"], seed(self._cond(b)))
-        ny = self.dims.ny
-        return _unbatch(single, u.val, u.tan[..., :ny] / self.scalers["y"].std,
-                        u.tan[..., ny:] / self.scalers["d"].std)
+        psi = self.input_map.coefficients(TANGENT, self.params, seed(self._cond(b)))
+        return _unbatch(single, *self._u_with(psi, b["v"]))
 
     def state_jacobians(self, y, d):
         """x = Phi(y,d) with physical Jacobians dx/dy and dx/dd."""
@@ -273,7 +277,37 @@ class ELModel:
     def linear_core(self, d):
         """A(d), B(d), c(d) of the latent dynamics."""
         b, single = self._batch(d=d)
-        return _unbatch(single, *self._core(b["ds"]))
+        return _unbatch(single, *self._core(NUMPY, self.params, b["ds"]))
+
+    def maps_at(self, x, d):
+        """`PointMaps` at one latent state x (ny,) under d (nd,).  Bit for bit
+        what y_from_x, u_from_v_with_jac and v_from_u give, but Phi's and Psi's
+        conditioning run once, however often the two maps are called.
+        """
+        b, _ = self._batch(x=x, d=d)
+        sy = self.scalers["y"]
+        phi = self.state_map.coefficients(NUMPY, self.params, b["ds"])
+        y = self._y_with(phi, b["x"])
+        b["ys"] = sy.transform(y)
+        dx_dy = self.state_map.forward_with(TANGENT, phi, seed(b["ys"])).tan / sy.std
+        psi = self.input_map.coefficients(TANGENT, self.params, seed(self._cond(b)))
+        psi_row = [[t.val[0] for t in layer] for layer in psi]
+        return PointMaps(y[0], dx_dy[0], lambda v: self._u_with(psi, v)[:2],
+                         lambda u: self._v_with(psi_row, u))
+
+    # the maps on Phi's and Psi's conditioning outputs (`coefficients`)
+    def _y_with(self, phi, x):
+        return self.scalers["y"].inverse(self.state_map.inverse_with(phi, x))
+
+    def _v_with(self, psi, u):
+        return self.scalers["v"].inverse(self.input_map.forward_with(NUMPY, psi, u))
+
+    def _u_with(self, psi, v):
+        """u and its physical Jacobians du/dy, du/dd from Psi's tangent conditioning."""
+        u = self.input_map.inverse_with(TANGENT, psi, self.scalers["v"].transform(v))
+        ny = self.dims.ny
+        return (u.val, u.tan[..., :ny] / self.scalers["y"].std,
+                u.tan[..., ny:] / self.scalers["d"].std)
 
     def z_from_latent(self, x, u, d, with_gradients=False):
         """zhat = Xi(x,u,d); optionally also dz/dx and dz/du."""
@@ -300,7 +334,7 @@ class ELModel:
                 f"state-map output Jacobian condition number {np.max(cond):.3e} "
                 f"exceeds limit {COND_LIMIT:.1e}")
         u = self.input_map.inverse_np(self.params, b["vs"], self._cond(b))
-        A, B, c = self._core(ds)
+        A, B, c = self._core(NUMPY, self.params, ds)
         dds = b["d_dot"] / self.scalers["d"].std
         rhs = (np.einsum("bij,bj->bi", A, x) + np.einsum("bij,bj->bi", B, u) + c
                - np.einsum("bij,bj->bi", J_d, dds))
@@ -318,7 +352,6 @@ class ELModel:
 
     def _loss_fn(self, q_e, n_records):
         """Graph-building closure for the mean weighted squared error."""
-        ny = self.dims.ny
 
         def fn(**kw):
             pt = {k: kw[k] for k in self.params}
@@ -329,9 +362,7 @@ class ELModel:
             x = self.state_map.forward(GRAPH, pt, ys, ds)
             J_y, J_d = ad.jacobian_rows(x, [Y, D])
             u = self.input_map.inverse(GRAPH, pt, vs, ad.concat([ys, ds], axis=-1))
-            A = ad.reshape(self.a_net.forward(GRAPH, pt, ds), (n_records, ny, ny))
-            B = ad.reshape(self.b_net.forward(GRAPH, pt, ds), (n_records, ny, self.dims.nu))
-            c = self.c_net.forward(GRAPH, pt, ds)
+            A, B, c = self._core(GRAPH, pt, ds)
             rhs = ad.sub(ad.add(ad.add(ad.matvec(A, x), ad.matvec(B, u)), c),
                          ad.matvec(J_d, DDOT))
             ydot_hat = ad.squeeze(ad.solve(J_y, ad.expand_dims(rhs, -1)), -1)

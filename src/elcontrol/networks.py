@@ -5,6 +5,13 @@ Each block defines its forward pass once, against an array namespace
 simulation (`forward_np`, `inverse_np`), `autodiff` graph tensors for
 training, and forward-mode tangents for the value plus its input Jacobian.
 
+A block's conditioning nets all read the same input, so in the two numpy
+modes they run as one stacked net (`MlpStack`) per block and call; graph
+evaluation keeps them separate, net by net, so the training graph does not
+depend on the stacking.  `coefficients` returns every layer's net outputs
+and the `*_with` methods run the layers on them, so a caller can evaluate
+the conditioning once and use it for several passes.
+
 * `Bnn` - a bijective map y <-> x conditioned on a disturbance vector.  Each
   layer is ``asinh(c(d) + sinh(W(d) y + b(d)))`` with W(d) = L(d) U(d), L
   unit lower triangular and U upper triangular with exponential diagonal, so
@@ -20,6 +27,8 @@ hold structure.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -114,15 +123,78 @@ class ParamMlp:
         return out.val, out.tan
 
 
+class MlpStack(ParamMlp):
+    """Nets with one input and one hidden width, evaluated as one net.
+
+    The layers are batched as (K, H, I), (K, H, H) and (K, O, H), the last
+    zero-padded to the widest output O, so net k's output is columns
+    [k O, k O + out_k) of the result.  The packed weights are rebuilt
+    whenever one of the nets' entries of the parameter dict is replaced;
+    packing makes the entries read-only, so writing one in place raises
+    instead of leaving the packed copy stale.
+    """
+
+    def __init__(self, nets):
+        self.nets = tuple(nets)
+        self.in_dim, self.hidden = nets[0].in_dim, nets[0].hidden
+        self.width = max(net.out_dim for net in self.nets)
+        self.out_dim = len(self.nets) * self.width
+        self.keys = tuple(key for net in self.nets for key in net.keys)
+        self._source = self._packed = None
+
+    def _pack(self, params):
+        source = list(map(params.__getitem__, self.keys))
+        if self._source is None or not all(map(operator.is_, source, self._source)):
+            K, H, O = len(self.nets), self.hidden, self.width
+            W1, b1, W2, b2, W3, b3 = zip(*(source[i:i + 6] for i in range(0, len(source), 6)))
+            W3_pad, b3_pad = np.zeros((K, O, H)), np.zeros((K, O, 1))
+            for k, (w, b) in enumerate(zip(W3, b3)):
+                W3_pad[k, :len(b)], b3_pad[k, :len(b), 0] = w, b
+            self._packed = (np.stack(W1), np.stack(b1)[..., None], np.stack(W2),
+                            np.stack(b2)[..., None], W3_pad, b3_pad)
+            self._source = source
+            for array in source:
+                array.setflags(write=False)
+        return self._packed
+
+    def forward(self, xp, params, x):
+        W1, b1, W2, b2, W3, b3 = self._pack(params)
+        # rows go last, so each layer is K matrix products over all rows
+        rows = xp.transpose(xp.reshape(x, (-1, self.in_dim)), (1, 0))
+        h = xp.softplus(W2 @ xp.softplus(W1 @ rows + b1) + b2)
+        out = xp.transpose(W3 @ h + b3, (2, 0, 1))
+        return xp.reshape(out, x.shape[:-1] + (self.out_dim,))
+
+
 # ---------------------------------------------------------------------------
 # bijective conditioned network
 
-class BnnLayer:
-    """One bijective layer: asinh(c(d) + sinh(W(d) y + b(d)))."""
+class _Stacked:
+    """A block whose every layer reads three conditioning nets (w, b, c)."""
 
-    def __init__(self, prefix, n, cond_dim, hidden=32):
+    def __init__(self, nets):
+        self.nets = nets
+        self.stack = MlpStack(nets)
+
+    def coefficients(self, xp, params, cond):
+        """Every layer's (w, b, c) net outputs, from one evaluation of the stack."""
+        outs = xp.mlps(self.stack, params, cond)
+        return [outs[i:i + 3] for i in range(0, len(outs), 3)]
+
+    def forward(self, xp, params, z, cond):
+        return self.forward_with(xp, self.coefficients(xp, params, cond), z)
+
+    def forward_np(self, params, z, cond):
+        return self.forward(NUMPY, params, z, cond)
+
+
+class Bnn(_Stacked):
+    """A conditioned bijection y <-> x: layers asinh(c(d) + sinh(W(d) y + b(d)))."""
+
+    def __init__(self, prefix, n, cond_dim, depth=3, hidden=32):
         self.prefix = prefix
         self.n = n
+        self.cond_dim = cond_dim
         # rows of the identity that pick the strict lower triangle, the
         # diagonal and the strict upper triangle out of a flat n x n matrix
         flat, eye = np.arange(n * n).reshape(n, n), np.eye(n * n)
@@ -130,17 +202,12 @@ class BnnLayer:
         self.s_diag = eye[np.diag(flat)]
         self.s_up = eye[flat[np.triu_indices(n, 1)]]
         self.k_low = self.s_low.shape[0]
-        self.wnet = ParamMlp(f"{prefix}.w", cond_dim, n * n, hidden)
-        self.bnet = ParamMlp(f"{prefix}.b", cond_dim, n, hidden)
-        self.cnet = ParamMlp(f"{prefix}.c", cond_dim, n, hidden)
+        widths = {"w": n * n, "b": n, "c": n}
+        super().__init__([ParamMlp(f"{prefix}.l{k}.{name}", cond_dim, widths[name], hidden)
+                          for k in range(depth) for name in "wbc"])
 
-    @property
-    def nets(self):
-        return (self.wnet, self.bnet, self.cnet)
-
-    def weight(self, xp, params, dc):
-        """W(d) = L(d) U(d), shape (..., n, n)."""
-        raw = xp.mlp(self.wnet, params, dc)
+    def weight(self, xp, raw):
+        """W(d) = L(d) U(d), shape (..., n, n), from a layer's w-net output."""
         n, k = self.n, self.k_low
         L_flat = xp.narrow(raw, 0, k) @ self.s_low + np.eye(n).reshape(-1)
         U_flat = (xp.exp(xp.narrow(raw, k, n)) @ self.s_diag
@@ -148,46 +215,12 @@ class BnnLayer:
         shape = raw.shape[:-1] + (n, n)
         return xp.reshape(L_flat, shape) @ xp.reshape(U_flat, shape)
 
-    def forward(self, xp, params, y, dc):
-        Wy = self.weight(xp, params, dc) @ xp.reshape(y, y.shape + (1,))
-        t = xp.reshape(Wy, Wy.shape[:-1]) + xp.mlp(self.bnet, params, dc)
-        return xp.asinh(xp.mlp(self.cnet, params, dc) + xp.sinh(t))
-
-    def forward_np(self, params, y, dc):
-        return self.forward(NUMPY, params, y, dc)
-
-    def inverse_np(self, params, x, dc, cond_limit=COND_LIMIT):
-        W = self.weight(NUMPY, params, dc)
-        cond = np.linalg.cond(W)
-        if np.any(cond > cond_limit):
-            raise ConditioningError(
-                f"layer {self.prefix!r}: weight condition number {np.max(cond):.3e} "
-                f"exceeds limit {cond_limit:.1e}")
-        t = np.arcsinh(np.sinh(x) - self.cnet.forward_np(params, dc))
-        rhs = t - self.bnet.forward_np(params, dc)
-        return np.linalg.solve(W, rhs[..., None])[..., 0]
-
-
-class Bnn:
-    """Composition of BnnLayers; a conditioned bijection y <-> x."""
-
-    def __init__(self, prefix, n, cond_dim, depth=3, hidden=32):
-        self.prefix = prefix
-        self.n = n
-        self.cond_dim = cond_dim
-        self.layers = [BnnLayer(f"{prefix}.l{k}", n, cond_dim, hidden) for k in range(depth)]
-
-    @property
-    def nets(self):
-        return [net for layer in self.layers for net in layer.nets]
-
-    def forward(self, xp, params, y, dc):
-        for layer in self.layers:
-            y = layer.forward(xp, params, y, dc)
+    def forward_with(self, xp, coef, y):
+        for raw, b, c in coef:
+            Wy = self.weight(xp, raw) @ xp.reshape(y, y.shape + (1,))
+            t = xp.reshape(Wy, Wy.shape[:-1]) + b
+            y = xp.asinh(c + xp.sinh(t))
         return y
-
-    def forward_np(self, params, y, dc):
-        return self.forward(NUMPY, params, y, dc)
 
     def forward_with_jacobians(self, params, y, dc):
         """Value, d(out)/dy and d(out)/dd by one tangent pass over [d | y]."""
@@ -196,18 +229,29 @@ class Bnn:
         return out.val, out.tan[..., nd:], out.tan[..., :nd]
 
     def inverse_np(self, params, x, dc, cond_limit=COND_LIMIT):
-        for layer in reversed(self.layers):
-            x = layer.inverse_np(params, x, dc, cond_limit)
+        return self.inverse_with(self.coefficients(NUMPY, params, dc), x, cond_limit)
+
+    def inverse_with(self, coef, x, cond_limit=COND_LIMIT):
+        for k in reversed(range(len(coef))):
+            raw, b, c = coef[k]
+            W = self.weight(NUMPY, raw)
+            cond = np.linalg.cond(W)
+            if np.any(cond > cond_limit):
+                raise ConditioningError(
+                    f"layer '{self.prefix}.l{k}': weight condition number {np.max(cond):.3e} "
+                    f"exceeds limit {cond_limit:.1e}")
+            t = np.arcsinh(np.sinh(x) - c)
+            x = np.linalg.solve(W, (t - b)[..., None])[..., 0]
         return x
 
 
 # ---------------------------------------------------------------------------
 # diagonal monotone network
 
-class DiagonalBnn:
+class DiagonalBnn(_Stacked):
     """Elementwise strictly increasing conditioned bijection u <-> v.
 
-    Layer form matches BnnLayer with W diagonal and positive; conditioning is
+    Layer form matches Bnn's with W diagonal and positive; conditioning is
     the standardized concatenation (y, d).
     """
 
@@ -215,36 +259,21 @@ class DiagonalBnn:
         self.prefix = prefix
         self.m = m
         self.cond_dim = cond_dim
-        self.wnets = [ParamMlp(f"{prefix}.l{k}.w", cond_dim, m, hidden) for k in range(depth)]
-        self.bnets = [ParamMlp(f"{prefix}.l{k}.b", cond_dim, m, hidden) for k in range(depth)]
-        self.cnets = [ParamMlp(f"{prefix}.l{k}.c", cond_dim, m, hidden) for k in range(depth)]
+        super().__init__([ParamMlp(f"{prefix}.l{k}.{name}", cond_dim, m, hidden)
+                          for k in range(depth) for name in "wbc"])
 
-    @property
-    def nets(self):
-        return [n for group in zip(self.wnets, self.bnets, self.cnets) for n in group]
-
-    @property
-    def depth(self):
-        return len(self.wnets)
-
-    def forward(self, xp, params, u, cond):
-        for k in range(self.depth):
-            w = xp.exp(xp.mlp(self.wnets[k], params, cond))
-            b = xp.mlp(self.bnets[k], params, cond)
-            c = xp.mlp(self.cnets[k], params, cond)
-            u = xp.asinh(c + xp.sinh(w * u + b))
+    def forward_with(self, xp, coef, u):
+        for raw, b, c in coef:
+            u = xp.asinh(c + xp.sinh(xp.exp(raw) * u + b))
         return u
 
     def inverse(self, xp, params, v, cond):
-        for k in reversed(range(self.depth)):
-            raw = xp.mlp(self.wnets[k], params, cond)
-            b = xp.mlp(self.bnets[k], params, cond)
-            c = xp.mlp(self.cnets[k], params, cond)
+        return self.inverse_with(xp, self.coefficients(xp, params, cond), v)
+
+    def inverse_with(self, xp, coef, v):
+        for raw, b, c in reversed(coef):
             v = (xp.asinh(xp.sinh(v) - c) - b) * xp.exp(-raw)
         return v
-
-    def forward_np(self, params, u, cond):
-        return self.forward(NUMPY, params, u, cond)
 
     def inverse_np(self, params, v, cond):
         return self.inverse(NUMPY, params, v, cond)

@@ -402,6 +402,12 @@ def _malformed_value(tmp_path, source, case):
         sim["horizon"] = float("nan")
     elif case == "numeric output":
         sim["output"] = 5
+    elif case == "nan target":
+        sim["target"] = {"constant": [float("nan"), 0.0]}
+    elif case == "inf weight":
+        sim["weights"] = {"q": [1.0, float("inf")]}
+    elif case == "nan y0":
+        sim["y0"] = [0.1, float("nan")]
     elif case == "zero step":
         cfg = gen_config(tmp_path / "run")
         cfg["dataset"]["step"] = 0.0
@@ -416,15 +422,30 @@ def _malformed_value(tmp_path, source, case):
     return "simulate", sim
 
 
+# the key each non-finite case's error line must name
+NAMED_KEY = {"nan target": "target", "inf weight": "weights.q", "nan y0": "y0"}
+
+
 @pytest.mark.parametrize("case", ["non-numeric weight", "non-numeric schedule value",
                                   "nan horizon", "numeric output", "zero step",
                                   "non-numeric csv cell (eval)",
-                                  "non-numeric csv cell (train)"])
+                                  "non-numeric csv cell (train)", *NAMED_KEY])
 def test_malformed_config_values_are_one_error_line(tmp_path, teacher_run, capsys, case):
     command, cfg = _malformed_value(tmp_path, teacher_run, case)
     assert run_cli(tmp_path, command, cfg) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert NAMED_KEY.get(case, "") in err[0]
+
+
+def test_null_initial_state_means_not_given(tmp_path, teacher_run):
+    model = str(teacher_run / "plant_model.npz")
+    traces = []
+    for name, extra in (("omitted", {}), ("null", {"y0": None, "u0": None})):
+        cfg = {**sim_config(tmp_path / name, model, ["icbf"]), **extra}
+        assert run_cli(tmp_path, "simulate", cfg, name=f"{name}.yaml") == 0
+        traces.append((tmp_path / name / "trace_icbf.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 # ---------------------------------------------------------------------------

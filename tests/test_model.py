@@ -61,6 +61,40 @@ def test_predict_ydot_doubling_map():
     assert abs(got[0] - (-1.0)) < 1e-14
 
 
+def test_replaced_parameters_reach_every_map():
+    # the stacked conditioning built by the first evaluations must follow
+    # parameter entries replaced afterwards, as in the doubling map above
+    m = ELModel(ModelDims(1, 1, 1, 1), ModelArch(phi_depth=1))
+    y, d = np.ones(1), np.zeros(1)
+    assert np.array_equal(m.x_from_y(y, d), y)
+    assert [float(a.reshape(-1)[0]) for a in m.linear_core(d)] == [0.0, 0.0, 0.0]
+    assert m.predict_ydot(np.zeros(1), y, d, d)[0] == 0.0
+    m.params["phi.l0.w.b3"] = np.array([np.log(2.0)])
+    m.a_net.init_zero(m.params, last_bias=np.array([-1.0]))
+    m.b_net.init_zero(m.params, last_bias=np.array([1.0]))
+    assert abs(m.x_from_y(y, d)[0] - 2.0) < 1e-14
+    A, B, c = m.linear_core(d)
+    assert (A[0, 0], B[0, 0], c[0]) == (-1.0, 1.0, 0.0)
+    assert abs(m.predict_ydot(np.zeros(1), y, d, d)[0] - (-1.0)) < 1e-14
+
+
+def test_maps_at_equals_the_public_maps():
+    m = ELModel.random(ModelDims(3, 2, 2, 1), seed=5)
+    rng = np.random.default_rng(2)
+    x, d = rng.normal(size=3) * 0.5, rng.normal(size=2) * 0.5
+    v = rng.normal(size=(2, 2))
+    maps = m.maps_at(x, d)
+    y = maps.y
+    assert np.array_equal(y, m.y_from_x(x, d))
+    _, J_y, _ = m.state_jacobians(y, d)
+    assert np.max(np.abs(maps.dx_dy - J_y)) <= 1e-12 * np.max(np.abs(J_y))
+    u, du_dy = maps.u_from_v_with_jac(v)
+    for row in range(2):
+        want_u, want_du_dy, _ = m.u_from_v_with_jac(v[row], y, d)
+        assert np.array_equal(u[row], want_u) and np.array_equal(du_dy[row], want_du_dy)
+        assert np.array_equal(maps.v_from_u(u[row]), m.v_from_u(u[row], y, d))
+
+
 def _teacher_signals():
     v_fn = lambda t: np.array([0.8 * np.sin(1.7 * t), 0.5 * np.cos(2.3 * t)])
     d_fn = lambda t: np.array([0.4 * np.sin(1.1 * t + 0.3)])

@@ -7,7 +7,7 @@ import pytest
 import elcontrol.autodiff as ad
 from elcontrol.arrays import GRAPH, TANGENT, seed
 from elcontrol.errors import ConditioningError
-from elcontrol.networks import Bnn, BnnLayer, DiagonalBnn, ParamMlp, Picnn, Scaler
+from elcontrol.networks import Bnn, DiagonalBnn, ParamMlp, Picnn, Scaler
 
 
 def random_params(nets, rng, scale=0.3):
@@ -86,13 +86,14 @@ def test_bnn_identity_configuration():
 
 def test_bnn_single_layer_scaling_collapses():
     # W = 2I, b = c = 0 reduces the layer to x = 2 y
-    layer = BnnLayer("l", 2, 1, hidden=4)
+    layer = Bnn("l", 2, 1, depth=1, hidden=4)
     params = {}
     for net in layer.nets:
         net.init_zero(params)
     # diagonal of U stores log-entries
-    params["l.w.b3"] = np.zeros(4)
-    params["l.w.b3"][layer.k_low:layer.k_low + 2] = np.log(2.0)
+    params["l.l0.w.b3"] = np.zeros(4)
+    k_low = layer.k_low
+    params["l.l0.w.b3"][k_low:k_low + 2] = np.log(2.0)
     y = np.array([0.4, -0.9])
     out = layer.forward_np(params, y, np.array([0.0]))
     assert np.allclose(out, 2 * y, atol=1e-12)
@@ -112,11 +113,11 @@ def test_bnn_round_trip_random():
 
 def test_bnn_layer_inverse_closed_form():
     # single layer, W = I, b = 0, c = 1: inverse is asinh(sinh(x) - 1)
-    layer = BnnLayer("l", 2, 1, hidden=4)
+    layer = Bnn("l", 2, 1, depth=1, hidden=4)
     params = {}
     for net in layer.nets:
         net.init_zero(params)
-    params["l.c.b3"] = np.ones(2)
+    params["l.l0.c.b3"] = np.ones(2)
     x = np.array([0.7, -0.2])
     expect = np.arcsinh(np.sinh(x) - 1.0)
     assert np.allclose(layer.inverse_np(params, x, np.zeros(1)), expect, atol=1e-14)
@@ -179,14 +180,15 @@ def test_bnn_graph_matches_numpy():
 
 
 def test_bnn_inverse_conditioning_guard():
-    layer = BnnLayer("l", 2, 1, hidden=4)
+    layer = Bnn("l", 2, 1, depth=1, hidden=4)
     params = {}
     for net in layer.nets:
         net.init_zero(params)
     # U diagonal exp(+-18) gives condition number ~ e^36 > 1e12
-    params["l.w.b3"] = np.zeros(4)
-    params["l.w.b3"][layer.k_low] = 18.0
-    params["l.w.b3"][layer.k_low + 1] = -18.0
+    k_low = layer.k_low
+    params["l.l0.w.b3"] = np.zeros(4)
+    params["l.l0.w.b3"][k_low] = 18.0
+    params["l.l0.w.b3"][k_low + 1] = -18.0
     with pytest.raises(ConditioningError):
         layer.inverse_np(params, np.array([0.1, 0.1]), np.zeros(1))
 

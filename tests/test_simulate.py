@@ -385,22 +385,37 @@ def test_closed_loop_input_validation():
         simulate_closed_loop(plant, m, "icbf", np.zeros(1), np.zeros(1), 1.0)
 
 
-REPLAY_SPEC = BarrierSpec(z_max=[5.0], v_min=[-2.0, -2.0], v_max=[2.0, 2.0],
-                          k1=10.0, k2=1.0, rate_weight=0.05)
+def replay_spec(dims):
+    return BarrierSpec(z_max=[5.0] * dims.nz, v_min=[-2.0] * dims.nu, v_max=[2.0] * dims.nu,
+                       k1=10.0, k2=1.0, rate_weight=0.05)
 
 
-@pytest.mark.parametrize("controller", ["lqr", "icbf", "sontag"])
-def test_trace_matches_the_public_tick_functions(controller):
+# (dims, arch): the 3x3 shape is the benchmark's, whose stacks have output
+# widths 9/3/3 (phi), 9/9/3 (core) and 3/3/3 (psi), so some are zero padded
+REPLAY_MODELS = {
+    "2x2": (ModelDims(2, 2, 1, 1), ModelArch()),
+    "3x3": (ModelDims(3, 3, 2, 2), ModelArch()),
+    "3x3 depth 1": (ModelDims(3, 3, 2, 2), ModelArch(phi_depth=1, psi_depth=1)),
+    "3x3 depth 3": (ModelDims(3, 3, 2, 2), ModelArch(phi_depth=3, psi_depth=3)),
+}
+
+
+@pytest.mark.parametrize("controller, shape", [
+    pytest.param(c, s, id=c if s == "2x2" else f"{c}-{s}")
+    for s in REPLAY_MODELS for c in ("lqr", "icbf", "sontag")])
+def test_trace_matches_the_public_tick_functions(controller, shape):
     # every logged tick is reproduced bit for bit from the trace's own y and d
     # through the public per-tick API, across a target switch, a disturbance
     # step and measurement noise
-    m = ELModel.random(ModelDims(2, 2, 1, 1), seed=3)
+    dims, arch = REPLAY_MODELS[shape]
+    m = ELModel.random(dims, arch, seed=3)
+    spec = replay_spec(dims)
     plant = TeacherPlant(model=m)
-    y_d = step_schedule([0.0, 0.01], [[0.2, -0.1], [0.4, 0.1]])
-    d = step_schedule([0.0, 0.015], [[0.0], [0.2]])
-    Q, dt = 4.0 * np.eye(2), 1e-3
+    y_d = step_schedule([0.0, 0.01], [[0.2, -0.1, 0.1][:dims.ny], [0.4, 0.1, -0.1][:dims.ny]])
+    d = step_schedule([0.0, 0.015], [[0.0] * dims.nd, [0.2, -0.1][:dims.nd]])
+    Q, dt = 4.0 * np.eye(dims.ny), 1e-3
     trace = simulate_closed_loop(plant, m, controller, y_d, d, horizon=0.03,
-                                 control_period=dt, Q=Q, spec=REPLAY_SPEC, substeps=1,
+                                 control_period=dt, Q=Q, spec=spec, substeps=1,
                                  noise_std=0.01, seed=4)
     assert len(trace) == 30
     caches = {}
@@ -409,21 +424,21 @@ def test_trace_matches_the_public_tick_functions(controller):
         target = np.asarray(y_d(k * dt))
         key = target.tobytes()
         if key not in caches:
-            caches[key] = DesignCache(m, target, Q, np.eye(2))
+            caches[key] = DesignCache(m, target, Q, np.eye(dims.nu))
         x = m.x_from_y(y, d_bar)
         design = caches[key].design_for(d_bar)
         if controller == "icbf":
             u_prev = (trace.u[k - 1] if k else
-                      m.u_from_v(0.5 * (REPLAY_SPEC.v_min + REPLAY_SPEC.v_max), y, d_bar))
-            lam, state, v = icbf_step(m, ControllerState(u=u_prev), x, d_bar, design,
-                                      REPLAY_SPEC, dt)
+                      m.u_from_v(0.5 * (spec.v_min + spec.v_max), y, d_bar))
+            lam, state, v = icbf_step(m, ControllerState(u=u_prev), x, d_bar, design, spec, dt)
             u = state.u
+            # the published input is Psi at y_from_x(x), not at the measured y
+            assert np.array_equal(v, m.v_from_u(u, m.y_from_x(x, d_bar), d_bar))
         elif controller == "lqr":
-            lam, u = np.zeros(2), lqr_control(design, x)
+            lam, u = np.zeros(dims.nu), lqr_control(design, x)
             v = m.v_from_u(u, y, d_bar)
         else:
-            lam, _, u, v = CONTROLLERS["sontag"](m, None, x, y, d_bar, design,
-                                                 REPLAY_SPEC, dt)
+            lam, _, u, v = CONTROLLERS["sontag"](m, None, x, y, d_bar, design, spec, dt)
         for name, value in (("x", x), ("lam", lam), ("u", u), ("v", v)):
             assert np.array_equal(value, getattr(trace, name)[k]), (name, k)
 
