@@ -140,6 +140,8 @@ def _sum_to_shape(g: Tensor, shape) -> Tensor:
 
 
 def _check_broadcast(a: Tensor, b: Tensor, name: str):
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError as exc:
@@ -448,24 +450,31 @@ def _topo_order(root: Tensor):
     return order
 
 
-def backward(out: Tensor, seed, wrt) -> list[Tensor]:
+def _backward_plan(out: Tensor, wrt):
+    """`out`'s ancestors in topological order, and the ids of those on a
+    path to a `wrt` tensor: adjoints propagate only along those paths."""
+    order = _topo_order(out)
+    wrt_ids = {id(w) for w in wrt}
+    needed = set()
+    for node in order:
+        if id(node) in wrt_ids or any(id(p) in needed for p in node.parents):
+            needed.add(id(node))
+    return order, needed
+
+
+def backward(out: Tensor, seed, wrt, _plan=None) -> list[Tensor]:
     """Vector-Jacobian product: adjoints of `wrt` tensors given `seed` at `out`.
 
     The returned adjoints are graph tensors, so they can be differentiated
     again.  Tensors in `wrt` that the output does not depend on get exact
     zeros.  Accumulation for shared subexpressions is by summation in
-    reverse topological order.
+    reverse topological order.  `_plan` is `_backward_plan(out, wrt)` when
+    the caller already holds it.
     """
     seed = as_tensor(seed)
     if seed.shape != out.shape:
         raise ShapeError(f"seed shape {seed.shape} does not match output shape {out.shape}")
-    order = _topo_order(out)
-    wrt_ids = {id(w) for w in wrt}
-    # propagate adjoints only along paths that can reach a requested leaf
-    needed = set()
-    for node in order:
-        if id(node) in wrt_ids or any(id(p) in needed for p in node.parents):
-            needed.add(id(node))
+    order, needed = _plan if _plan is not None else _backward_plan(out, wrt)
     grads: dict[int, Tensor] = {id(out): seed}
     if id(out) in needed:
         for node in reversed(order):
@@ -549,14 +558,16 @@ def jacobian_rows(out: Tensor, wrt) -> list[Tensor]:
     One backward pass per component of the last axis of `out`, seeded with
     that component; the adjoints are stacked along that axis, so for `out`
     of shape (..., m) and an input of shape (..., n) the Jacobian has shape
-    (..., m, n).  The results stay connected to the graph.
+    (..., m, n).  The results stay connected to the graph.  The m passes
+    share one backward plan: their seeds differ, their graph does not.
     """
     m = out.shape[-1]
+    plan = _backward_plan(out, wrt)
     rows = []
     for i in range(m):
         seed = np.zeros(out.shape)
         seed[..., i] = 1.0
-        rows.append(backward(out, constant(seed), wrt))
+        rows.append(backward(out, constant(seed), wrt, _plan=plan))
     return [stack([r[j] for r in rows], axis=out.ndim - 1) for j in range(len(wrt))]
 
 

@@ -70,6 +70,13 @@ def _get(node, key, where, default=_MISSING):
     return node[key]
 
 
+def _path(node, key, where, default=_MISSING):
+    value = _get(node, key, where, default)
+    if value is not default and not isinstance(value, str):
+        raise ValidationError(f"{where}.{key} must be a file path, got {value!r}")
+    return value
+
+
 def _float(node, key, where, default=_MISSING):
     value = _get(node, key, where, default)
     number = _numbers(value, f"{where}.{key}")
@@ -241,8 +248,9 @@ def _plant_from(node, seed, where):
     kind = _get(node, "kind", where)
     if kind == "teacher":
         _check_keys(node, {"kind", "model", "seed", "dims", "arch"}, where)
-        if "model" in node:
-            return TeacherPlant(load_model(node["model"])), False
+        model = _path(node, "model", where, None)
+        if model is not None:
+            return TeacherPlant(load_model(model)), False
         dims = _dims(node["dims"], f"{where}.dims") if "dims" in node else ModelDims(3, 3, 2, 2)
         arch = _arch(node.get("arch"), f"{where}.arch")
         teacher = ELModel.random(dims, arch, seed=_int(node, "seed", where, seed))
@@ -295,7 +303,7 @@ def _run_gen_data(cfg, seed, run):
 def _run_train(cfg, seed, run):
     _check_keys(cfg, {"seed", "output", "dataset", "dims", "arch", "init",
                       "train", "holdout"}, "config")
-    dataset = read_csv(_get(cfg, "dataset", "config"))
+    dataset = read_csv(_path(cfg, "dataset", "config"))
     dims = _dims(_get(cfg, "dims", "config"), "dims")
     arch = _arch(cfg.get("arch"), "arch")
 
@@ -329,15 +337,16 @@ def _run_train(cfg, seed, run):
         summary["final_train_loss"] = history["train"][-1]
     if has_val:
         summary["final_val_loss"] = history["val"][-1]
-    if "holdout" in cfg:
-        summary.update(_write_r2(run, trained, read_csv(cfg["holdout"])))
+    holdout = _path(cfg, "holdout", "config", None)
+    if holdout is not None:
+        summary.update(_write_r2(run, trained, read_csv(holdout)))
     return summary
 
 
 def _run_eval(cfg, seed, run):
     _check_keys(cfg, {"seed", "output", "model", "dataset"}, "config")
-    model = load_model(_get(cfg, "model", "config"))
-    dataset = read_csv(_get(cfg, "dataset", "config"))
+    model = load_model(_path(cfg, "model", "config"))
+    dataset = read_csv(_path(cfg, "dataset", "config"))
     if (dataset.y.shape[1], dataset.v.shape[1], dataset.d.shape[1], dataset.z.shape[1]) \
             != (model.dims.ny, model.dims.nu, model.dims.nd, model.dims.nz):
         raise ValidationError("dataset channel counts do not match the model")
@@ -346,7 +355,7 @@ def _run_eval(cfg, seed, run):
 
 def _run_design_lqr(cfg, seed, run):
     _check_keys(cfg, {"seed", "output", "model", "target", "weights"}, "config")
-    model = load_model(_get(cfg, "model", "config"))
+    model = load_model(_path(cfg, "model", "config"))
     target = _mapping(_get(cfg, "target", "config"), "target")
     _check_keys(target, {"y", "d", "tol"}, "target")
     y_target = _vector(_get(target, "y", "target"), "target.y", model.dims.ny)
@@ -411,7 +420,7 @@ def _run_simulate(cfg, seed, run):
                "disturbance", "horizon", "control_period", "substeps", "y0",
                "u0", "noise_std", "weights", "barrier", "plots"}
     _check_keys(cfg, allowed, "config")
-    model = load_model(_get(cfg, "model", "config"))
+    model = load_model(_path(cfg, "model", "config"))
     plant, _ = _plant_from(_get(cfg, "plant", "config"), seed, "plant")
 
     controllers = _get(cfg, "controllers", "config")
@@ -485,10 +494,10 @@ def _system_from(node, where, allow_file=True):
             f"{where}.fixture must be integrator-chain or noninvolutive-chain, "
             f"got {name!r}")
     if "file" in node:
-        with open(node["file"]) as f:
+        path = _path(node, "file", where)
+        with open(path) as f:
             loaded = yaml.safe_load(f)
-        return _system_from(_mapping(loaded, node["file"]), node["file"],
-                            allow_file=False)
+        return _system_from(_mapping(loaded, path), path, allow_file=False)
     n = _int(node, "n", where)
     f_exprs, g_exprs = _get(node, "f", where), _get(node, "g", where)
     return VectorFieldPair(compile_field(f_exprs, n), compile_field(g_exprs, n), n)

@@ -9,6 +9,15 @@ values of the bracket matrix, involutivity through the least-squares
 residual of each pairwise bracket against the spanning set.  The result is
 a report over the sampled box, not a proof for all y.
 
+Each sample point builds one tower on one input tensor: the values
+ad^0 g ... ad^{n-1} g and the Jacobians of ad^0 g ... ad^{n-2} g.  Every
+pairwise bracket is then J(ad^j) ad^i - J(ad^i) ad^j from those tensors,
+with no further backward passes.  Level k evaluates f and Df again rather
+than reusing the previous level's: with one shared f node, the Jacobian of
+the next level would sum the adjoints reaching f in another order, and the
+last bits would differ from the public `bracket_field` / `ad_power_field`,
+which the tower reproduces exactly.
+
 Vector fields are callables mapping an autodiff tensor to an autodiff
 tensor, so Jacobians (and Jacobians of bracket fields, which contain
 backward passes themselves) come from the graph engine.  A restricted
@@ -28,6 +37,9 @@ from .errors import NonFiniteError, ValidationError
 
 DEFAULT_SAMPLES = 100
 DEFAULT_TOL = 1e-6
+
+# the largest literal exponent the compiler expands into repeated products
+MAX_POWER = 16
 
 # brackets whose norm sits at roundoff scale relative to the spanning set
 # count as exactly zero, so cancellation noise cannot fail the check
@@ -49,6 +61,11 @@ class VectorFieldPair:
             raise ValidationError("state dimension must be at least 1")
 
 
+def _bracket(fx, jf, gx, jg):
+    """[f, g] from the values and Jacobians of f and g at one point."""
+    return ad.sub(ad.matvec(jg, fx), ad.matvec(jf, gx))
+
+
 def bracket_field(f, g):
     """The field y -> (dg/dy) f(y) - (df/dy) g(y), differentiable again."""
 
@@ -57,17 +74,21 @@ def bracket_field(f, g):
         (jf,) = ad.jacobian_rows(fx, [x])
         gx = g(x)
         (jg,) = ad.jacobian_rows(gx, [x])
-        return ad.sub(ad.matvec(jg, fx), ad.matvec(jf, gx))
+        return _bracket(fx, jf, gx, jg)
 
     return field
 
 
-def _eval_field(field, y):
-    x = ad.as_tensor(np.asarray(y, dtype=np.float64).reshape(-1))
-    value = field(x).data
+def _finite(value):
     if not np.all(np.isfinite(value)):
         raise NonFiniteError("vector field evaluation produced non-finite entries")
     return value
+
+
+def _eval_field(field, y):
+    x = ad.as_tensor(np.asarray(y, dtype=np.float64).reshape(-1))
+    with np.errstate(all="ignore"):
+        return _finite(field(x).data)
 
 
 def lie_bracket(f, g, y):
@@ -145,38 +166,54 @@ def check_linearizable(system, domain, samples=DEFAULT_SAMPLES,
     rng = np.random.default_rng(seed)
     points = rng.uniform(low, high, size=(samples, n))
 
-    powers = [ad_power_field(system.f, system.g, k) for k in range(n)]
-    # [a, b] = -[b, a] and [a, a] = 0, so only i < j pairs carry information
-    span_count = max(n - 1, 0)
-    pair_fields = [bracket_field(powers[i], powers[j])
-                   for i in range(span_count) for j in range(i + 1, span_count)]
-
     rank_ratios = np.empty(samples)
     ranks = np.empty(samples, dtype=int)
     invol = np.zeros(samples)
     for s in range(samples):
-        y = points[s]
-        D = np.column_stack([_eval_field(p, y) for p in powers])
-        sigma = np.linalg.svd(D, compute_uv=False)
-        top = sigma[0] if sigma[0] > 0 else 1.0
-        rank_ratios[s] = sigma[-1] / top
-        ranks[s] = int(np.count_nonzero(sigma > tol * sigma[0]))
-        if pair_fields:
-            span = D[:, :span_count]
-            worst = 0.0
-            for field in pair_fields:
-                b = _eval_field(field, y)
-                norm_b = float(np.linalg.norm(b))
-                if norm_b <= ZERO_FLOOR * (1.0 + sigma[0]):
-                    continue
-                coef = np.linalg.lstsq(span, b, rcond=None)[0]
-                worst = max(worst, float(np.linalg.norm(b - span @ coef)) / norm_b)
-            invol[s] = worst
+        rank_ratios[s], ranks[s], invol[s] = _check_point(system, points[s], tol)
 
     report = CheckReport(points=points, rank_ratios=rank_ratios, ranks=ranks,
                          involutivity_residuals=invol, tol=float(tol), verdict="")
     object.__setattr__(report, "verdict", report.verdict_at(tol))
     return report
+
+
+def _tower(f, g, n, x):
+    """ad_f^0 g ... ad_f^{n-1} g at x, and the Jacobians of all but the last.
+
+    Level k repeats the nested bracket_field(f, ad^{k-1}) evaluation, f and
+    Df included (see the module docstring)."""
+    values, jacs = [g(x)], []
+    for _ in range(1, n):
+        (jv,) = ad.jacobian_rows(values[-1], [x])
+        jacs.append(jv)
+        fx = f(x)
+        (jf,) = ad.jacobian_rows(fx, [x])
+        values.append(_bracket(fx, jf, values[-1], jv))
+    return values, jacs
+
+
+def _check_point(system, y, tol):
+    """(rank ratio, rank, worst involutivity residual) at one point; the
+    tower is freed when this returns."""
+    # [a, b] = -[b, a] and [a, a] = 0, so only i < j pairs carry information
+    span_count = system.n - 1
+    with np.errstate(all="ignore"):
+        values, jacs = _tower(system.f, system.g, system.n, ad.as_tensor(y))
+        D = np.column_stack([_finite(v.data) for v in values])
+        pairs = [_finite(_bracket(values[i], jacs[i], values[j], jacs[j]).data)
+                 for i in range(span_count) for j in range(i + 1, span_count)]
+    sigma = np.linalg.svd(D, compute_uv=False)
+    top = sigma[0] if sigma[0] > 0 else 1.0
+    span = D[:, :span_count]
+    worst = 0.0
+    for b in pairs:
+        norm_b = float(np.linalg.norm(b))
+        if norm_b <= ZERO_FLOOR * (1.0 + sigma[0]):
+            continue
+        coef = np.linalg.lstsq(span, b, rcond=None)[0]
+        worst = max(worst, float(np.linalg.norm(b - span @ coef)) / norm_b)
+    return sigma[-1] / top, int(np.count_nonzero(sigma > tol * sigma[0])), worst
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +294,10 @@ def _compile_node(node, n):
         return lambda x: op(left(x), right(x))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         if not (isinstance(node.right, ast.Constant)
-                and isinstance(node.right.value, int) and node.right.value >= 0):
-            raise ValidationError("** needs a literal nonnegative integer exponent")
+                and isinstance(node.right.value, int)
+                and 0 <= node.right.value <= MAX_POWER):
+            raise ValidationError(
+                f"** needs a literal integer exponent between 0 and {MAX_POWER}")
         power = node.right.value
         base = _compile_node(node.left, n)
         if power == 0:
@@ -290,6 +329,9 @@ def compile_field(components, n):
     elementwise functions of the graph engine; no division, no attribute
     access, no general calls.  Raises ValidationError on anything else.
     """
+    if not (isinstance(components, (list, tuple))
+            and all(isinstance(text, str) for text in components)):
+        raise ValidationError(f"expected a list of expression strings, got {components!r}")
     if len(components) != n:
         raise ValidationError(f"expected {n} component expressions, got {len(components)}")
     compiled = []

@@ -326,3 +326,34 @@ def test_nested_jacobian_of_jacobian_row():
         (h_np(y0 + step * e) - h_np(y0 - step * e)) / (2 * step)
         for e in np.eye(2)])
     assert rel_err(J_h, J_fd) < 1e-5
+
+
+def _rows_one_backward_each(out, wrt):
+    rows = []
+    for i in range(out.shape[-1]):
+        seed = np.zeros(out.shape)
+        seed[..., i] = 1.0
+        rows.append(ad.backward(out, seed, wrt))
+    return [np.stack([r[j].data for r in rows], axis=out.ndim - 1) for j in range(len(wrt))]
+
+
+def test_jacobian_rows_equals_one_backward_per_row():
+    rng = np.random.default_rng(5)
+    # two batched inputs, as in the model's training loss
+    Y = ad.as_tensor(rng.normal(size=(6, 3)))
+    D = ad.as_tensor(rng.normal(size=(6, 2)))
+    W = ad.constant(rng.normal(size=(4, 5)))
+    hidden = ad.softplus(ad.matmul(ad.concat([Y, D], axis=1), ad.transpose(W)))
+    out = ad.add(ad.mul(ad.sinh(hidden), ad.narrow(hidden, 1, 0, 1)), ad.square(hidden))
+    got = ad.jacobian_rows(out, [Y, D])
+    for g, expected in zip(got, _rows_one_backward_each(out, [Y, D])):
+        assert np.array_equal(g.data, expected)
+
+    # a nested bracket: its graph holds backward passes of its own
+    from elcontrol.liecheck import ad_power_field, noninvolutive_chain
+    system = noninvolutive_chain()
+    x = ad.as_tensor(np.array([0.3, -0.7, 0.5]))
+    out = ad_power_field(system.f, system.g, 2)(x)
+    (got,) = ad.jacobian_rows(out, [x])
+    (expected,) = _rows_one_backward_each(out, [x])
+    assert np.array_equal(got.data, expected)

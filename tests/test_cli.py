@@ -248,6 +248,9 @@ def _bad_model_file(path, source, case):
     if case == "not a zip archive":
         with open(path, "wb") as f:
             np.save(f, np.zeros(3))
+    elif case == "truncated archive":
+        data = open(source, "rb").read()
+        open(path, "wb").write(data[:len(data) // 2])
     elif case in ("unknown arch key", "non-integer dims"):
         with np.load(source) as data:
             arrays = {k: data[k] for k in data.files}
@@ -266,8 +269,8 @@ def _bad_model_file(path, source, case):
         save_model(model, path)
 
 
-@pytest.mark.parametrize("case", ["not a zip archive", "unknown arch key", "non-integer dims",
-                                  "nan parameter"])
+@pytest.mark.parametrize("case", ["not a zip archive", "truncated archive", "unknown arch key",
+                                  "non-integer dims", "nan parameter"])
 def test_eval_rejects_bad_model_files(tmp_path, teacher_run, capsys, case):
     bad = tmp_path / "bad.npz"
     _bad_model_file(bad, teacher_run / "plant_model.npz", case)
@@ -380,10 +383,10 @@ def test_simulate_checks_controller_names_before_running(tmp_path, teacher_run, 
     assert not list(out.glob("trace_*"))
 
 
-def _non_numeric_dataset(tmp_path, source):
+def _non_numeric_dataset(tmp_path, source, column=1, cell="abc"):
     lines = (source / "dataset.csv").read_text().splitlines()
     parts = lines[3].split(",")
-    parts[1] = "abc"
+    parts[column] = cell
     lines[3] = ",".join(parts)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
@@ -412,6 +415,14 @@ def _malformed_value(tmp_path, source, case):
         cfg = gen_config(tmp_path / "run")
         cfg["dataset"]["step"] = 0.0
         return "gen-data", cfg
+    elif case == "non-uniform time grid":
+        return "train", {"output": str(tmp_path / "run"), "dims": TINY_DIMS,
+                         "dataset": _non_numeric_dataset(tmp_path, source, 0, "0.5"),
+                         "train": {"epochs": 1}}
+    elif case == "non-string holdout":
+        return "train", {"output": str(tmp_path / "run"), "dims": TINY_DIMS,
+                         "dataset": str(source / "dataset.csv"),
+                         "holdout": [str(source / "dataset.csv")], "train": {"epochs": 1}}
     elif case == "non-numeric csv cell (eval)":
         return "eval", {"output": str(tmp_path / "run"), "model": model,
                         "dataset": _non_numeric_dataset(tmp_path, source)}
@@ -423,13 +434,15 @@ def _malformed_value(tmp_path, source, case):
 
 
 # the key each non-finite case's error line must name
-NAMED_KEY = {"nan target": "target", "inf weight": "weights.q", "nan y0": "y0"}
+NAMED_KEY = {"nan target": "target", "inf weight": "weights.q", "nan y0": "y0",
+             "non-string holdout": "holdout"}
 
 
 @pytest.mark.parametrize("case", ["non-numeric weight", "non-numeric schedule value",
                                   "nan horizon", "numeric output", "zero step",
                                   "non-numeric csv cell (eval)",
-                                  "non-numeric csv cell (train)", *NAMED_KEY])
+                                  "non-numeric csv cell (train)", "non-uniform time grid",
+                                  *NAMED_KEY])
 def test_malformed_config_values_are_one_error_line(tmp_path, teacher_run, capsys, case):
     command, cfg = _malformed_value(tmp_path, teacher_run, case)
     assert run_cli(tmp_path, command, cfg) == 1
@@ -446,6 +459,14 @@ def test_null_initial_state_means_not_given(tmp_path, teacher_run):
         assert run_cli(tmp_path, "simulate", cfg, name=f"{name}.yaml") == 0
         traces.append((tmp_path / name / "trace_icbf.csv").read_bytes())
     assert traces[0] == traces[1]
+
+
+def test_null_holdout_means_not_given(tmp_path, teacher_run):
+    cfg = {"output": str(tmp_path / "run"), "dims": TINY_DIMS, "holdout": None,
+           "dataset": str(teacher_run / "dataset.csv"), "train": {"epochs": 0}}
+    assert run_cli(tmp_path, "train", cfg) == 0
+    summary = json.load(open(tmp_path / "run" / "summary.json"))
+    assert "r2" not in summary and not (tmp_path / "run" / "r2.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +508,25 @@ def test_check_bad_expression_file_is_an_error(tmp_path, capsys):
     cfg = check_config(tmp_path / "run", {"file": str(system_file)})
     assert run_cli(tmp_path, "check-linearizable", cfg) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f", [
+    5,                                              # not a list
+    [1, 2, 3, 4],                                   # numbers, not expressions
+    [None, "y3", "y4", "0"],                        # an empty entry
+    ["y1**99999999", "y3", "y4", "0"],              # 10^8 products
+    ["exp(exp(exp(y1*1000)))", "y3", "y4", "0"],    # overflows to inf
+], ids=["number", "numeric entries", "null entry", "huge exponent", "overflow"])
+def test_check_faults_are_one_error_line(tmp_path, f):
+    # a subprocess, so numpy warnings on stderr count and a hang times out
+    config = write_config(tmp_path / "config.yaml", check_config(
+        tmp_path / "run", {"n": 4, "f": f, "g": ["0", "0", "0", "1"]}))
+    proc = subprocess.run([sys.executable, "-m", "elcontrol.cli",
+                           "check-linearizable", "--config", config],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
 
 
 def test_check_rejects_ambiguous_system_blocks(tmp_path, capsys):

@@ -11,7 +11,7 @@ from elcontrol.liecheck import (CheckReport, VectorFieldPair, ad_power,
                                 ad_power_field, bracket_field,
                                 check_linearizable, compile_field,
                                 integrator_chain, lie_bracket, linear_fields,
-                                noninvolutive_chain)
+                                noninvolutive_chain, ZERO_FLOOR)
 
 
 def constant_field(values):
@@ -93,7 +93,7 @@ def test_bracket_antisymmetry_and_jacobi_identity():
         assert np.abs(cyclic).max() < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bracket_nonfinite_field_raises():
     f = compile_field(["exp(exp(y1))", "0"], 2)
     g = compile_field(["0", "1"], 2)
@@ -202,6 +202,51 @@ def test_pass_verdict_implies_thresholds():
     assert np.all(report.involutivity_residuals < report.tol)
 
 
+BENCH_SYSTEM = (["y2 + sinh(y1)", "y3 + square(y1)", "y4 + y2*y3", "-y1*y2"],
+                ["0", "0", "0", "1 + square(y1)"])
+REPLAY_SYSTEMS = {
+    "bench-n4": lambda: VectorFieldPair(compile_field(BENCH_SYSTEM[0], 4),
+                                        compile_field(BENCH_SYSTEM[1], 4), 4),
+    "noninvolutive": noninvolutive_chain,
+    "chain5": lambda: integrator_chain(5),
+    "linear": lambda: linear_fields(np.random.default_rng(3).normal(size=(4, 4)),
+                                    np.random.default_rng(4).normal(size=4)),
+}
+
+
+def _replayed_point(powers, pairs, n, y):
+    """One sample from the public fields, as the benchmark's replay runs it."""
+    D = np.column_stack([p(ad.as_tensor(y)).data for p in powers])
+    sigma = np.linalg.svd(D, compute_uv=False)
+    ratio = sigma[-1] / (sigma[0] if sigma[0] > 0 else 1.0)
+    span = D[:, :n - 1]
+    worst = 0.0
+    for field in pairs:
+        b = field(ad.as_tensor(y)).data
+        norm_b = float(np.linalg.norm(b))
+        if norm_b <= ZERO_FLOOR * (1.0 + sigma[0]):
+            continue
+        coef = np.linalg.lstsq(span, b, rcond=None)[0]
+        worst = max(worst, float(np.linalg.norm(b - span @ coef)) / norm_b)
+    return ratio, worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", sorted(REPLAY_SYSTEMS))
+def test_report_equals_the_public_fields_bit_for_bit(name, seed):
+    # the bench system catches a tower that shares f or Df across levels:
+    # the next level's Jacobian then sums adjoints in another order
+    system = REPLAY_SYSTEMS[name]()
+    n = system.n
+    report = check_linearizable(system, (-1.0, 1.0), samples=3, seed=seed)
+    powers = [ad_power_field(system.f, system.g, k) for k in range(n)]
+    pairs = [bracket_field(powers[i], powers[j])
+             for i in range(n - 1) for j in range(i + 1, n - 1)]
+    replayed = np.array([_replayed_point(powers, pairs, n, y) for y in report.points])
+    assert np.array_equal(report.rank_ratios, replayed[:, 0])
+    assert np.array_equal(report.involutivity_residuals, replayed[:, 1])
+
+
 def test_sampling_is_deterministic():
     kwargs = dict(domain=(-2.0, 2.0), samples=25, tol=1e-6, seed=11)
     a = check_linearizable(noninvolutive_chain(), **kwargs)
@@ -286,6 +331,8 @@ def test_compiled_field_is_differentiable():
     "y1 < y2",
     "True",
     "sinh(y1, y2)",
+    "y1 ** 17",
+    "y1 ** 99999999",
 ])
 def test_compiler_rejects_disallowed_expressions(bad):
     with pytest.raises(ValidationError):
@@ -297,3 +344,9 @@ def test_compiler_rejects_wrong_component_count():
         compile_field(["y1", "y2"], 3)
     with pytest.raises(ValidationError):
         compile_field(["y1 +"], 1)
+
+
+@pytest.mark.parametrize("components", [5, "y1", [1], [None]])
+def test_compiler_rejects_non_string_components(components):
+    with pytest.raises(ValidationError):
+        compile_field(components, 1)
