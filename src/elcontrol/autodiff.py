@@ -9,7 +9,7 @@ Jacobian terms).
 The mathematical primitive set is deliberately small and auditable:
 
     add, sub, mul, matmul, sinh, asinh, cosh, exp, log,
-    softplus, relu, square, sum, mean, solve
+    softplus, relu, square, sum, solve
 
 plus structural operations (reshape, transpose, concat, narrow, ...) whose
 backward rules move data without arithmetic.  `solve` is the dense linear
@@ -26,9 +26,9 @@ from .errors import GraphStateError, NonFiniteError, ShapeError
 __all__ = [
     "Tensor", "Graph", "as_tensor", "constant",
     "add", "sub", "mul", "matmul", "sinh", "asinh", "cosh", "exp", "log",
-    "softplus", "relu", "square", "sum", "mean", "solve",
+    "softplus", "relu", "square", "sum", "solve",
     "reshape", "transpose", "concat", "narrow", "stack", "expand_dims",
-    "squeeze", "matvec", "dot",
+    "squeeze", "matvec",
     "backward", "evaluate", "gradient", "jacobian", "jacobian_fn", "jacobian_rows",
 ]
 
@@ -66,9 +66,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self):
-        return float(self.data)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -320,19 +317,6 @@ def sum(x, axis=None, keepdims=False) -> Tensor:
     return _node(np.sum(x.data, axis=axis, keepdims=keepdims), (x,), vjp, "sum")
 
 
-def mean(x, axis=None, keepdims=False) -> Tensor:
-    x = as_tensor(x)
-    count = x.size if axis is None else np.prod(
-        [x.shape[a % x.ndim] for a in (axis if isinstance(axis, tuple) else (axis,))])
-
-    def vjp(g):
-        if not keepdims:
-            g = reshape(g, _kept_shape(x.shape, axis))
-        return (mul(g, constant(np.full(x.shape, 1.0 / count), "mean_w")),)
-
-    return _node(np.mean(x.data, axis=axis, keepdims=keepdims), (x,), vjp, "mean")
-
-
 # ---------------------------------------------------------------------------
 # structural operations (data movement only)
 
@@ -421,10 +405,6 @@ def stack(parts, axis=0) -> Tensor:
 def matvec(a, x) -> Tensor:
     """Matrix-vector product for (..., n, m) @ (..., m) -> (..., n)."""
     return squeeze(matmul(a, expand_dims(x, -1)), -1)
-
-
-def dot(a, b) -> Tensor:
-    return sum(mul(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +565,12 @@ def jacobian_fn(fn, point: np.ndarray) -> Tensor:
     return jacobian_rows(out, [x])[0]
 
 
-def jacobian(graph: Graph, point: np.ndarray, input_name=None) -> np.ndarray:
+def jacobian(graph: Graph, point: np.ndarray) -> np.ndarray:
     """Numeric Jacobian of a single-vector-input Graph at `point`."""
-    if input_name is None:
-        if len(graph.input_names) != 1:
-            raise ShapeError("jacobian requires a single-input graph or an explicit input name")
-        input_name = graph.input_names[0]
-    jac = jacobian_fn(lambda x: graph.fn(**graph.parameters, **{input_name: x}), point).data
+    if len(graph.input_names) != 1:
+        raise ShapeError("jacobian requires a single-input graph")
+    (name,) = graph.input_names
+    jac = jacobian_fn(lambda x: graph.fn(**graph.parameters, **{name: x}), point).data
     if not np.all(np.isfinite(jac)):
         raise NonFiniteError("jacobian produced non-finite entries")
     return jac

@@ -23,6 +23,7 @@ the linearizability check is a result, not an error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -44,22 +45,22 @@ from .simulate import (MismatchPlant, TeacherPlant, gen_excitation,
                        step_schedule, write_trace_csv)
 
 _MISSING = object()
+_SIGNAL_KEYS = {"kind", "period", "low", "high", "seed"}
 
 
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _mapping(node, where):
+def _mapping(node, where, allowed=None):
+    """`node` if it is a mapping whose keys all lie in `allowed` (any keys
+    when `allowed` is None)."""
     if not isinstance(node, dict):
         raise ValidationError(f"{where} must be a mapping")
-    return node
-
-
-def _check_keys(node, allowed, where):
-    unknown = sorted(set(node) - set(allowed))
+    unknown = sorted(set(node) - set(allowed)) if allowed is not None else []
     if unknown:
         raise ValidationError(
             f"{where}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
+    return node
 
 
 def _get(node, key, where, default=_MISSING):
@@ -133,14 +134,12 @@ def _weight(node, key, n):
 
 def _weights(cfg, dims):
     """The (Q, R) pair of the config's optional `weights` section."""
-    weights = _mapping(_get(cfg, "weights", "config", {}), "weights")
-    _check_keys(weights, {"q", "r"}, "weights")
+    weights = _mapping(_get(cfg, "weights", "config", {}), "weights", {"q", "r"})
     return _weight(weights, "q", dims.ny), _weight(weights, "r", dims.nu)
 
 
 def _dims(node, where):
-    node = _mapping(node, where)
-    _check_keys(node, {"ny", "nu", "nd", "nz"}, where)
+    node = _mapping(node, where, {"ny", "nu", "nd", "nz"})
     return ModelDims(_int(node, "ny", where), _int(node, "nu", where),
                      _int(node, "nd", where), _int(node, "nz", where))
 
@@ -148,16 +147,12 @@ def _dims(node, where):
 def _arch(node, where):
     if node is None:
         return None
-    node = _mapping(node, where)
-    allowed = {"phi_depth", "phi_hidden", "psi_depth", "psi_hidden",
-               "xi_depth", "xi_hidden", "core_hidden"}
-    _check_keys(node, allowed, where)
+    node = _mapping(node, where, {f.name for f in dataclasses.fields(ModelArch)})
     return ModelArch(**{k: _int(node, k, where) for k in node})
 
 
 def _signal(node, width, duration, default_seed, where):
-    node = _mapping(node, where)
-    _check_keys(node, {"kind", "period", "low", "high", "seed"}, where)
+    node = _mapping(node, where, _SIGNAL_KEYS)
     kind = _get(node, "kind", where)
     low = _vector(_get(node, "low", where), f"{where}.low", width)
     high = _vector(_get(node, "high", where), f"{where}.high", width)
@@ -168,14 +163,12 @@ def _signal(node, width, duration, default_seed, where):
 def _timeseries(node, width, where):
     """Reference or disturbance input: {constant: [...]} or
     {schedule: {times: [...], values: [[...], ...]}}."""
-    node = _mapping(node, where)
-    _check_keys(node, {"constant", "schedule"}, where)
+    node = _mapping(node, where, {"constant", "schedule"})
     if ("constant" in node) == ("schedule" in node):
         raise ValidationError(f"{where}: give exactly one of constant/schedule")
     if "constant" in node:
         return _vector(node["constant"], f"{where}.constant", width)
-    sched = _mapping(node["schedule"], f"{where}.schedule")
-    _check_keys(sched, {"times", "values"}, f"{where}.schedule")
+    sched = _mapping(node["schedule"], f"{where}.schedule", {"times", "values"})
     times = _vector(_get(sched, "times", where), f"{where}.schedule.times")
     values = np.atleast_2d(_numbers(_get(sched, "values", where), f"{where}.schedule.values"))
     if values.shape[1] != width:
@@ -247,7 +240,7 @@ def _plant_from(node, seed, where):
     node = _mapping(node, where)
     kind = _get(node, "kind", where)
     if kind == "teacher":
-        _check_keys(node, {"kind", "model", "seed", "dims", "arch"}, where)
+        _mapping(node, where, {"kind", "model", "seed", "dims", "arch"})
         model = _path(node, "model", where, None)
         if model is not None:
             return TeacherPlant(load_model(model)), False
@@ -256,29 +249,26 @@ def _plant_from(node, seed, where):
         teacher = ELModel.random(dims, arch, seed=_int(node, "seed", where, seed))
         return TeacherPlant(teacher), True
     if kind == "mismatch":
-        _check_keys(node, {"kind"}, where)
+        _mapping(node, where, {"kind"})
         return MismatchPlant(), False
     raise ValidationError(f"{where}.kind must be teacher or mismatch, got {kind!r}")
 
 
 def _run_gen_data(cfg, seed, run):
-    _check_keys(cfg, {"seed", "output", "plant", "dataset", "excitation"}, "config")
     plant, synthesized = _plant_from(_get(cfg, "plant", "config"), seed, "plant")
     if synthesized:
         save_model(plant.model, run.path("plant_model.npz"))
 
-    ds_cfg = _mapping(_get(cfg, "dataset", "config"), "dataset")
-    _check_keys(ds_cfg, {"duration", "step", "y0", "fd_tol"}, "dataset")
+    ds_cfg = _mapping(_get(cfg, "dataset", "config"), "dataset",
+                      {"duration", "step", "y0", "fd_tol"})
     duration = _float(ds_cfg, "duration", "dataset")
     step = _float(ds_cfg, "step", "dataset")
     fd_tol = _float(ds_cfg, "fd_tol", "dataset", 1e-2)
     if duration < 0:
         raise ValidationError("dataset.duration must be nonnegative")
-    exc = _mapping(_get(cfg, "excitation", "config"), "excitation")
-    _check_keys(exc, {"v", "d"}, "excitation")
+    exc = _mapping(_get(cfg, "excitation", "config"), "excitation", {"v", "d"})
     for name in ("v", "d"):
-        _check_keys(_mapping(_get(exc, name, "excitation"), f"excitation.{name}"),
-                    {"kind", "period", "low", "high", "seed"}, f"excitation.{name}")
+        _mapping(_get(exc, name, "excitation"), f"excitation.{name}", _SIGNAL_KEYS)
     if duration == 0.0:
         # no samples to take; publish the column layout and succeed
         dims = plant.dims
@@ -301,21 +291,17 @@ def _run_gen_data(cfg, seed, run):
 
 
 def _run_train(cfg, seed, run):
-    _check_keys(cfg, {"seed", "output", "dataset", "dims", "arch", "init",
-                      "train", "holdout"}, "config")
     dataset = read_csv(_path(cfg, "dataset", "config"))
     dims = _dims(_get(cfg, "dims", "config"), "dims")
     arch = _arch(cfg.get("arch"), "arch")
 
-    init = _mapping(_get(cfg, "init", "config", {}), "init")
-    _check_keys(init, {"seed", "map_scale"}, "init")
+    init = _mapping(_get(cfg, "init", "config", {}), "init", {"seed", "map_scale"})
     model = ELModel.for_training(dims, dataset, arch,
                                  seed=_int(init, "seed", "init", seed + 1),
                                  map_scale=_float(init, "map_scale", "init", 0.05))
 
-    tr = _mapping(_get(cfg, "train", "config"), "train")
-    _check_keys(tr, {"epochs", "batch_size", "step_size", "decay", "seed",
-                     "val_fraction"}, "train")
+    tr = _mapping(_get(cfg, "train", "config"), "train",
+                  {"epochs", "batch_size", "step_size", "decay", "seed", "val_fraction"})
     train_cfg = TrainConfig(
         epochs=_int(tr, "epochs", "train"),
         batch_size=_int(tr, "batch_size", "train", 256),
@@ -344,7 +330,6 @@ def _run_train(cfg, seed, run):
 
 
 def _run_eval(cfg, seed, run):
-    _check_keys(cfg, {"seed", "output", "model", "dataset"}, "config")
     model = load_model(_path(cfg, "model", "config"))
     dataset = read_csv(_path(cfg, "dataset", "config"))
     if (dataset.y.shape[1], dataset.v.shape[1], dataset.d.shape[1], dataset.z.shape[1]) \
@@ -354,10 +339,8 @@ def _run_eval(cfg, seed, run):
 
 
 def _run_design_lqr(cfg, seed, run):
-    _check_keys(cfg, {"seed", "output", "model", "target", "weights"}, "config")
     model = load_model(_path(cfg, "model", "config"))
-    target = _mapping(_get(cfg, "target", "config"), "target")
-    _check_keys(target, {"y", "d", "tol"}, "target")
+    target = _mapping(_get(cfg, "target", "config"), "target", {"y", "d", "tol"})
     y_target = _vector(_get(target, "y", "target"), "target.y", model.dims.ny)
     d_bar = _vector(_get(target, "d", "target"), "target.d", model.dims.nd)
     Q, R = _weights(cfg, model.dims)
@@ -374,9 +357,8 @@ def _run_design_lqr(cfg, seed, run):
 
 
 def _barrier(node, nu, nz, where):
-    node = _mapping(node, where)
-    allowed = {"z_max", "v_min", "v_max", "k1", "k2", "rate_weight", "margin"}
-    _check_keys(node, allowed, where)
+    node = _mapping(node, where, {"z_max", "v_min", "v_max", "k1", "k2", "rate_weight",
+                                  "margin"})
     return BarrierSpec(
         z_max=_vector(_get(node, "z_max", where), f"{where}.z_max", nz),
         v_min=_vector(_get(node, "v_min", where), f"{where}.v_min", nu),
@@ -416,10 +398,6 @@ def _write_plot_script(run, controllers, ny):
 
 
 def _run_simulate(cfg, seed, run):
-    allowed = {"seed", "output", "model", "plant", "controllers", "target",
-               "disturbance", "horizon", "control_period", "substeps", "y0",
-               "u0", "noise_std", "weights", "barrier", "plots"}
-    _check_keys(cfg, allowed, "config")
     model = load_model(_path(cfg, "model", "config"))
     plant, _ = _plant_from(_get(cfg, "plant", "config"), seed, "plant")
 
@@ -475,8 +453,7 @@ def _run_simulate(cfg, seed, run):
 
 
 def _system_from(node, where, allow_file=True):
-    node = _mapping(node, where)
-    _check_keys(node, {"fixture", "n", "file", "f", "g"}, where)
+    node = _mapping(node, where, {"fixture", "n", "file", "f", "g"})
     sources = [k for k in ("fixture", "file", "f") if k in node]
     if len(sources) != 1 or (not allow_file and "file" in node):
         raise ValidationError(
@@ -504,11 +481,8 @@ def _system_from(node, where, allow_file=True):
 
 
 def _run_check_linearizable(cfg, seed, run):
-    _check_keys(cfg, {"seed", "output", "system", "domain", "samples", "tol"},
-                "config")
     system = _system_from(_get(cfg, "system", "config"), "system")
-    domain = _mapping(_get(cfg, "domain", "config"), "domain")
-    _check_keys(domain, {"low", "high"}, "domain")
+    domain = _mapping(_get(cfg, "domain", "config"), "domain", {"low", "high"})
     low = _vector(_get(domain, "low", "domain"), "domain.low", system.n)
     high = _vector(_get(domain, "high", "domain"), "domain.high", system.n)
 
@@ -532,13 +506,16 @@ def _run_check_linearizable(cfg, seed, run):
 # ---------------------------------------------------------------------------
 # entry point
 
+# each command's function and its top-level keys besides `seed` and `output`
 _COMMANDS = {
-    "gen-data": _run_gen_data,
-    "train": _run_train,
-    "eval": _run_eval,
-    "design-lqr": _run_design_lqr,
-    "simulate": _run_simulate,
-    "check-linearizable": _run_check_linearizable,
+    "gen-data": (_run_gen_data, {"plant", "dataset", "excitation"}),
+    "train": (_run_train, {"dataset", "dims", "arch", "init", "train", "holdout"}),
+    "eval": (_run_eval, {"model", "dataset"}),
+    "design-lqr": (_run_design_lqr, {"model", "target", "weights"}),
+    "simulate": (_run_simulate, {"model", "plant", "controllers", "target", "disturbance",
+                                 "horizon", "control_period", "substeps", "y0", "u0",
+                                 "noise_std", "weights", "barrier", "plots"}),
+    "check-linearizable": (_run_check_linearizable, {"system", "domain", "samples", "tol"}),
 }
 
 
@@ -582,7 +559,9 @@ def main(argv=None):
         run = _Run(out)
         with open(run.path("config.echo.yaml"), "w") as f:
             f.write(raw)
-        body = _COMMANDS[args.command](cfg, seed, run)
+        command, keys = _COMMANDS[args.command]
+        _mapping(cfg, "config", keys | {"seed", "output"})
+        body = command(cfg, seed, run)
         summary = {"command": args.command, "seed": seed,
                    "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
                    "outputs": sorted(run.written)}

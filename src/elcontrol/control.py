@@ -201,10 +201,11 @@ class DesignCache:
     """LQR designs per disturbance level, quantized to a grid.
 
     The disturbance is frozen per control step; quantizing it lets nearby
-    measurements reuse one Riccati/steady-target solve.
+    measurements reuse one Riccati/steady-target solve.  Every design uses
+    `design_lqr`'s default steady-target tolerance.
     """
 
-    def __init__(self, model, y_target, Q, R, grid=1e-2, target_tol=1e-6):
+    def __init__(self, model, y_target, Q, R, grid=1e-2):
         if grid <= 0:
             raise ValidationError("quantization grid must be positive")
         self.model = model
@@ -212,7 +213,6 @@ class DesignCache:
         self.Q = Q
         self.R = R
         self.grid = float(grid)
-        self.target_tol = target_tol
         self._designs = {}
 
     def design_for(self, d_bar):
@@ -221,7 +221,7 @@ class DesignCache:
         if cell not in self._designs:
             d_q = np.array(cell, dtype=np.float64) * self.grid
             self._designs[cell] = design_lqr(self.model, self.y_target, d_q,
-                                             self.Q, self.R, self.target_tol)
+                                             self.Q, self.R)
         return self._designs[cell]
 
 
@@ -430,13 +430,13 @@ def icbf_tick(model, state, x, y, d_bar, design, spec, dt):
 CONTROLLERS = {"lqr": lqr_tick, "icbf": icbf_tick, "sontag": sontag_tick}
 
 
-def equilibrium_kkt_residual(model, design, spec, x, u, d_bar=None, feas_tol=1e-6):
+def equilibrium_kkt_residual(model, design, spec, x, u, d_bar=None):
     """Optimality residual of a converged filter state.
 
     At an equilibrium the filter state must minimize ||u - k(x)||^2 over
     h(x, u) <= 0; this returns the joint stationarity-plus-complementarity
     residual minimized over nonnegative multipliers (a small nonnegative
-    least-squares problem).  Any barrier row above feas_tol raises
+    least-squares problem).  Any barrier row above 1e-6 raises
     InfeasibleError: the point is not in the feasible set.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -444,7 +444,7 @@ def equilibrium_kkt_residual(model, design, spec, x, u, d_bar=None, feas_tol=1e-
     if d_bar is None:
         d_bar = np.zeros(model.dims.nd)
     h, _, dh_du = barrier_values(model, x, u, d_bar, spec)
-    if np.max(h) > feas_tol:
+    if np.max(h) > 1e-6:
         raise InfeasibleError("point is not in the feasible set",
                               certificate={"barrier_values": h})
     stat = 2.0 * (u - lqr_control(design, x))

@@ -41,6 +41,10 @@ DEFAULT_TOL = 1e-6
 # the largest literal exponent the compiler expands into repeated products
 MAX_POWER = 16
 
+# the deepest expression tree the compiler accepts; evaluating a compiled
+# field recurses once per level
+MAX_DEPTH = 64
+
 # brackets whose norm sits at roundoff scale relative to the spanning set
 # count as exactly zero, so cancellation noise cannot fail the check
 ZERO_FLOOR = 1e-12
@@ -270,7 +274,9 @@ _FUNCS = {"sinh": ad.sinh, "asinh": ad.asinh, "cosh": ad.cosh, "exp": ad.exp,
 _BINOPS = {ast.Add: ad.add, ast.Sub: ad.sub, ast.Mult: ad.mul}
 
 
-def _compile_node(node, n):
+def _compile_node(node, n, depth=0):
+    if depth > MAX_DEPTH:
+        raise ValidationError(f"expressions may nest at most {MAX_DEPTH} levels deep")
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) \
             and not isinstance(node.value, bool):
         value = float(node.value)
@@ -283,14 +289,14 @@ def _compile_node(node, n):
                 return lambda x: ad.narrow(x, 0, idx - 1, 1)
         raise ValidationError(f"unknown name {name!r}; states are y1..y{n}")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _compile_node(node.operand, n)
+        inner = _compile_node(node.operand, n, depth + 1)
         if isinstance(node.op, ast.UAdd):
             return inner
         return lambda x: ad.mul(ad.constant(np.array([-1.0])), inner(x))
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         op = _BINOPS[type(node.op)]
-        left = _compile_node(node.left, n)
-        right = _compile_node(node.right, n)
+        left = _compile_node(node.left, n, depth + 1)
+        right = _compile_node(node.right, n, depth + 1)
         return lambda x: op(left(x), right(x))
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         if not (isinstance(node.right, ast.Constant)
@@ -299,7 +305,7 @@ def _compile_node(node, n):
             raise ValidationError(
                 f"** needs a literal integer exponent between 0 and {MAX_POWER}")
         power = node.right.value
-        base = _compile_node(node.left, n)
+        base = _compile_node(node.left, n, depth + 1)
         if power == 0:
             return lambda x: ad.constant(np.ones(1))
 
@@ -317,7 +323,7 @@ def _compile_node(node, n):
             raise ValidationError(
                 f"only single-argument calls to {sorted(_FUNCS)} are allowed")
         fn = _FUNCS[node.func.id]
-        inner = _compile_node(node.args[0], n)
+        inner = _compile_node(node.args[0], n, depth + 1)
         return lambda x: fn(inner(x))
     raise ValidationError(f"expression element {type(node).__name__} is not allowed")
 
@@ -326,8 +332,9 @@ def compile_field(components, n):
     """Compile n expression strings over y1..yn into a vector field.
 
     The grammar is numbers, state names, + - * and integer **, and the
-    elementwise functions of the graph engine; no division, no attribute
-    access, no general calls.  Raises ValidationError on anything else.
+    elementwise functions of the graph engine, nested at most MAX_DEPTH
+    levels; no division, no attribute access, no general calls.  Raises
+    ValidationError on anything else.
     """
     if not (isinstance(components, (list, tuple))
             and all(isinstance(text, str) for text in components)):
@@ -340,6 +347,8 @@ def compile_field(components, n):
             tree = ast.parse(text, mode="eval")
         except SyntaxError as exc:
             raise ValidationError(f"cannot parse {text!r}: {exc.msg}") from exc
+        except RecursionError:
+            raise ValidationError(f"cannot parse {text!r}: nested too deeply") from None
         compiled.append(_compile_node(tree.body, n))
 
     def field(x):

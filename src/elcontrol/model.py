@@ -155,19 +155,8 @@ class ELModel:
         toward -I, so random instances are well conditioned and stable near
         the origin.
         """
-        model = cls(dims, arch)
-        rng = np.random.default_rng(seed)
-        p = model.params
-        for net in model.state_map.nets + model.input_map.nets:
-            net.init(p, rng, scale=1.0, out_scale=map_scale)
-        model.a_net.init(p, rng, scale=1.0, out_scale=core_scale,
-                         last_bias=(-np.eye(dims.ny)).reshape(-1))
-        model.b_net.init(p, rng, scale=1.0, out_scale=core_scale,
-                         last_bias=np.eye(dims.ny, dims.nu).reshape(-1))
-        model.c_net.init(p, rng, scale=1.0, out_scale=core_scale)
-        model.z_map.init(p, rng, scale=0.5)
-        model.validate()
-        return model
+        biases = ((-np.eye(dims.ny)).reshape(-1), np.eye(dims.ny, dims.nu).reshape(-1), None)
+        return cls(dims, arch)._draw(seed, map_scale, core_scale, biases)
 
     @classmethod
     def for_training(cls, dims, dataset, arch=None, seed=0, map_scale=0.05):
@@ -176,26 +165,27 @@ class ELModel:
         records (treating the maps as identity)."""
         scalers = {"y": Scaler.fit(dataset.y), "v": Scaler.fit(dataset.v),
                    "d": Scaler.fit(dataset.d), "z": Scaler.fit(dataset.z)}
-        model = cls(dims, arch, scalers=scalers)
-        rng = np.random.default_rng(seed)
-        p = model.params
-        for net in model.state_map.nets + model.input_map.nets:
-            net.init(p, rng, scale=1.0, out_scale=map_scale)
         ys = scalers["y"].transform(dataset.y)
         vs = scalers["v"].transform(dataset.v)
         target = dataset.y_dot / scalers["y"].std
         design = np.concatenate([ys, vs, np.ones((len(ys), 1))], axis=1)
         coef = np.linalg.lstsq(design, target, rcond=None)[0]
         ny, nu = dims.ny, dims.nu
-        model.a_net.init(p, rng, scale=1.0, out_scale=map_scale,
-                         last_bias=coef[:ny].T.reshape(-1))
-        model.b_net.init(p, rng, scale=1.0, out_scale=map_scale,
-                         last_bias=coef[ny:ny + nu].T.reshape(-1))
-        model.c_net.init(p, rng, scale=1.0, out_scale=map_scale,
-                         last_bias=coef[ny + nu])
-        model.z_map.init(p, rng, scale=0.5)
-        model.validate()
-        return model
+        biases = (coef[:ny].T.reshape(-1), coef[ny:ny + nu].T.reshape(-1), coef[ny + nu])
+        return cls(dims, arch, scalers=scalers)._draw(seed, map_scale, map_scale, biases)
+
+    def _draw(self, seed, map_scale, core_scale, core_biases):
+        """Random parameters in one fixed draw order: the map nets, then the
+        core's A, B and c nets with `core_biases` as their last biases, then
+        Xi at scale 0.5."""
+        rng = np.random.default_rng(seed)
+        for net in self.state_map.nets + self.input_map.nets:
+            net.init(self.params, rng, scale=1.0, out_scale=map_scale)
+        for net, bias in zip((self.a_net, self.b_net, self.c_net), core_biases):
+            net.init(self.params, rng, scale=1.0, out_scale=core_scale, last_bias=bias)
+        self.z_map.init(self.params, rng, scale=0.5)
+        self.validate()
+        return self
 
     # -- coordinate maps ---------------------------------------------------
 
@@ -327,7 +317,11 @@ class ELModel:
         """Output-derivative prediction; Jacobian inverse applied by dense solve."""
         b, single = self._batch(v=v, y=y, d=d, d_dot=d_dot)
         ds = b["ds"]
-        x, J_y, J_d = self.state_map.forward_with_jacobians(self.params, b["ys"], ds)
+        # an overflowing Jacobian pass shows up in the checks that follow
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, J_y, J_d = self.state_map.forward_with_jacobians(self.params, b["ys"], ds)
+        if not np.all(np.isfinite(J_y)):
+            raise NonFiniteError("state-map output Jacobian is not finite")
         cond = np.linalg.cond(J_y)
         if not np.all(np.isfinite(cond)) or np.any(cond > COND_LIMIT):
             raise ConditioningError(

@@ -228,18 +228,18 @@ class Bnn(_Stacked):
         out = self.forward(TANGENT, params, seed(y, offset=nd), seed(dc))
         return out.val, out.tan[..., nd:], out.tan[..., :nd]
 
-    def inverse_np(self, params, x, dc, cond_limit=COND_LIMIT):
-        return self.inverse_with(self.coefficients(NUMPY, params, dc), x, cond_limit)
+    def inverse_np(self, params, x, dc):
+        return self.inverse_with(self.coefficients(NUMPY, params, dc), x)
 
-    def inverse_with(self, coef, x, cond_limit=COND_LIMIT):
+    def inverse_with(self, coef, x):
         for k in reversed(range(len(coef))):
             raw, b, c = coef[k]
             W = self.weight(NUMPY, raw)
             cond = np.linalg.cond(W)
-            if np.any(cond > cond_limit):
+            if np.any(cond > COND_LIMIT):
                 raise ConditioningError(
                     f"layer '{self.prefix}.l{k}': weight condition number {np.max(cond):.3e} "
-                    f"exceeds limit {cond_limit:.1e}")
+                    f"exceeds limit {COND_LIMIT:.1e}")
             t = np.arcsinh(np.sinh(x) - c)
             x = np.linalg.solve(W, (t - b)[..., None])[..., 0]
         return x

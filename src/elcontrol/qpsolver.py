@@ -220,8 +220,9 @@ def _phase1(problem: QpProblem, x_start, max_iter):
     return None, certificate
 
 
-def solve(problem: QpProblem, warm_start=None) -> QpSolution:
-    """Solve the QP; `warm_start` is an optional active set from a related solve.
+def solve(problem: QpProblem) -> QpSolution:
+    """Solve the QP from a cold start: the unconstrained minimizer when it is
+    feasible, else the phase-1 point, with an empty working set.
 
     Returns a QpSolution with status "optimal" (KKT-verified, tolerance 1e-8
     on the scaled residual) or "infeasible" (with a Farkas certificate).
@@ -236,30 +237,15 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
         return QpSolution(x_free, np.zeros(0), (), "optimal", 1,
                           kkt_residual(problem, x_free, np.zeros(0)))
 
-    x0 = None
-    working0: list = []
-    if warm_start:
-        warm = sorted(set(int(i) for i in warm_start if 0 <= int(i) < r))
-        if warm:
-            # x solving the equality-constrained QP on the warm set
-            p_eq, _ = _eqp_step(problem.H, problem.H @ x_free + problem.q,
-                                problem.G, problem.w, x_free, warm)
-            x_eq = x_free + p_eq
-            if np.isfinite(x_eq).all() and np.max(problem.G @ x_eq - problem.w) <= FEAS_TOL:
-                x0 = x_eq
-                working0 = [j for j in warm
-                            if abs(problem.G[j] @ x_eq - problem.w[j]) <= 1e-10]
-    if x0 is None:
-        if np.max(problem.G @ x_free - problem.w) <= FEAS_TOL:
-            x0 = x_free
-        else:
-            x0, certificate = _phase1(problem, x_free, max_iter)
-            if x0 is None:
-                return QpSolution(np.full(n, np.nan), np.zeros(r), (), "infeasible", 0,
-                                  np.inf, certificate)
-            working0 = []
+    if np.max(problem.G @ x_free - problem.w) <= FEAS_TOL:
+        x0 = x_free
+    else:
+        x0, certificate = _phase1(problem, x_free, max_iter)
+        if x0 is None:
+            return QpSolution(np.full(n, np.nan), np.zeros(r), (), "infeasible", 0,
+                              np.inf, certificate)
 
-    x, mu, active, iters = _active_set_iterate(problem, x0, working0, max_iter)
+    x, mu, active, iters = _active_set_iterate(problem, x0, [], max_iter)
     res = kkt_residual(problem, x, mu)
     scale = 1.0 + float(np.max(np.abs(problem.q))) + float(np.max(np.abs(problem.H)))
     if res > 1e-8 * scale:

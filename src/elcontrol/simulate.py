@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import (CONTROLLERS, BarrierSpec, ControllerState, DesignCache,
                       barrier_values)
-from .errors import ValidationError
+from .errors import NonFiniteError, ValidationError
 from .model import ELModel, ModelDims, TrajectoryDataset, write_blocks
 
 SAFETY_FACTOR = 10.0
@@ -337,7 +337,7 @@ def write_trace_csv(trace, path):
 def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
                          control_period=1e-3, Q=None, R=None, spec=None,
                          y0=None, u0=None, substeps=SUBSTEPS_PER_TICK,
-                         target_tol=1e-6, noise_std=0.0, seed=0,
+                         noise_std=0.0, seed=0,
                          metadata=None):
     """Run one controller against the plant and log every tick.
 
@@ -354,6 +354,8 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
 
     A failure mid-run re-raises with `trace` attached holding every row
     written so far, including a tick whose plant integration then failed.
+    A tick whose x, lam, u or v is not finite raises NonFiniteError before
+    its row is written, so the partial trace is finite.
     """
     if not isinstance(controller, str) or controller not in CONTROLLERS:
         raise ValidationError(f"unknown controller {controller!r}")
@@ -403,12 +405,17 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
             target = np.atleast_1d(np.asarray(y_d_fn(t), dtype=np.float64))
             key = target.tobytes()
             if key not in caches:
-                caches[key] = DesignCache(model, target, Q, R, target_tol=target_tol)
+                caches[key] = DesignCache(model, target, Q, R)
             design = caches[key].design_for(d_bar)
 
             measured = y + rng.normal(0.0, noise_std, dims.ny) if noise_std > 0 else y
-            x = model.x_from_y(measured, d_bar)
-            lam, state, u, v_cmd = tick(model, state, x, measured, d_bar, design, spec, dt)
+            # overflow inside the tick shows up as the non-finite check below
+            with np.errstate(all="ignore"):
+                x = model.x_from_y(measured, d_bar)
+                lam, state, u, v_cmd = tick(model, state, x, measured, d_bar, design, spec, dt)
+            if not all(np.all(np.isfinite(a)) for a in (x, lam, u, v_cmd)):
+                raise NonFiniteError(f"the {controller} tick at t = {t:g} produced "
+                                     "non-finite values")
             row = {"t": t, "y": measured, "x": x, "u": u, "v": v_cmd,
                    "z": plant.outputs(y, v_cmd, d_bar),
                    "h": barrier_values(model, x, u, d_bar, spec)[0] if spec is not None else (),

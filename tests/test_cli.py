@@ -1,5 +1,6 @@
 """Command line: config validation, reproducible outputs, and exit codes."""
 
+import copy
 import hashlib
 import json
 import subprocess
@@ -12,7 +13,8 @@ import yaml
 from elcontrol import qpsolver
 from elcontrol.cli import main
 from elcontrol.control import design_lqr
-from elcontrol.model import ELModel, ModelArch, ModelDims, load_model, read_csv, save_model
+from elcontrol.model import (ELModel, ModelArch, ModelDims, TrajectoryDataset, load_model,
+                             read_csv, save_model, write_csv)
 
 TINY_ARCH = dict(phi_depth=1, phi_hidden=8, psi_depth=1, psi_hidden=8,
                  xi_depth=2, xi_hidden=8, core_hidden=8)
@@ -118,6 +120,74 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys, mutate):
     mutate(cfg)
     assert run_cli(tmp_path, "gen-data", cfg) == 1
     assert "unknown keys" in capsys.readouterr().err
+
+
+def _valid_config(command, out, source):
+    """A config `command` accepts, its input files taken from `source`."""
+    model, data = str(source / "plant_model.npz"), str(source / "dataset.csv")
+    if command == "gen-data":
+        return gen_config(out, duration=0.0)
+    if command == "train":
+        return {"output": str(out), "dataset": data, "dims": dict(TINY_DIMS),
+                "arch": dict(TINY_ARCH), "init": {"seed": 4}, "train": {"epochs": 0}}
+    if command == "eval":
+        return {"output": str(out), "model": model, "dataset": data}
+    if command == "design-lqr":
+        return {"output": str(out), "model": model,
+                "target": {"y": [0.2, -0.1], "d": [0.0]}, "weights": {"q": 4.0}}
+    if command == "simulate":
+        cfg = sim_config(out, model, ["lqr"])
+        cfg["disturbance"] = {"schedule": {"times": [0.0], "values": [[0.0]]}}
+        return cfg
+    return check_config(out, {"n": 2, "f": ["y2", "0"], "g": ["0", "1"]})
+
+
+# (command, path to the mapping that gets an unknown key, section the error names)
+SECTIONS = {
+    **{f"{command} top level": (command, (), "config")
+       for command in ("gen-data", "train", "eval", "design-lqr", "simulate",
+                       "check-linearizable")},
+    "plant (teacher)": ("gen-data", ("plant",), "plant"),
+    "plant (mismatch)": ("gen-data", ("plant",), "plant"),
+    "plant.dims": ("gen-data", ("plant", "dims"), "plant.dims"),
+    "plant.arch": ("gen-data", ("plant", "arch"), "plant.arch"),
+    "dataset": ("gen-data", ("dataset",), "dataset"),
+    "excitation": ("gen-data", ("excitation",), "excitation"),
+    "excitation.v": ("gen-data", ("excitation", "v"), "excitation.v"),
+    "excitation.d": ("gen-data", ("excitation", "d"), "excitation.d"),
+    "init": ("train", ("init",), "init"),
+    "train": ("train", ("train",), "train"),
+    "dims": ("train", ("dims",), "dims"),
+    "arch": ("train", ("arch",), "arch"),
+    "design-lqr target": ("design-lqr", ("target",), "target"),
+    "design-lqr weights": ("design-lqr", ("weights",), "weights"),
+    "simulate plant": ("simulate", ("plant",), "plant"),
+    "simulate weights": ("simulate", ("weights",), "weights"),
+    "barrier": ("simulate", ("barrier",), "barrier"),
+    "target": ("simulate", ("target",), "target"),
+    "target.schedule": ("simulate", ("target", "schedule"), "target.schedule"),
+    "disturbance": ("simulate", ("disturbance",), "disturbance"),
+    "disturbance.schedule": ("simulate", ("disturbance", "schedule"),
+                             "disturbance.schedule"),
+    "system": ("check-linearizable", ("system",), "system"),
+    "domain": ("check-linearizable", ("domain",), "domain"),
+}
+
+
+@pytest.mark.parametrize("case", SECTIONS)
+def test_unknown_keys_in_every_section_are_one_error_line(tmp_path, teacher_run, capsys,
+                                                          case):
+    command, path, section = SECTIONS[case]
+    cfg = copy.deepcopy(_valid_config(command, tmp_path / "run", teacher_run))
+    if case == "plant (mismatch)":
+        cfg["plant"] = {"kind": "mismatch"}
+    node = cfg
+    for key in path:
+        node = node[key]
+    node["typo_key"] = 1
+    assert run_cli(tmp_path, command, cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {section}: unknown keys"), err
 
 
 def test_malformed_yaml_is_a_clean_error(tmp_path, capsys):
@@ -372,6 +442,54 @@ def test_simulate_qp_failure_is_an_error_with_partial_trace(tmp_path, teacher_ru
     assert partial.shape[0] == 2
 
 
+def test_simulate_infeasible_mid_run_is_an_error_with_partial_trace(
+        tmp_path, teacher_run, capsys, qp_infeasible_from_third_call):
+    out = tmp_path / "run"
+    cfg = sim_config(out, str(teacher_run / "plant_model.npz"), ["icbf"])
+    assert run_cli(tmp_path, "simulate", cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "infeasible" in err[0]
+    partial = np.loadtxt(out / "trace_icbf.partial.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert partial.shape[0] == 2
+
+
+def run_cli_subprocess(*argv):
+    """The CLI in a subprocess, so numpy warnings on stderr count; returns
+    its stderr lines after checking it exited 1."""
+    proc = subprocess.run([sys.executable, "-m", "elcontrol.cli", *argv],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    return proc.stderr.splitlines()
+
+
+def test_simulate_non_finite_tick_is_one_error_line_with_finite_partial_trace(tmp_path):
+    # a far target drives Psi into overflow: v turns non-finite mid-run
+    model_path = str(tmp_path / "model.npz")
+    save_model(ELModel.random(ModelDims(3, 3, 2, 2), seed=0), model_path)
+    out = tmp_path / "run"
+    config = write_config(tmp_path / "config.yaml", {
+        "output": str(out), "model": model_path,
+        "plant": {"kind": "teacher", "model": model_path}, "controllers": ["lqr"],
+        "target": {"constant": [40.0, 40.0, 40.0]}, "disturbance": {"constant": [0.0, 0.0]},
+        "horizon": 1.0, "substeps": 2, "weights": {"q": 9.0}})
+    err = run_cli_subprocess("simulate", "--config", config)
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0], err
+    partial = np.loadtxt(out / "trace_lqr.partial.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert partial.shape[0] > 0 and np.all(np.isfinite(partial))
+
+
+def test_eval_overflowing_dataset_is_one_error_line(tmp_path, teacher_run):
+    ds = read_csv(teacher_run / "dataset.csv")
+    big = TrajectoryDataset(ds.t, ds.v, ds.d, 1e3 * ds.y, ds.z, d_dot=ds.d_dot,
+                            y_dot=1e3 * ds.y_dot, fd_tol=ds.fd_tol)
+    write_csv(big, tmp_path / "big.csv")
+    config = write_config(tmp_path / "config.yaml", {
+        "output": str(tmp_path / "run"), "model": str(teacher_run / "plant_model.npz"),
+        "dataset": str(tmp_path / "big.csv")})
+    err = run_cli_subprocess("eval", "--config", config)
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 @pytest.mark.parametrize("controllers", [["lqr", "bogus"], [[1]]])
 def test_simulate_checks_controller_names_before_running(tmp_path, teacher_run, capsys,
                                                          controllers):
@@ -516,7 +634,10 @@ def test_check_bad_expression_file_is_an_error(tmp_path, capsys):
     [None, "y3", "y4", "0"],                        # an empty entry
     ["y1**99999999", "y3", "y4", "0"],              # 10^8 products
     ["exp(exp(exp(y1*1000)))", "y3", "y4", "0"],    # overflows to inf
-], ids=["number", "numeric entries", "null entry", "huge exponent", "overflow"])
+    ["-" * 5000 + "y1", "y3", "y4", "0"],           # too deep for the parser
+    ["-" * 990 + "y1", "y3", "y4", "0"],            # parses, too deep to evaluate
+], ids=["number", "numeric entries", "null entry", "huge exponent", "overflow",
+        "deep parse", "deep nesting"])
 def test_check_faults_are_one_error_line(tmp_path, f):
     # a subprocess, so numpy warnings on stderr count and a hang times out
     config = write_config(tmp_path / "config.yaml", check_config(

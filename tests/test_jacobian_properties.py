@@ -8,7 +8,7 @@ order, the first one narrow, so mixed tangent widths are exercised too.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import elcontrol.autodiff as ad
@@ -19,7 +19,6 @@ ROWS = 3
 dims = st.integers(1, 4)
 depths = st.integers(1, 3)
 seeds = st.integers(0, 2 ** 32 - 1)
-examples = settings(max_examples=25, deadline=None)
 
 
 def random_params(nets, rng, scale=0.4):
@@ -63,7 +62,6 @@ def check_block(forward, inputs):
         assert np.max(np.abs(jac - fd)) <= 1e-6 * scale
 
 
-@examples
 @given(dims, dims, seeds)
 def test_param_mlp_jacobians(n_in, n_out, s):
     rng = np.random.default_rng(s)
@@ -76,7 +74,6 @@ def test_param_mlp_jacobians(n_in, n_out, s):
     assert np.array_equal(value, out.val) and np.array_equal(jac, out.tan)
 
 
-@examples
 @given(dims, dims, depths, seeds)
 def test_bnn_jacobians(n, nd, depth, s):
     rng = np.random.default_rng(s)
@@ -91,7 +88,6 @@ def test_bnn_jacobians(n, nd, depth, s):
     assert np.array_equal(bnn.forward(TANGENT, params, seed(y), d).tan, J_y)
 
 
-@examples
 @given(dims, dims, depths, seeds)
 def test_diagonal_bnn_jacobians(m, n_cond, depth, s):
     rng = np.random.default_rng(s)
@@ -102,7 +98,6 @@ def test_diagonal_bnn_jacobians(m, n_cond, depth, s):
     check_block(lambda xp, c, v: dbnn.inverse(xp, xp_params(xp, params), v, c), [cond, u])
 
 
-@examples
 @given(dims, dims, depths, seeds)
 def test_picnn_jacobians(n_xi, n_ctx, depth, s):
     rng = np.random.default_rng(s)

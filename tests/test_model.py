@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import elcontrol.autodiff as ad
-from elcontrol.errors import TrainingDivergedError, ValidationError
+from elcontrol.errors import NonFiniteError, TrainingDivergedError, ValidationError
 from elcontrol.model import (ELModel, ModelArch, ModelDims, TrainConfig,
                              TrajectoryDataset, default_q_e, load_model, loss,
                              read_csv, save_model, train, write_csv)
@@ -59,6 +59,13 @@ def test_predict_ydot_doubling_map():
     m.b_net.init_zero(m.params, last_bias=np.array([1.0]))
     got = m.predict_ydot(np.zeros(1), np.ones(1), np.zeros(1), np.zeros(1))
     assert abs(got[0] - (-1.0)) < 1e-14
+
+
+def test_predict_ydot_non_finite_jacobian_is_an_error():
+    # far outside the data, sinh overflows in the state map's Jacobian pass
+    m = ELModel.random(ModelDims(3, 3, 2, 2), seed=0)
+    with pytest.raises(NonFiniteError, match="Jacobian"):
+        m.predict_ydot(np.zeros(3), np.full(3, 1e3), np.zeros(2), np.zeros(2))
 
 
 def test_replaced_parameters_reach_every_map():

@@ -3,13 +3,14 @@
 Over random dimensions (1-4), depths (1-3), hidden sizes and seeds: a
 block's stacked conditioning equals its member nets evaluated one by one,
 in value and input Jacobian; the state map round trips; the input map is
-strictly increasing per channel.  Plus the identity seed's shortcut, which
-must give exactly what an explicit identity tangent gives.
+strictly increasing per channel; the convex head satisfies Jensen's
+inequality in (x, u) at every context.  Plus the identity seed's shortcut,
+which must give exactly what an explicit identity tangent gives.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from elcontrol.arrays import NUMPY, TANGENT, Tangent, seed
@@ -22,7 +23,6 @@ dims = st.integers(1, 4)
 depths = st.integers(1, 3)
 hiddens = st.sampled_from([1, 4, 16])
 seeds = st.integers(0, 2 ** 32 - 1)
-examples = settings(max_examples=25, deadline=None)
 
 
 def random_params(nets, rng, scale=0.6):
@@ -49,7 +49,6 @@ def check_stack(stack, params, x):
         assert_close(np.broadcast_to(tangent.tan, want_jac.shape), want_jac)
 
 
-@examples
 @given(dims, dims, depths, hiddens, seeds)
 def test_state_map_stack_matches_member_nets(n, nd, depth, hidden, s):
     rng = np.random.default_rng(s)
@@ -57,7 +56,6 @@ def test_state_map_stack_matches_member_nets(n, nd, depth, hidden, s):
     check_stack(bnn.stack, random_params(bnn.nets, rng), rng.uniform(-1, 1, (ROWS, nd)))
 
 
-@examples
 @given(dims, dims, depths, hiddens, seeds)
 def test_input_map_stack_matches_member_nets(m, n_cond, depth, hidden, s):
     rng = np.random.default_rng(s)
@@ -65,7 +63,6 @@ def test_input_map_stack_matches_member_nets(m, n_cond, depth, hidden, s):
     check_stack(dbnn.stack, random_params(dbnn.nets, rng), rng.uniform(-1, 1, (ROWS, n_cond)))
 
 
-@examples
 @given(dims, dims, dims, hiddens, seeds)
 def test_core_stack_matches_member_nets(ny, nu, nd, hidden, s):
     # output widths ny^2, ny nu, ny: zero padding whenever they differ
@@ -100,7 +97,6 @@ def test_stack_rejects_an_in_place_write_after_packing():
         params["b.b3"][0] = 1.0
 
 
-@examples
 @given(dims, dims, depths, hiddens, seeds)
 def test_state_map_round_trip(n, nd, depth, hidden, s):
     rng = np.random.default_rng(s)
@@ -111,7 +107,6 @@ def test_state_map_round_trip(n, nd, depth, hidden, s):
     assert np.max(np.abs(m.y_from_x(m.x_from_y(y, d), d) - y)) <= 1e-9
 
 
-@examples
 @given(dims, dims, dims, depths, hiddens, seeds)
 def test_input_map_is_strictly_increasing_per_channel(nu, ny, nd, depth, hidden, s):
     rng = np.random.default_rng(s)
@@ -129,7 +124,6 @@ def test_input_map_is_strictly_increasing_per_channel(nu, ny, nd, depth, hidden,
         assert np.array_equal(moved[others], v[others])
 
 
-@examples
 @given(dims, dims, depths, seeds)
 def test_identity_seed_equals_explicit_identity(n_xi, n_ctx, depth, s):
     rng = np.random.default_rng(s)
@@ -142,3 +136,19 @@ def test_identity_seed_equals_explicit_identity(n_xi, n_ctx, depth, s):
     explicit = picnn.forward(TANGENT, params, Tangent(xi, np.eye(n_xi).copy()), ctx)
     assert np.array_equal(fast.val, explicit.val)
     assert np.array_equal(np.broadcast_to(fast.tan, explicit.tan.shape), explicit.tan)
+
+
+@given(dims, dims, dims, depths, hiddens, seeds)
+def test_convex_head_satisfies_jensen_at_every_context(n_xi, n_ctx, n_out, depth, hidden, s):
+    # f(theta a + (1 - theta) b) <= theta f(a) + (1 - theta) f(b), per row's context
+    rng = np.random.default_rng(s)
+    picnn = Picnn("xi", n_xi, n_ctx, n_out, depth=depth, hidden=hidden, ctx_hidden=hidden)
+    params = {}
+    picnn.init(params, rng, scale=0.5)
+    a, b = rng.uniform(-2, 2, (2, ROWS, n_xi))
+    ctx = rng.uniform(-1, 1, (ROWS, n_ctx))
+    theta = rng.uniform(0, 1, (ROWS, 1))
+    mixed = picnn.forward_np(params, theta * a + (1 - theta) * b, ctx)
+    chord = (theta * picnn.forward_np(params, a, ctx)
+             + (1 - theta) * picnn.forward_np(params, b, ctx))
+    assert np.all(mixed <= chord + 1e-12)

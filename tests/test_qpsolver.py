@@ -120,41 +120,6 @@ def test_matches_enumeration_oracle():
     assert solved > 10 and infeasible > 0
 
 
-def test_solution_unique_independent_of_warm_start():
-    rng = np.random.default_rng(7)
-    n, r = 4, 10
-    M = rng.normal(size=(n, n))
-    H = M @ M.T + np.eye(n)
-    G = rng.normal(size=(r, n))
-    # feasible by construction: w = G x_interior + positive slack
-    w = G @ rng.normal(size=n) + rng.uniform(0.01, 1.0, size=r)
-    p = QpProblem(H, rng.normal(size=n) * 2.0, G, w)
-    base = solve(p)
-    assert base.status == "optimal"
-    for trial in range(10):
-        warm = list(rng.choice(10, size=int(rng.integers(0, 4)), replace=False))
-        sol = solve(p, warm_start=warm)
-        assert sol.status == "optimal"
-        assert np.max(np.abs(sol.x - base.x)) < 1e-9
-
-
-def test_warm_start_saves_iterations():
-    rng = np.random.default_rng(8)
-    n, r = 4, 12
-    M = rng.normal(size=(n, n))
-    H = M @ M.T + np.eye(n)
-    G = rng.normal(size=(r, n))
-    w = rng.normal(size=r) + 1.0
-    q0 = rng.normal(size=n) * 3.0
-    cold = solve(QpProblem(H, q0, G, w))
-    # nearby problem warm-started from the previous active set
-    q1 = q0 + 0.01 * rng.normal(size=n)
-    warm = solve(QpProblem(H, q1, G, w), warm_start=cold.active_set)
-    cold1 = solve(QpProblem(H, q1, G, w))
-    assert np.max(np.abs(warm.x - cold1.x)) < 1e-9
-    assert warm.iterations <= cold1.iterations
-
-
 def test_objective_scaling_equivariance():
     # scaling H, q, w..., G consistently leaves the minimizer unchanged:
     # scale objective by c: same argmin

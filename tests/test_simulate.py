@@ -1,7 +1,11 @@
 """Plants, excitation, open/closed-loop simulation, and metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elcontrol.control import (CONTROLLERS, BarrierSpec, ControllerState,
                                DesignCache, icbf_step, lqr_control)
@@ -355,6 +359,22 @@ def test_infeasible_filter_attaches_partial_trace():
     assert info.value.trace.metadata["controller"] == "icbf"
 
 
+def test_infeasible_mid_run_keeps_the_rows_already_written(qp_infeasible_from_third_call):
+    m = scalar_core_model(-4.0, 1.0)
+    plant = TeacherPlant(model=m, operating_box=(-10 * np.ones(1), 10 * np.ones(1)))
+    spec = BarrierSpec(z_max=[1e6], v_min=[-100.0], v_max=[1.0],
+                       k1=10.0, k2=1.0, rate_weight=0.05)
+    with pytest.raises(InfeasibleError) as info:
+        simulate_closed_loop(plant, m, "icbf", np.array([1.5]), np.zeros(1),
+                             horizon=0.02, control_period=2e-3, spec=spec, substeps=2)
+    cert = info.value.certificate
+    assert cert["barrier_values"].shape == (spec.n_rows,)
+    assert np.all(np.isfinite(cert["barrier_values"]))
+    assert cert["max_violation_at_optimum"] == 1.0
+    assert len(info.value.trace) == 2
+    assert len(qp_infeasible_from_third_call) == 3
+
+
 def test_closed_loop_divergence_attaches_partial_trace():
     model = scalar_core_model(1.0, 1.0)
     # true input gain has the opposite sign: positive feedback loop
@@ -573,3 +593,33 @@ def test_teacher_data_trains_to_high_fidelity():
         assert metrics_r2(pred[:, j], held_out.y_dot[:, j]) >= 0.99
     pred_z = student.predict_z(held_out.v, held_out.y, held_out.d)
     assert metrics_r2(pred_z[:, 0], held_out.z[:, 0]) >= 0.95
+
+
+def _run_or_failure(plant, m, controller, **kwargs):
+    """The trace of a run, or the failure's type, message and partial trace."""
+    try:
+        return None, simulate_closed_loop(plant, m, controller, **kwargs)
+    except ElcontrolError as exc:
+        return (type(exc), str(exc)), exc.trace
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 2 ** 16 - 1))
+def test_reruns_are_bit_identical(ny, nu, nd, nz, depth, s):
+    # every controller, through a disturbance step and seeded measurement
+    # noise; a run that fails must fail the same way with the same rows
+    dims = ModelDims(ny, nu, nd, nz)
+    m = ELModel.random(dims, ModelArch(phi_depth=depth, phi_hidden=8, psi_depth=depth,
+                                       psi_hidden=8, xi_depth=depth, xi_hidden=8,
+                                       core_hidden=8), seed=s)
+    kwargs = dict(y_d=np.full(ny, 0.2), d=step_schedule([0.0, 0.002], [[0.0] * nd, [0.1] * nd]),
+                  horizon=0.004, control_period=1e-3, spec=replay_spec(dims), substeps=1,
+                  noise_std=0.01, seed=s)
+    for controller in CONTROLLERS:
+        failure, first = _run_or_failure(TeacherPlant(model=m), m, controller, **kwargs)
+        again_failure, again = _run_or_failure(TeacherPlant(model=m), m, controller, **kwargs)
+        assert failure == again_failure
+        assert first.metadata == again.metadata
+        for f in dataclasses.fields(SimulationTrace):
+            if f.name != "metadata":
+                assert np.array_equal(getattr(first, f.name), getattr(again, f.name)), f.name
