@@ -15,6 +15,8 @@ plus structural operations (reshape, transpose, concat, narrow, ...) whose
 backward rules move data without arithmetic.  `solve` is the dense linear
 system solve used to apply Jacobian inverses; its backward rule is two more
 solves and a rank-one product.
+
+`jacobian_rows` is the one Jacobian helper; its results stay in the graph.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ __all__ = [
     "softplus", "relu", "square", "sum", "solve",
     "reshape", "transpose", "concat", "narrow", "stack", "expand_dims",
     "squeeze", "matvec",
-    "backward", "evaluate", "gradient", "jacobian", "jacobian_fn", "jacobian_rows",
+    "backward", "evaluate", "gradient", "jacobian_rows",
 ]
-
-_builtin_sum = sum
 
 
 class Tensor:
@@ -549,28 +549,3 @@ def jacobian_rows(out: Tensor, wrt) -> list[Tensor]:
         seed[..., i] = 1.0
         rows.append(backward(out, constant(seed), wrt, _plan=plan))
     return [stack([r[j] for r in rows], axis=out.ndim - 1) for j in range(len(wrt))]
-
-
-def jacobian_fn(fn, point: np.ndarray) -> Tensor:
-    """Differentiable Jacobian of a vector-to-vector graph function.
-
-    Row i of the result is the gradient of output i.  The returned tensor
-    stays connected to the graph, so Jacobians of functions that themselves
-    contain Jacobians are well defined.
-    """
-    x = as_tensor(np.asarray(point, dtype=np.float64))
-    out = fn(x)
-    if out.ndim != 1 or x.ndim != 1:
-        raise ShapeError(f"jacobian expects vector->vector, got {x.shape} -> {out.shape}")
-    return jacobian_rows(out, [x])[0]
-
-
-def jacobian(graph: Graph, point: np.ndarray) -> np.ndarray:
-    """Numeric Jacobian of a single-vector-input Graph at `point`."""
-    if len(graph.input_names) != 1:
-        raise ShapeError("jacobian requires a single-input graph")
-    (name,) = graph.input_names
-    jac = jacobian_fn(lambda x: graph.fn(**graph.parameters, **{name: x}), point).data
-    if not np.all(np.isfinite(jac)):
-        raise NonFiniteError("jacobian produced non-finite entries")
-    return jac

@@ -40,7 +40,7 @@ from .model import (ELModel, ModelArch, ModelDims, TrainConfig,
                     TrajectoryDataset, load_model, read_csv, save_model,
                     write_csv, write_table)
 from .model import train as train_model
-from .simulate import (MismatchPlant, TeacherPlant, gen_excitation,
+from .simulate import (SUBSTEPS_PER_TICK, MismatchPlant, TeacherPlant, gen_excitation,
                        metrics_r2, simulate_closed_loop, simulate_open_loop,
                        step_schedule, write_trace_csv)
 
@@ -422,7 +422,7 @@ def _run_simulate(cfg, seed, run):
     y0, u0 = (_get(cfg, key, "config", None) for key in ("y0", "u0"))
     kwargs = dict(
         control_period=_float(cfg, "control_period", "config", 1e-3),
-        substeps=_int(cfg, "substeps", "config", 10),
+        substeps=_int(cfg, "substeps", "config", SUBSTEPS_PER_TICK),
         noise_std=_float(cfg, "noise_std", "config", 0.0),
         Q=Q, R=R, spec=spec, seed=seed,
         y0=None if y0 is None else _vector(y0, "config.y0", model.dims.ny),
@@ -486,9 +486,9 @@ def _run_check_linearizable(cfg, seed, run):
     low = _vector(_get(domain, "low", "domain"), "domain.low", system.n)
     high = _vector(_get(domain, "high", "domain"), "domain.high", system.n)
 
-    report = check_linearizable(system, (low, high),
-                                samples=_int(cfg, "samples", "config", 100),
-                                tol=_float(cfg, "tol", "config", 1e-6), seed=seed)
+    samples = _int(cfg, "samples", "config", liecheck.DEFAULT_SAMPLES)
+    tol = _float(cfg, "tol", "config", liecheck.DEFAULT_TOL)
+    report = check_linearizable(system, (low, high), samples=samples, tol=tol, seed=seed)
     _write_json(run, "report.json", {
         "verdict": report.verdict, "tol": report.tol, "note": report.note,
         "samples": len(report.points), "seed": seed,
@@ -508,14 +508,19 @@ def _run_check_linearizable(cfg, seed, run):
 
 # each command's function and its top-level keys besides `seed` and `output`
 _COMMANDS = {
-    "gen-data": (_run_gen_data, {"plant", "dataset", "excitation"}),
-    "train": (_run_train, {"dataset", "dims", "arch", "init", "train", "holdout"}),
-    "eval": (_run_eval, {"model", "dataset"}),
-    "design-lqr": (_run_design_lqr, {"model", "target", "weights"}),
+    "gen-data": (_run_gen_data, {"plant", "dataset", "excitation"},
+                 "excite a plant and record a trajectory dataset"),
+    "train": (_run_train, {"dataset", "dims", "arch", "init", "train", "holdout"},
+              "fit a latent-linear model to a dataset"),
+    "eval": (_run_eval, {"model", "dataset"}, "score a model on a dataset (per-channel R^2)"),
+    "design-lqr": (_run_design_lqr, {"model", "target", "weights"},
+                   "solve the regulator design for a saved model"),
     "simulate": (_run_simulate, {"model", "plant", "controllers", "target", "disturbance",
                                  "horizon", "control_period", "substeps", "y0", "u0",
-                                 "noise_std", "weights", "barrier", "plots"}),
-    "check-linearizable": (_run_check_linearizable, {"system", "domain", "samples", "tol"}),
+                                 "noise_std", "weights", "barrier", "plots"},
+                 "run one or more controllers closed loop"),
+    "check-linearizable": (_run_check_linearizable, {"system", "domain", "samples", "tol"},
+                           "sampled exact-linearizability check"),
 }
 
 
@@ -524,17 +529,9 @@ def _build_parser():
         prog="elcontrol",
         description="Batch runner: every command reads a YAML config and "
                     "writes reproducible outputs into a run directory.")
-    blurbs = {
-        "gen-data": "excite a plant and record a trajectory dataset",
-        "train": "fit a latent-linear model to a dataset",
-        "eval": "score a model on a dataset (per-channel R^2)",
-        "design-lqr": "solve the regulator design for a saved model",
-        "simulate": "run one or more controllers closed loop",
-        "check-linearizable": "sampled exact-linearizability check",
-    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=blurbs[name])
+    for name, (_, _, blurb) in _COMMANDS.items():
+        p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's global seed")
@@ -559,7 +556,7 @@ def main(argv=None):
         run = _Run(out)
         with open(run.path("config.echo.yaml"), "w") as f:
             f.write(raw)
-        command, keys = _COMMANDS[args.command]
+        command, keys, _ = _COMMANDS[args.command]
         _mapping(cfg, "config", keys | {"seed", "output"})
         body = command(cfg, seed, run)
         summary = {"command": args.command, "seed": seed,

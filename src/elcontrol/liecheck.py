@@ -28,6 +28,7 @@ for the command line.
 from __future__ import annotations
 
 import ast
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,12 +283,11 @@ def _compile_node(node, n, depth=0):
         value = float(node.value)
         return lambda x: ad.constant(np.array([value]))
     if isinstance(node, ast.Name):
-        name = node.id
-        if name.startswith("y") and name[1:].isdigit():
-            idx = int(name[1:])
-            if 1 <= idx <= n:
-                return lambda x: ad.narrow(x, 0, idx - 1, 1)
-        raise ValidationError(f"unknown name {name!r}; states are y1..y{n}")
+        states = [f"y{i}" for i in range(1, n + 1)]
+        if node.id in states:
+            idx = states.index(node.id)
+            return lambda x: ad.narrow(x, 0, idx, 1)
+        raise ValidationError(f"unknown name {reprlib.repr(node.id)}; states are y1..y{n}")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         inner = _compile_node(node.operand, n, depth + 1)
         if isinstance(node.op, ast.UAdd):
@@ -338,7 +338,8 @@ def compile_field(components, n):
     """
     if not (isinstance(components, (list, tuple))
             and all(isinstance(text, str) for text in components)):
-        raise ValidationError(f"expected a list of expression strings, got {components!r}")
+        raise ValidationError(
+            f"expected a list of expression strings, got {reprlib.repr(components)}")
     if len(components) != n:
         raise ValidationError(f"expected {n} component expressions, got {len(components)}")
     compiled = []
@@ -346,9 +347,9 @@ def compile_field(components, n):
         try:
             tree = ast.parse(text, mode="eval")
         except SyntaxError as exc:
-            raise ValidationError(f"cannot parse {text!r}: {exc.msg}") from exc
+            raise ValidationError(f"cannot parse {reprlib.repr(text)}: {exc.msg}") from exc
         except RecursionError:
-            raise ValidationError(f"cannot parse {text!r}: nested too deeply") from None
+            raise ValidationError(f"cannot parse {reprlib.repr(text)}: nested too deeply") from None
         compiled.append(_compile_node(tree.body, n))
 
     def field(x):

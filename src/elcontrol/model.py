@@ -127,7 +127,7 @@ class ELModel:
         return shapes
 
     def validate(self):
-        """Check parameter completeness/shapes, scaler dims and Xi weight signs."""
+        """Check parameter completeness/shapes and scaler dims (softplus keeps Xi's Wz >= 0)."""
         expected = self.param_shapes()
         got = {k: v.shape for k, v in self.params.items()}
         if got.keys() != expected.keys():
@@ -141,7 +141,6 @@ class ELModel:
                           ("d", self.dims.nd), ("z", self.dims.nz)):
             if self.scalers[name].dim != dim:
                 raise ValidationError(f"scaler {name!r} dim {self.scalers[name].dim} != {dim}")
-        self.z_map.validate(self.params)
 
     def clone(self, params=None):
         new = {k: v.copy() for k, v in (params or self.params).items()}
@@ -507,7 +506,7 @@ def write_csv(dataset: TrajectoryDataset, path):
         f.write("\n")
 
 
-def read_csv(path, fd_tol=None):
+def read_csv(path):
     """Read a dataset CSV; derivative columns are used if present else differenced."""
     with open(path) as f:
         header = f.readline().strip().split(",")
@@ -529,13 +528,12 @@ def read_csv(path, fd_tol=None):
     unknown = sorted(set(groups) - known)
     if unknown:
         raise ValidationError(f"{path}: unknown column groups {unknown}")
-    if fd_tol is None:
-        fd_tol = 1e-2
-        try:
-            with open(f"{path}.meta.json") as f:
-                fd_tol = float(json.load(f).get("fd_tol", fd_tol))
-        except (OSError, ValueError):
-            pass
+    fd_tol = 1e-2
+    try:
+        with open(f"{path}.meta.json") as f:
+            fd_tol = float(json.load(f).get("fd_tol", fd_tol))
+    except (OSError, ValueError):
+        pass
     pick = lambda g: table[:, groups[g]]
     return TrajectoryDataset(
         pick("t")[:, 0], pick("v"), pick("d"), pick("y"), pick("z"),
@@ -555,7 +553,6 @@ class TrainConfig:
     decay: float = 1.0          # per-epoch multiplicative step-size factor
     seed: int = 0
     val_fraction: float = 0.2
-    q_e: np.ndarray | None = None   # default: per-channel inverse target variance
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -564,15 +561,6 @@ class TrainConfig:
             raise ValidationError("step_size must be > 0 and decay in (0, 1]")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ValidationError("val_fraction must be in [0, 1)")
-        if self.q_e is not None:
-            q = np.asarray(self.q_e, dtype=np.float64)
-            if q.ndim != 2 or q.shape[0] != q.shape[1] or not np.allclose(q, q.T):
-                raise ValidationError("q_e must be a symmetric square matrix")
-            try:
-                np.linalg.cholesky(q)
-            except np.linalg.LinAlgError as exc:
-                raise ValidationError("q_e must be positive definite") from exc
-            self.q_e = q
 
 
 def default_q_e(dataset: TrajectoryDataset):
@@ -592,7 +580,7 @@ def train(model: ELModel, data: TrajectoryDataset, cfg: TrainConfig):
     finite parameter checkpoint.
     """
     data.validate()
-    q_e = cfg.q_e if cfg.q_e is not None else default_q_e(data)
+    q_e = default_q_e(data)
     if q_e.shape[0] != model.dims.ny + model.dims.nz:
         raise ValidationError(f"q_e must be {model.dims.ny + model.dims.nz} wide")
     n = len(data)

@@ -345,13 +345,6 @@ class Picnn:
             params[f"{self.prefix}.l{self.depth - 1}.b"] = (
                 np.asarray(last_bias, dtype=np.float64).reshape(self.out_dim).copy())
 
-    def validate(self, params):
-        for k in range(1, self.depth):
-            w = NUMPY.softplus(params[f"{self.prefix}.l{k}.Wz_raw"])
-            if np.any(w < 0):
-                raise ValueError(f"nonnegativity-constrained weight {self.prefix}.l{k}.Wz_raw "
-                                 "has a negative entry")
-
     def forward(self, xp, params, xi, ctx):
         s = ctx
         z = None

@@ -123,12 +123,11 @@ def _eqp_step(H, g, G, w, x, working):
     return sol[:n], sol[n:]
 
 
-def _active_set_iterate(problem: QpProblem, x0, working, max_iter):
-    """Primal active-set loop from a feasible x0 with a consistent working set."""
+def _active_set_iterate(problem: QpProblem, L, x0, max_iter):
+    """Primal active-set loop from a feasible x0, empty working set, L = chol(H)."""
     H, q, G, w = problem.H, problem.q, problem.G, problem.w
-    L = _chol(H)
     x = x0.copy()
-    working = sorted(working)
+    working = []
     iters = 0
     while True:
         iters += 1
@@ -194,7 +193,7 @@ def _phase1(problem: QpProblem, x_start, max_iter):
     aux = QpProblem(H1, q1, G1, problem.w)
     s0 = max(0.0, float(np.max(problem.G @ x_start - problem.w))) + 1.0
     x0 = np.concatenate([x_start, [s0]])
-    x_aux, mu_aux, _, _ = _active_set_iterate(aux, x0, [], max_iter)
+    x_aux, mu_aux, _, _ = _active_set_iterate(aux, _chol(H1), x0, max_iter)
     x_cand = x_aux[:n]
 
     def violation(x):
@@ -245,7 +244,7 @@ def solve(problem: QpProblem) -> QpSolution:
             return QpSolution(np.full(n, np.nan), np.zeros(r), (), "infeasible", 0,
                               np.inf, certificate)
 
-    x, mu, active, iters = _active_set_iterate(problem, x0, [], max_iter)
+    x, mu, active, iters = _active_set_iterate(problem, L, x0, max_iter)
     res = kkt_residual(problem, x, mu)
     scale = 1.0 + float(np.max(np.abs(problem.q))) + float(np.max(np.abs(problem.H)))
     if res > 1e-8 * scale:

@@ -328,17 +328,15 @@ class SimulationTrace:
 
 
 def write_trace_csv(trace, path):
-    """One CSV row per control tick; column order fixed by the header."""
-    write_blocks(path, [("t", trace.t), ("y", trace.y), ("x", trace.x),
-                        ("u", trace.u), ("v", trace.v), ("z", trace.z), ("h", trace.h),
-                        ("lam", trace.lam), ("d", trace.d)])
+    """One CSV row per control tick; columns in `SimulationTrace` field order."""
+    write_blocks(path, [(f.name, getattr(trace, f.name)) for f in dataclasses.fields(trace)
+                        if f.name != "metadata"])
 
 
 def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
                          control_period=1e-3, Q=None, R=None, spec=None,
                          y0=None, u0=None, substeps=SUBSTEPS_PER_TICK,
-                         noise_std=0.0, seed=0,
-                         metadata=None):
+                         noise_std=0.0, seed=0):
     """Run one controller against the plant and log every tick.
 
     At each tick the output is measured, lifted to latent coordinates
@@ -384,8 +382,7 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
     ticks = int(round(horizon / dt))
     caches = {}
     meta = {"controller": controller, "control_period": dt, "horizon": float(horizon),
-            "substeps": int(substeps), "seed": int(seed), "noise_std": float(noise_std),
-            **(metadata or {})}
+            "substeps": int(substeps), "seed": int(seed), "noise_std": float(noise_std)}
     shapes = {"t": (), "y": (dims.ny,), "x": (dims.ny,), "u": (dims.nu,), "v": (dims.nu,),
               "z": (dims.nz,), "h": (spec.n_rows if spec is not None else 0,),
               "lam": (dims.nu,), "d": (dims.nd,)}

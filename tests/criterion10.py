@@ -1,0 +1,80 @@
+"""The criterion-10 CLI configs: one small config per command.
+
+`configs(gen_out)` returns them; every command after `gen-data` reads the
+dataset and model that `gen-data` writes into `gen_out`.  Run as a script,
+
+    PYTHONPATH=<checkout>/src python tests/criterion10.py OUT
+
+writes each config to `OUT/<command>.yaml` and runs the six commands into
+`OUT/gen` (gen-data) and `OUT/<command>` (the others).  Running two
+checkouts at the same OUT path and comparing with `diff -r` checks that
+their outputs are byte-identical; the same path matters because
+`config.echo.yaml` and `config_sha256` hold the absolute paths.
+"""
+
+import pathlib
+import sys
+
+import yaml
+
+from elcontrol.cli import main as cli_main
+
+
+def configs(gen_out):
+    dims = {"ny": 2, "nu": 2, "nd": 1, "nz": 1}
+    arch = {"phi_depth": 1, "phi_hidden": 8, "psi_depth": 1, "psi_hidden": 8,
+            "xi_depth": 2, "xi_hidden": 8, "core_hidden": 8}
+    return {
+        "gen-data": {
+            "seed": 5, "plant": {"kind": "teacher", "seed": 7, "dims": dims,
+                                 "arch": arch},
+            "dataset": {"duration": 2.0, "step": 0.005, "fd_tol": 0.05},
+            "excitation": {
+                "v": {"kind": "sum-of-sines", "period": 0.1, "low": -1.0,
+                      "high": 1.0, "seed": 11},
+                "d": {"kind": "sum-of-sines", "period": 0.2, "low": -0.5,
+                      "high": 0.5, "seed": 12}}},
+        "train": {
+            "seed": 1, "dataset": str(gen_out / "dataset.csv"), "dims": dims,
+            "arch": arch, "init": {"seed": 4, "map_scale": 0.02},
+            "train": {"epochs": 1, "batch_size": 128},
+            "holdout": str(gen_out / "dataset.csv")},
+        "eval": {"model": str(gen_out / "plant_model.npz"),
+                 "dataset": str(gen_out / "dataset.csv")},
+        "design-lqr": {"model": str(gen_out / "plant_model.npz"),
+                       "target": {"y": [0.2, -0.1], "d": [0.0]},
+                       "weights": {"q": 4.0}},
+        "simulate": {
+            "seed": 2, "model": str(gen_out / "plant_model.npz"),
+            "plant": {"kind": "teacher", "model": str(gen_out / "plant_model.npz")},
+            "controllers": ["lqr", "icbf"], "target": {"constant": [0.2, -0.1]},
+            "disturbance": {"constant": [0.0]}, "horizon": 0.05,
+            "control_period": 0.005, "substeps": 2,
+            "barrier": {"z_max": [1.0e6], "v_min": [-5.0, -5.0],
+                        "v_max": [5.0, 5.0], "k1": 10.0, "k2": 1.0,
+                        "rate_weight": 0.05}},
+        "check-linearizable": {
+            "seed": 0, "system": {"fixture": "noninvolutive-chain"},
+            "domain": {"low": -1.0, "high": 1.0}, "samples": 25},
+    }
+
+
+def main(argv):
+    if len(argv) != 1:
+        print("usage: criterion10.py OUT", file=sys.stderr)
+        return 2
+    root = pathlib.Path(argv[0]).resolve()
+    root.mkdir(parents=True, exist_ok=True)
+    gen_out = root / "gen"
+    for command, cfg in configs(gen_out).items():
+        config = root / f"{command}.yaml"
+        with open(config, "w") as f:
+            yaml.safe_dump(cfg, f)
+        out = gen_out if command == "gen-data" else root / command
+        if cli_main([command, "--config", str(config), "--out", str(out)]) != 0:
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

