@@ -19,7 +19,11 @@ is always applied by solving a dense linear system.
 All published operations take and return physical-unit arrays; feature
 standardization is internal and frozen when the model is constructed, so a
 zero-epoch training run cannot change a model.  Operations accept a single
-record (dim,) or a batch (N, dim).
+record (dim,) or a batch (N, dim).  For a single record, Phi's d-only layer
+data and the core's A(d), B(d), c(d) are kept per mode once d comes twice
+in a row, and reused while it repeats with the same bytes
+(`networks.MlpStack.memo`); replacing a parameter entry invalidates them,
+and the kept arrays are read-only.
 """
 
 from __future__ import annotations
@@ -44,8 +48,18 @@ MODEL_FORMAT_VERSION = 1
 GRAD_CLIP_NORM = 10.0
 
 
+class _Sizes:
+    """A frozen record of sizes; each field must be an integer >= 1."""
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValidationError(f"{field.name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
-class ModelDims:
+class ModelDims(_Sizes):
     """Channel counts: outputs y, inputs v/u, disturbances d, constrained z."""
 
     ny: int
@@ -53,14 +67,9 @@ class ModelDims:
     nd: int
     nz: int
 
-    def __post_init__(self):
-        for field in dataclasses.fields(self):
-            if int(getattr(self, field.name)) < 1:
-                raise ValidationError(f"dimension {field.name} must be >= 1")
-
 
 @dataclass(frozen=True)
-class ModelArch:
+class ModelArch(_Sizes):
     phi_depth: int = 2
     phi_hidden: int = 16
     psi_depth: int = 2
@@ -230,8 +239,12 @@ class ELModel:
 
     def _core(self, xp, params, ds):
         ny, nu = self.dims.ny, self.dims.nu
-        A, B, c = xp.mlps(self.core, params, ds)
-        return xp.reshape(A, A.shape[:-1] + (ny, ny)), xp.reshape(B, B.shape[:-1] + (ny, nu)), c
+
+        def build():
+            A, B, c = xp.mlps(self.core, params, ds)
+            return xp.reshape(A, A.shape[:-1] + (ny, ny)), xp.reshape(B, B.shape[:-1] + (ny, nu)), c
+
+        return self.core.memo(xp, params, ds, build)
 
     def x_from_y(self, y, d):
         b, single = self._batch(y=y, d=d)

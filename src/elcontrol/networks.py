@@ -10,7 +10,9 @@ modes they run as one stacked net (`MlpStack`) per block and call; graph
 evaluation keeps them separate, net by net, so the training graph does not
 depend on the stacking.  `coefficients` returns every layer's net outputs
 and the `*_with` methods run the layers on them, so a caller can evaluate
-the conditioning once and use it for several passes.
+the conditioning once and use it for several passes.  `Bnn`'s finished
+layers [W(d), b(d), c(d), cond W] at a one-row d that repeats are kept by
+`MlpStack.memo`, bit for bit what evaluating them again would give.
 
 * `Bnn` - a bijective map y <-> x conditioned on a disturbance vector.  Each
   layer is ``asinh(c(d) + sinh(W(d) y + b(d)))`` with W(d) = L(d) U(d), L
@@ -32,7 +34,7 @@ import operator
 
 import numpy as np
 
-from .arrays import NUMPY, TANGENT, seed
+from .arrays import GRAPH, NUMPY, TANGENT, Tangent, seed
 from .errors import ConditioningError
 
 COND_LIMIT = 1e12
@@ -141,6 +143,28 @@ class MlpStack(ParamMlp):
         self.out_dim = len(self.nets) * self.width
         self.keys = tuple(key for net in self.nets for key in net.keys)
         self._source = self._packed = None
+        self._memo = {}
+
+    def memo(self, xp, params, x, build):
+        """`build()`, kept once a one-row numpy input, or an identity tangent
+        seed of one, comes twice in a row with the same bytes: one read-only
+        entry per mode and input kind, valid while the packed weights it was
+        built from are current.  A row seen once keeps only its bytes;
+        batches and graphs keep nothing."""
+        seeded = isinstance(x, Tangent)
+        row = x.val if seeded else x
+        if xp is GRAPH or row.shape != (1, self.in_dim) or seeded and not x.eye:
+            return build()
+        slot, key = (xp, seeded), row.tobytes()
+        entry = self._memo.get(slot)
+        if entry is None or entry[1] != key:
+            self._memo[slot] = None, key, None
+            return build()
+        if entry[0] is not self._pack(params):
+            value = _read_only(build())
+            # build ran this stack, so `_packed` holds the weights it used
+            entry = self._memo[slot] = self._packed, key, value
+        return entry[2]
 
     def _pack(self, params):
         source = list(map(params.__getitem__, self.keys))
@@ -164,6 +188,16 @@ class MlpStack(ParamMlp):
         h = xp.softplus(W2 @ xp.softplus(W1 @ rows + b1) + b2)
         out = xp.transpose(W3 @ h + b3, (2, 0, 1))
         return xp.reshape(out, x.shape[:-1] + (self.out_dim,))
+
+
+def _read_only(value):
+    """`value`, every array in it (through lists, tuples and tangents) made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (list, tuple, Tangent)):
+        for part in (value.val, value.tan) if isinstance(value, Tangent) else value:
+            _read_only(part)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +249,16 @@ class Bnn(_Stacked):
         shape = raw.shape[:-1] + (n, n)
         return xp.reshape(L_flat, shape) @ xp.reshape(U_flat, shape)
 
+    def coefficients(self, xp, params, cond):
+        """Every layer's [W(d), b(d), c(d), cond W]: W from `weight`, and cond W
+        left None for `inverse_with` to fill in, so a kept entry computes it once."""
+        return self.stack.memo(xp, params, cond, lambda: [
+            [self.weight(xp, raw), b, c, None]
+            for raw, b, c in _Stacked.coefficients(self, xp, params, cond)])
+
     def forward_with(self, xp, coef, y):
-        for raw, b, c in coef:
-            Wy = self.weight(xp, raw) @ xp.reshape(y, y.shape + (1,))
+        for W, b, c, _ in coef:
+            Wy = W @ xp.reshape(y, y.shape + (1,))
             t = xp.reshape(Wy, Wy.shape[:-1]) + b
             y = xp.asinh(c + xp.sinh(t))
         return y
@@ -233,9 +274,9 @@ class Bnn(_Stacked):
 
     def inverse_with(self, coef, x):
         for k in reversed(range(len(coef))):
-            raw, b, c = coef[k]
-            W = self.weight(NUMPY, raw)
-            cond = np.linalg.cond(W)
+            W, b, c, cond = layer = coef[k]
+            if cond is None:
+                cond = layer[3] = np.linalg.cond(W)
             if np.any(cond > COND_LIMIT):
                 raise ConditioningError(
                     f"layer '{self.prefix}.l{k}': weight condition number {np.max(cond):.3e} "

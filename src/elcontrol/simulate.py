@@ -13,13 +13,14 @@ functions, and traces carry the seed and configuration that produced them.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import (CONTROLLERS, BarrierSpec, ControllerState, DesignCache,
-                      barrier_values)
+                      _barrier_rows, barrier_values)
 from .errors import NonFiniteError, ValidationError
 from .model import ELModel, ModelDims, TrajectoryDataset, write_blocks
 
@@ -267,7 +268,10 @@ def simulate_open_loop(plant, v, d, y0, step, steps=None, fd_tol=1e-2):
     if steps is None:
         if not hasattr(v, "duration"):
             raise ValidationError("steps is required when v carries no duration")
-        steps = int(round(v.duration / step))
+        steps = v.duration / step
+        if not np.isfinite(steps):
+            raise ValidationError(f"duration / step = {steps} is not a finite step count")
+        steps = int(round(steps))
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
     d_slope = _slope_of(d, plant.dims.nd)
@@ -383,10 +387,26 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
     caches = {}
     meta = {"controller": controller, "control_period": dt, "horizon": float(horizon),
             "substeps": int(substeps), "seed": int(seed), "noise_std": float(noise_std)}
-    shapes = {"t": (), "y": (dims.ny,), "x": (dims.ny,), "u": (dims.nu,), "v": (dims.nu,),
-              "z": (dims.nz,), "h": (spec.n_rows if spec is not None else 0,),
-              "lam": (dims.nu,), "d": (dims.nd,)}
-    columns = {name: np.zeros((ticks,) + shape) for name, shape in shapes.items()}
+    # ticks see a shallow copy of the model whose maps_at keeps its results by
+    # point, so the logged h reuses the maps a tick evaluated
+    tick_maps, tick_model = {}, copy.copy(model)
+    tick_model.maps_at = lambda x, d: tick_maps.setdefault((x.tobytes(), d.tobytes()),
+                                                           model.maps_at(x, d))
+
+    def logged_h():
+        maps = tick_maps.get((x.tobytes(), d_bar.tobytes()))
+        return (barrier_values(model, x, u, d_bar, spec) if maps is None
+                else _barrier_rows(model, x, u, d_bar, spec, maps))[0]
+
+    # one entry per SimulationTrace column: the shape of its row and its value at a tick
+    table = {"t": ((), lambda: t), "y": ((dims.ny,), lambda: measured),
+             "x": ((dims.ny,), lambda: x), "u": ((dims.nu,), lambda: u),
+             "v": ((dims.nu,), lambda: v_cmd),
+             "z": ((dims.nz,), lambda: plant.outputs(y, v_cmd, d_bar)),
+             "h": ((spec.n_rows if spec is not None else 0,),
+                   lambda: logged_h() if spec is not None else ()),
+             "lam": ((dims.nu,), lambda: lam), "d": ((dims.nd,), lambda: d_bar)}
+    columns = {name: np.zeros((ticks,) + shape) for name, (shape, _) in table.items()}
     done = 0
 
     def trace(rows):
@@ -407,18 +427,16 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
 
             measured = y + rng.normal(0.0, noise_std, dims.ny) if noise_std > 0 else y
             # overflow inside the tick shows up as the non-finite check below
+            tick_maps.clear()
             with np.errstate(all="ignore"):
                 x = model.x_from_y(measured, d_bar)
-                lam, state, u, v_cmd = tick(model, state, x, measured, d_bar, design, spec, dt)
+                lam, state, u, v_cmd = tick(tick_model, state, x, measured, d_bar, design,
+                                            spec, dt)
             if not all(np.all(np.isfinite(a)) for a in (x, lam, u, v_cmd)):
                 raise NonFiniteError(f"the {controller} tick at t = {t:g} produced "
                                      "non-finite values")
-            row = {"t": t, "y": measured, "x": x, "u": u, "v": v_cmd,
-                   "z": plant.outputs(y, v_cmd, d_bar),
-                   "h": barrier_values(model, x, u, d_bar, spec)[0] if spec is not None else (),
-                   "lam": lam, "d": d_bar}
-            for name, value in row.items():
-                columns[name][k] = value
+            for name, (_, value) in table.items():
+                columns[name][k] = value()
             done = k + 1
             y = _hold(plant, y, v_cmd, d_fn, d_slope, t, dt, substeps)
     except Exception as exc:

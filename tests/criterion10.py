@@ -1,12 +1,15 @@
 """The criterion-10 CLI configs: one small config per command.
 
 `configs(gen_out)` returns them; every command after `gen-data` reads the
-dataset and model that `gen-data` writes into `gen_out`.  Run as a script,
+dataset and model that `gen-data` writes into `gen_out`.  `simulate-step`
+runs `simulate` again under a piecewise-constant disturbance with one step,
+so the model's kept disturbance-only data is both reused and replaced;
+`command(name)` gives the command an entry runs.  Run as a script,
 
     PYTHONPATH=<checkout>/src python tests/criterion10.py OUT
 
-writes each config to `OUT/<command>.yaml` and runs the six commands into
-`OUT/gen` (gen-data) and `OUT/<command>` (the others).  Running two
+writes each config to `OUT/<name>.yaml` and runs the seven entries into
+`OUT/gen` (gen-data) and `OUT/<name>` (the others).  Running two
 checkouts at the same OUT path and comparing with `diff -r` checks that
 their outputs are byte-identical; the same path matters because
 `config.echo.yaml` and `config_sha256` hold the absolute paths.
@@ -20,10 +23,23 @@ import yaml
 from elcontrol.cli import main as cli_main
 
 
+def command(name):
+    return name.removesuffix("-step")
+
+
 def configs(gen_out):
     dims = {"ny": 2, "nu": 2, "nd": 1, "nz": 1}
     arch = {"phi_depth": 1, "phi_hidden": 8, "psi_depth": 1, "psi_hidden": 8,
             "xi_depth": 2, "xi_hidden": 8, "core_hidden": 8}
+    simulate = {
+        "seed": 2, "model": str(gen_out / "plant_model.npz"),
+        "plant": {"kind": "teacher", "model": str(gen_out / "plant_model.npz")},
+        "controllers": ["lqr", "icbf"], "target": {"constant": [0.2, -0.1]},
+        "disturbance": {"constant": [0.0]}, "horizon": 0.05,
+        "control_period": 0.005, "substeps": 2,
+        "barrier": {"z_max": [1.0e6], "v_min": [-5.0, -5.0],
+                    "v_max": [5.0, 5.0], "k1": 10.0, "k2": 1.0,
+                    "rate_weight": 0.05}}
     return {
         "gen-data": {
             "seed": 5, "plant": {"kind": "teacher", "seed": 7, "dims": dims,
@@ -44,15 +60,10 @@ def configs(gen_out):
         "design-lqr": {"model": str(gen_out / "plant_model.npz"),
                        "target": {"y": [0.2, -0.1], "d": [0.0]},
                        "weights": {"q": 4.0}},
-        "simulate": {
-            "seed": 2, "model": str(gen_out / "plant_model.npz"),
-            "plant": {"kind": "teacher", "model": str(gen_out / "plant_model.npz")},
-            "controllers": ["lqr", "icbf"], "target": {"constant": [0.2, -0.1]},
-            "disturbance": {"constant": [0.0]}, "horizon": 0.05,
-            "control_period": 0.005, "substeps": 2,
-            "barrier": {"z_max": [1.0e6], "v_min": [-5.0, -5.0],
-                        "v_max": [5.0, 5.0], "k1": 10.0, "k2": 1.0,
-                        "rate_weight": 0.05}},
+        "simulate": simulate,
+        "simulate-step": {
+            **simulate, "horizon": 0.1,
+            "disturbance": {"schedule": {"times": [0.0, 0.05], "values": [[0.0], [0.2]]}}},
         "check-linearizable": {
             "seed": 0, "system": {"fixture": "noninvolutive-chain"},
             "domain": {"low": -1.0, "high": 1.0}, "samples": 25},
@@ -66,12 +77,12 @@ def main(argv):
     root = pathlib.Path(argv[0]).resolve()
     root.mkdir(parents=True, exist_ok=True)
     gen_out = root / "gen"
-    for command, cfg in configs(gen_out).items():
-        config = root / f"{command}.yaml"
+    for name, cfg in configs(gen_out).items():
+        config = root / f"{name}.yaml"
         with open(config, "w") as f:
             yaml.safe_dump(cfg, f)
-        out = gen_out if command == "gen-data" else root / command
-        if cli_main([command, "--config", str(config), "--out", str(out)]) != 0:
+        out = gen_out if name == "gen-data" else root / name
+        if cli_main([command(name), "--config", str(config), "--out", str(out)]) != 0:
             return 1
     return 0
 

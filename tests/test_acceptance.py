@@ -417,22 +417,23 @@ def test_criterion_10_reproducibility(tmp_path):
     configs = criterion10.configs(gen_out)
 
     total_files = 0
-    for command, cfg in configs.items():
-        config = tmp_path / f"{command}.yaml"
+    for run, cfg in configs.items():
+        config = tmp_path / f"{run}.yaml"
         with open(config, "w") as f:
             yaml.safe_dump(cfg, f)
-        first = gen_out if command == "gen-data" else tmp_path / f"{command}-a"
-        again = tmp_path / f"{command}-b"
+        first = gen_out if run == "gen-data" else tmp_path / f"{run}-a"
+        again = tmp_path / f"{run}-b"
+        command = criterion10.command(run)
         assert cli_main([command, "--config", str(config),
-                         "--out", str(first)]) == 0, command
+                         "--out", str(first)]) == 0, run
         assert cli_main([command, "--config", str(config),
-                         "--out", str(again)]) == 0, command
+                         "--out", str(again)]) == 0, run
         names = sorted(p.name for p in first.iterdir())
         assert names == sorted(p.name for p in again.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (again / name).read_bytes(), \
-                f"{command}: {name} differs across reruns"
+                f"{run}: {name} differs across reruns"
         total_files += len(names)
 
     verdict(10, "reproducibility", None, time.monotonic() - t0,
-            f"all {len(configs)} commands byte-identical over {total_files} files")
+            f"all {len(configs)} runs byte-identical over {total_files} files")

@@ -191,6 +191,22 @@ def test_unknown_keys_in_every_section_are_one_error_line(tmp_path, teacher_run,
     assert len(err) == 1 and err[0].startswith(f"error: {section}: unknown keys"), err
 
 
+@pytest.mark.parametrize("command,path,value", [
+    ("gen-data", ("plant", "arch", "phi_depth"), 0),
+    ("train", ("arch", "core_hidden"), -2),
+], ids=["gen-data zero depth", "train negative width"])
+def test_non_positive_arch_sizes_are_one_error_line(tmp_path, teacher_run, capsys,
+                                                    command, path, value):
+    cfg = copy.deepcopy(_valid_config(command, tmp_path / "run", teacher_run))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert run_cli(tmp_path, command, cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path[-1]} must be"), err
+
+
 def test_malformed_yaml_is_a_clean_error(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text("output: [unclosed\n")
@@ -227,6 +243,14 @@ def test_gen_data_is_byte_identical_across_reruns(tmp_path):
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_gen_data_step_count_overflow_is_one_error_line(tmp_path, capsys):
+    cfg = gen_config(tmp_path / "out")
+    cfg["dataset"].update(duration=1e300, step=1e-300)
+    assert run_cli(tmp_path, "gen-data", cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "step count" in err[0], err
 
 
 def test_gen_data_zero_duration_writes_header_only(tmp_path):

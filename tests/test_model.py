@@ -68,6 +68,13 @@ def test_predict_ydot_non_finite_jacobian_is_an_error():
         m.predict_ydot(np.zeros(3), np.full(3, 1e3), np.zeros(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("field,value", [("phi_depth", 0), ("core_hidden", -3),
+                                         ("xi_hidden", 2.5)])
+def test_arch_sizes_must_be_positive_integers(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be an integer >= 1"):
+        ModelArch(**{field: value})
+
+
 def test_replaced_parameters_reach_every_map():
     # the stacked conditioning built by the first evaluations must follow
     # parameter entries replaced afterwards, as in the doubling map above
