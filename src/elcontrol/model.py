@@ -54,7 +54,7 @@ class _Sizes:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValidationError(f"{field.name} must be an integer >= 1, got {value!r}")
 
 
@@ -238,13 +238,12 @@ class ELModel:
         return np.concatenate([b["ys"], b["ds"]], axis=-1)
 
     def _core(self, xp, params, ds):
+        return self.core.memo(xp, params, ds, self._core_maps)
+
+    def _core_maps(self, xp, params, ds):
         ny, nu = self.dims.ny, self.dims.nu
-
-        def build():
-            A, B, c = xp.mlps(self.core, params, ds)
-            return xp.reshape(A, A.shape[:-1] + (ny, ny)), xp.reshape(B, B.shape[:-1] + (ny, nu)), c
-
-        return self.core.memo(xp, params, ds, build)
+        A, B, c = xp.mlps(self.core, params, ds)
+        return xp.reshape(A, A.shape[:-1] + (ny, ny)), xp.reshape(B, B.shape[:-1] + (ny, nu)), c
 
     def x_from_y(self, y, d):
         b, single = self._batch(y=y, d=d)
@@ -277,7 +276,8 @@ class ELModel:
         return _unbatch(single, x, J_y / self.scalers["y"].std, J_d / self.scalers["d"].std)
 
     def linear_core(self, d):
-        """A(d), B(d), c(d) of the latent dynamics."""
+        """A(d), B(d), c(d) of the latent dynamics; for a single d they may be
+        the read-only arrays `MlpStack.memo` keeps, so copy before writing."""
         b, single = self._batch(d=d)
         return _unbatch(single, *self._core(NUMPY, self.params, b["ds"]))
 

@@ -11,7 +11,7 @@ evaluation keeps them separate, net by net, so the training graph does not
 depend on the stacking.  `coefficients` returns every layer's net outputs
 and the `*_with` methods run the layers on them, so a caller can evaluate
 the conditioning once and use it for several passes.  `Bnn`'s finished
-layers [W(d), b(d), c(d), cond W] at a one-row d that repeats are kept by
+layers (W(d), b(d), c(d), cond W) at a one-row d that repeats are kept by
 `MlpStack.memo`, bit for bit what evaluating them again would give.
 
 * `Bnn` - a bijective map y <-> x conditioned on a disturbance vector.  Each
@@ -34,7 +34,7 @@ import operator
 
 import numpy as np
 
-from .arrays import GRAPH, NUMPY, TANGENT, Tangent, seed
+from .arrays import NUMPY, TANGENT, Tangent, seed
 from .errors import ConditioningError
 
 COND_LIMIT = 1e12
@@ -145,25 +145,24 @@ class MlpStack(ParamMlp):
         self._source = self._packed = None
         self._memo = {}
 
-    def memo(self, xp, params, x, build):
-        """`build()`, kept once a one-row numpy input, or an identity tangent
-        seed of one, comes twice in a row with the same bytes: one read-only
-        entry per mode and input kind, valid while the packed weights it was
-        built from are current.  A row seen once keeps only its bytes;
+    def memo(self, xp, params, x, build, keep=lambda xp, value: value):
+        """`build(xp, params, x)` at a one-row input x: numpy values, or
+        tangents seeded with the identity.  Once the same row comes twice in
+        a row with the same bytes, `keep(xp, value)` of its value is kept
+        read-only, one entry per mode, and returned while the packed weights
+        it was built from are current.  A row seen once keeps only its bytes;
         batches and graphs keep nothing."""
-        seeded = isinstance(x, Tangent)
-        row = x.val if seeded else x
-        if xp is GRAPH or row.shape != (1, self.in_dim) or seeded and not x.eye:
-            return build()
-        slot, key = (xp, seeded), row.tobytes()
-        entry = self._memo.get(slot)
+        row = x.val if xp is TANGENT and isinstance(x, Tangent) and x.eye else x
+        if (row is x and xp is not NUMPY) or row.shape != (1, self.in_dim):
+            return build(xp, params, x)
+        key = row.tobytes()
+        entry = self._memo.get(xp)
         if entry is None or entry[1] != key:
-            self._memo[slot] = None, key, None
-            return build()
-        if entry[0] is not self._pack(params):
-            value = _read_only(build())
-            # build ran this stack, so `_packed` holds the weights it used
-            entry = self._memo[slot] = self._packed, key, value
+            self._memo[xp] = None, key, None
+            return build(xp, params, x)
+        packed = self._pack(params)
+        if entry[0] is not packed:
+            entry = self._memo[xp] = packed, key, _read_only(keep(xp, build(xp, params, x)))
         return entry[2]
 
     def _pack(self, params):
@@ -191,10 +190,10 @@ class MlpStack(ParamMlp):
 
 
 def _read_only(value):
-    """`value`, every array in it (through lists, tuples and tangents) made read-only."""
+    """`value`, every array in it (through tuples and tangents) made read-only."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
-    elif isinstance(value, (list, tuple, Tangent)):
+    elif isinstance(value, (tuple, Tangent)):
         for part in (value.val, value.tan) if isinstance(value, Tangent) else value:
             _read_only(part)
     return value
@@ -250,11 +249,19 @@ class Bnn(_Stacked):
         return xp.reshape(L_flat, shape) @ xp.reshape(U_flat, shape)
 
     def coefficients(self, xp, params, cond):
-        """Every layer's [W(d), b(d), c(d), cond W]: W from `weight`, and cond W
-        left None for `inverse_with` to fill in, so a kept entry computes it once."""
-        return self.stack.memo(xp, params, cond, lambda: [
-            [self.weight(xp, raw), b, c, None]
-            for raw, b, c in _Stacked.coefficients(self, xp, params, cond)])
+        """Every layer's (W(d), b(d), c(d), cond W), W from `weight`.  cond W
+        is None but for a finite W in a numpy entry `memo` keeps, where
+        `_guard` computes it once for `inverse_with` (it fails on a NaN)."""
+        return self.stack.memo(xp, params, cond, self._layers, self._guard)
+
+    def _layers(self, xp, params, cond):
+        return tuple([(self.weight(xp, raw), b, c, None)
+                      for raw, b, c in _Stacked.coefficients(self, xp, params, cond)])
+
+    @staticmethod
+    def _guard(xp, layers):
+        return tuple((W, b, c, np.linalg.cond(W) if xp is NUMPY and np.all(np.isfinite(W))
+                      else None) for W, b, c, _ in layers)
 
     def forward_with(self, xp, coef, y):
         for W, b, c, _ in coef:
@@ -274,9 +281,8 @@ class Bnn(_Stacked):
 
     def inverse_with(self, coef, x):
         for k in reversed(range(len(coef))):
-            W, b, c, cond = layer = coef[k]
-            if cond is None:
-                cond = layer[3] = np.linalg.cond(W)
+            W, b, c, cond = coef[k]
+            cond = np.linalg.cond(W) if cond is None else cond
             if np.any(cond > COND_LIMIT):
                 raise ConditioningError(
                     f"layer '{self.prefix}.l{k}': weight condition number {np.max(cond):.3e} "

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import (CONTROLLERS, BarrierSpec, ControllerState, DesignCache,
-                      _barrier_rows, barrier_values)
+                      _barrier_rows)
 from .errors import NonFiniteError, ValidationError
 from .model import ELModel, ModelDims, TrajectoryDataset, write_blocks
 
@@ -388,23 +388,24 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
     meta = {"controller": controller, "control_period": dt, "horizon": float(horizon),
             "substeps": int(substeps), "seed": int(seed), "noise_std": float(noise_std)}
     # ticks see a shallow copy of the model whose maps_at keeps its results by
-    # point, so the logged h reuses the maps a tick evaluated
+    # point for the rest of the tick, so the logged h reuses the tick's maps
     tick_maps, tick_model = {}, copy.copy(model)
-    tick_model.maps_at = lambda x, d: tick_maps.setdefault((x.tobytes(), d.tobytes()),
-                                                           model.maps_at(x, d))
 
-    def logged_h():
-        maps = tick_maps.get((x.tobytes(), d_bar.tobytes()))
-        return (barrier_values(model, x, u, d_bar, spec) if maps is None
-                else _barrier_rows(model, x, u, d_bar, spec, maps))[0]
+    def maps_at(x, d):
+        key = x.tobytes(), d.tobytes()
+        if key not in tick_maps:
+            tick_maps[key] = model.maps_at(x, d)
+        return tick_maps[key]
 
+    tick_model.maps_at = maps_at
     # one entry per SimulationTrace column: the shape of its row and its value at a tick
     table = {"t": ((), lambda: t), "y": ((dims.ny,), lambda: measured),
              "x": ((dims.ny,), lambda: x), "u": ((dims.nu,), lambda: u),
              "v": ((dims.nu,), lambda: v_cmd),
              "z": ((dims.nz,), lambda: plant.outputs(y, v_cmd, d_bar)),
              "h": ((spec.n_rows if spec is not None else 0,),
-                   lambda: logged_h() if spec is not None else ()),
+                   lambda: _barrier_rows(model, x, u, d_bar, spec, maps_at(x, d_bar))[0]
+                   if spec is not None else ()),
              "lam": ((dims.nu,), lambda: lam), "d": ((dims.nd,), lambda: d_bar)}
     columns = {name: np.zeros((ticks,) + shape) for name, (shape, _) in table.items()}
     done = 0

@@ -69,7 +69,8 @@ def test_predict_ydot_non_finite_jacobian_is_an_error():
 
 
 @pytest.mark.parametrize("field,value", [("phi_depth", 0), ("core_hidden", -3),
-                                         ("xi_hidden", 2.5)])
+                                         ("xi_hidden", 2.5), ("psi_depth", True),
+                                         ("phi_hidden", np.int64(8))])
 def test_arch_sizes_must_be_positive_integers(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be an integer >= 1"):
         ModelArch(**{field: value})

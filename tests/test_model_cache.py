@@ -100,10 +100,22 @@ def test_kept_arrays_are_read_only():
     # an entry is made at the second call in a row
     for _ in range(2):
         A, B, c = m.linear_core(d)
-        (W, b, c_phi, _), *_ = m.state_map.coefficients(NUMPY, m.params, ds)
+        (W, b, c_phi, cond), *_ = m.state_map.coefficients(NUMPY, m.params, ds)
         (W_t, b_t, _, _), *_ = m.state_map.coefficients(TANGENT, m.params, seed(ds))
-    for array in (A, B, c, W, b, c_phi, W_t.val, W_t.tan, b_t.val):
+    for array in (A, B, c, W, b, c_phi, cond, W_t.val, W_t.tan, b_t.val):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
     # and the entries still hold what they held
     assert m.linear_core(d)[0].tobytes() == m.clone().linear_core(d)[0].tobytes()
+
+
+def test_a_kept_nan_weight_leaves_the_forward_map_as_uncached():
+    # at d = (1e6, -1e6) Phi's W(d) holds NaNs: its condition number fails,
+    # so a kept entry must not compute it where only the forward map runs
+    m = ELModel.random(ModelDims(3, 3, 2, 2), seed=0)
+    y, d = np.array([0.1, 0.2, 0.3]), np.array([1e6, -1e6])
+    with np.errstate(all="ignore"):
+        want = m.clone().x_from_y(y, d)
+        for _ in range(3):
+            assert m.x_from_y(y, d).tobytes() == want.tobytes()
+    assert np.all(np.isnan(want))
