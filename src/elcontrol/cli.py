@@ -10,10 +10,12 @@ summary.json recording the config's sha256, the effective seed, and the
 files written.
 
 Config layout: a top-level `seed` (default 0, overridden by --seed), an
-`output` directory (overridden by --out), and one section per concern; see
-the command functions for the accepted keys.  Unknown keys anywhere are
-rejected.  Blocks with their own `seed` key default to fixed offsets from
-the global seed so one flag reseeds a whole run coherently.
+`output` directory (overridden by --out), and one section per concern.
+Each command's top-level keys are declared once in `_COMMANDS`, each
+section's where the command reads it, as mappings from key to reader.
+Unknown keys anywhere are rejected; an omitted or null key takes the
+library's own default.  Blocks with their own `seed` key default to fixed
+offsets from the global seed so one flag reseeds a whole run coherently.
 
 Exit status is 0 exactly when every declared output was written; input or
 config errors report one line on stderr and exit 1.  A "fail" verdict from
@@ -28,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 import yaml
@@ -40,56 +43,60 @@ from .model import (ELModel, ModelArch, ModelDims, TrainConfig,
                     TrajectoryDataset, load_model, read_csv, save_model,
                     write_csv, write_table)
 from .model import train as train_model
-from .simulate import (SUBSTEPS_PER_TICK, MismatchPlant, TeacherPlant, gen_excitation,
-                       metrics_r2, simulate_closed_loop, simulate_open_loop,
-                       step_schedule, write_trace_csv)
-
-_MISSING = object()
-_SIGNAL_KEYS = {"kind", "period", "low", "high", "seed"}
+from .simulate import (MismatchPlant, TeacherPlant, gen_excitation, metrics_r2,
+                       simulate_closed_loop, simulate_open_loop, step_schedule,
+                       write_trace_csv)
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config plumbing: each section is declared once, as mappings from its
+# required and its optional keys to readers; a reader takes (value, where)
+# and returns the value parsed, or raises ValidationError naming `where`
 
-def _mapping(node, where, allowed=None):
-    """`node` if it is a mapping whose keys all lie in `allowed` (any keys
-    when `allowed` is None)."""
+def _read(node, where, required, optional={}):
+    """The keys of mapping `node` that are given (not null), each parsed by
+    its reader.  Unknown keys and missing required ones raise.  An omitted
+    or null key is left out, so the callee's own default applies."""
     if not isinstance(node, dict):
         raise ValidationError(f"{where} must be a mapping")
-    unknown = sorted(set(node) - set(allowed)) if allowed is not None else []
+    keys = {**required, **optional}
+    unknown = sorted(set(node) - set(keys), key=str)
     if unknown:
         raise ValidationError(
-            f"{where}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
-    return node
-
-
-def _get(node, key, where, default=_MISSING):
-    if key not in node or node[key] is None:
-        if default is _MISSING:
+            f"{where}: unknown keys {unknown}; allowed keys are {sorted(keys)}")
+    given = {key: value for key, value in node.items() if value is not None}
+    for key in required:
+        if key not in given:
             raise ValidationError(f"{where}: missing required key {key!r}")
-        return default
-    return node[key]
+    return {key: keys[key](value, f"{where}.{key}") for key, value in given.items()}
 
 
-def _path(node, key, where, default=_MISSING):
-    value = _get(node, key, where, default)
-    if value is not default and not isinstance(value, str):
-        raise ValidationError(f"{where}.{key} must be a file path, got {value!r}")
+def _raw(value, where):
     return value
 
 
-def _float(node, key, where, default=_MISSING):
-    value = _get(node, key, where, default)
-    number = _numbers(value, f"{where}.{key}")
+def _path(value, where):
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a file path, got {value!r}")
+    return value
+
+
+def _float(value, where):
+    number = _numbers(value, where)
     if number.ndim:
-        raise ValidationError(f"{where}.{key} must be a finite number, got {value!r}")
+        raise ValidationError(f"{where} must be a finite number, got {value!r}")
     return float(number)
 
 
-def _int(node, key, where, default=_MISSING):
-    value = _get(node, key, where, default)
+def _int(value, where):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _seed(value, where):
+    if _int(value, where) < 0:
+        raise ValidationError(f"{where} must be a nonnegative integer, got {value!r}")
     return value
 
 
@@ -114,66 +121,52 @@ def _vector(value, where, width=None):
     return arr
 
 
-def _weight(node, key, n):
-    """Quadratic cost weight: scalar -> scaled identity, vector -> diagonal,
-    nested lists -> full matrix."""
-    value = _get(node, key, "weights", None)
-    if value is None:
-        return np.eye(n)
-    arr = _numbers(value, f"weights.{key}")
+def _weight(value, where, n):
+    """Cost weight: scalar -> scaled identity, vector -> diagonal, else a matrix."""
+    arr = _numbers(value, where)
     if arr.ndim == 0:
         return float(arr) * np.eye(n)
     if arr.ndim == 1:
         if arr.size != n:
-            raise ValidationError(f"weights.{key} diagonal must have {n} entries")
+            raise ValidationError(f"{where} diagonal must have {n} entries")
         return np.diag(arr)
     if arr.shape != (n, n):
-        raise ValidationError(f"weights.{key} must be {n}x{n}, got {arr.shape}")
+        raise ValidationError(f"{where} must be {n}x{n}, got {arr.shape}")
     return arr
 
 
-def _weights(cfg, dims):
-    """The (Q, R) pair of the config's optional `weights` section."""
-    weights = _mapping(_get(cfg, "weights", "config", {}), "weights", {"q", "r"})
-    return _weight(weights, "q", dims.ny), _weight(weights, "r", dims.nu)
+def _read_fields(cls, node, where, **readers):
+    """`_read` with one key per field of dataclass `cls`, read by `readers`'
+    entry for it or else by its annotated type; fields without a default
+    are required."""
+    required, optional = {}, {}
+    for f in dataclasses.fields(cls):
+        keys = required if f.default is dataclasses.MISSING else optional
+        keys[f.name] = readers.get(f.name) or {"int": _int, "float": _float}[f.type]
+    return _read(node, where, required, optional)
 
 
-def _dims(node, where):
-    node = _mapping(node, where, {"ny", "nu", "nd", "nz"})
-    return ModelDims(_int(node, "ny", where), _int(node, "nu", where),
-                     _int(node, "nd", where), _int(node, "nz", where))
-
-
-def _arch(node, where):
-    if node is None:
-        return None
-    node = _mapping(node, where, {f.name for f in dataclasses.fields(ModelArch)})
-    return ModelArch(**{k: _int(node, k, where) for k in node})
-
-
-def _signal(node, width, duration, default_seed, where):
-    node = _mapping(node, where, _SIGNAL_KEYS)
-    kind = _get(node, "kind", where)
-    low = _vector(_get(node, "low", where), f"{where}.low", width)
-    high = _vector(_get(node, "high", where), f"{where}.high", width)
-    return gen_excitation(kind, duration, _float(node, "period", where),
-                          (low, high), seed=_int(node, "seed", where, default_seed))
+def _weights(node, dims):
+    """The (Q, R) pair of the optional `weights` section."""
+    weights = _read(node, "weights", {}, {"q": partial(_weight, n=dims.ny),
+                                          "r": partial(_weight, n=dims.nu)})
+    return weights.get("q", np.eye(dims.ny)), weights.get("r", np.eye(dims.nu))
 
 
 def _timeseries(node, width, where):
     """Reference or disturbance input: {constant: [...]} or
     {schedule: {times: [...], values: [[...], ...]}}."""
-    node = _mapping(node, where, {"constant", "schedule"})
+    node = _read(node, where, {}, {"constant": partial(_vector, width=width),
+                                   "schedule": _raw})
     if ("constant" in node) == ("schedule" in node):
         raise ValidationError(f"{where}: give exactly one of constant/schedule")
     if "constant" in node:
-        return _vector(node["constant"], f"{where}.constant", width)
-    sched = _mapping(node["schedule"], f"{where}.schedule", {"times", "values"})
-    times = _vector(_get(sched, "times", where), f"{where}.schedule.times")
-    values = np.atleast_2d(_numbers(_get(sched, "values", where), f"{where}.schedule.values"))
+        return node["constant"]
+    sched = _read(node["schedule"], f"{where}.schedule", {"times": _vector, "values": _numbers})
+    values = np.atleast_2d(sched["values"])
     if values.shape[1] != width:
         raise ValidationError(f"{where}.schedule.values rows must have {width} entries")
-    return step_schedule(times, values)
+    return step_schedule(sched["times"], values)
 
 
 # ---------------------------------------------------------------------------
@@ -237,78 +230,68 @@ def _write_r2(run, model, ds):
 # commands
 
 def _plant_from(node, seed, where):
-    node = _mapping(node, where)
-    kind = _get(node, "kind", where)
-    if kind == "teacher":
-        _mapping(node, where, {"kind", "model", "seed", "dims", "arch"})
-        model = _path(node, "model", where, None)
-        if model is not None:
-            return TeacherPlant(load_model(model)), False
-        dims = _dims(node["dims"], f"{where}.dims") if "dims" in node else ModelDims(3, 3, 2, 2)
-        arch = _arch(node.get("arch"), f"{where}.arch")
-        teacher = ELModel.random(dims, arch, seed=_int(node, "seed", where, seed))
-        return TeacherPlant(teacher), True
+    kind = node.get("kind") if isinstance(node, dict) else None
     if kind == "mismatch":
-        _mapping(node, where, {"kind"})
+        _read(node, where, {"kind": _raw})
         return MismatchPlant(), False
-    raise ValidationError(f"{where}.kind must be teacher or mismatch, got {kind!r}")
+    plant = _read(node, where, {"kind": _raw},
+                  {"model": _path, "seed": _seed, "dims": _raw, "arch": _raw})
+    if kind != "teacher":
+        raise ValidationError(f"{where}.kind must be teacher or mismatch, got {kind!r}")
+    if "model" in plant:
+        return TeacherPlant(load_model(plant["model"])), False
+    dims = (ModelDims(**_read_fields(ModelDims, plant["dims"], f"{where}.dims"))
+            if "dims" in plant else ModelDims(3, 3, 2, 2))
+    arch = ModelArch(**_read_fields(ModelArch, plant.get("arch", {}), f"{where}.arch"))
+    return TeacherPlant(ELModel.random(dims, arch, seed=plant.get("seed", seed))), True
 
 
 def _run_gen_data(cfg, seed, run):
-    plant, synthesized = _plant_from(_get(cfg, "plant", "config"), seed, "plant")
+    plant, synthesized = _plant_from(cfg["plant"], seed, "plant")
     if synthesized:
         save_model(plant.model, run.path("plant_model.npz"))
+    dims = plant.dims
 
-    ds_cfg = _mapping(_get(cfg, "dataset", "config"), "dataset",
-                      {"duration", "step", "y0", "fd_tol"})
-    duration = _float(ds_cfg, "duration", "dataset")
-    step = _float(ds_cfg, "step", "dataset")
-    fd_tol = _float(ds_cfg, "fd_tol", "dataset", 1e-2)
+    # what is left in `opts` after duration, step and y0 goes to the dataset
+    opts = _read(cfg["dataset"], "dataset", {"duration": _float, "step": _float},
+                 {"y0": partial(_vector, width=dims.ny), "fd_tol": _float})
+    duration, step = opts.pop("duration"), opts.pop("step")
+    y0 = opts.pop("y0", np.zeros(dims.ny))
     if duration < 0:
         raise ValidationError("dataset.duration must be nonnegative")
-    exc = _mapping(_get(cfg, "excitation", "config"), "excitation", {"v", "d"})
-    for name in ("v", "d"):
-        _mapping(_get(exc, name, "excitation"), f"excitation.{name}", _SIGNAL_KEYS)
+    exc = _read(cfg["excitation"], "excitation", {"v": _raw, "d": _raw})
+    signals = [_read(exc[name], f"excitation.{name}",
+                     {"kind": _raw, "period": _float, "low": box, "high": box}, {"seed": _seed})
+               for name, box in (("v", partial(_vector, width=dims.nu)),
+                                 ("d", partial(_vector, width=dims.nd)))]
     if duration == 0.0:
         # no samples to take; publish the column layout and succeed
-        dims = plant.dims
         empty = TrajectoryDataset(
             np.zeros(0), np.zeros((0, dims.nu)), np.zeros((0, dims.nd)),
             np.zeros((0, dims.ny)), np.zeros((0, dims.nz)),
-            d_dot=np.zeros((0, dims.nd)), y_dot=np.zeros((0, dims.ny)), fd_tol=fd_tol)
+            d_dot=np.zeros((0, dims.nd)), y_dot=np.zeros((0, dims.ny)), **opts)
         write_csv(empty, run.path("dataset.csv"))
         run.written.append("dataset.csv.meta.json")
         return {"rows": 0, "duration": 0.0}
 
-    y0 = _vector(_get(ds_cfg, "y0", "dataset", 0.0), "dataset.y0", plant.dims.ny)
-    v = _signal(exc["v"], plant.dims.nu, duration, seed + 1, "excitation.v")
-    d = _signal(exc["d"], plant.dims.nd, duration, seed + 2, "excitation.d")
-
-    dataset = simulate_open_loop(plant, v, d, y0, step, fd_tol=fd_tol)
+    v, d = (gen_excitation(s["kind"], duration, s["period"], (s["low"], s["high"]),
+                           seed=s.get("seed", seed + offset))
+            for offset, s in enumerate(signals, 1))
+    dataset = simulate_open_loop(plant, v, d, y0, step, **opts)
     write_csv(dataset, run.path("dataset.csv"))
     run.written.append("dataset.csv.meta.json")
     return {"rows": len(dataset), "duration": duration, "step": step}
 
 
 def _run_train(cfg, seed, run):
-    dataset = read_csv(_path(cfg, "dataset", "config"))
-    dims = _dims(_get(cfg, "dims", "config"), "dims")
-    arch = _arch(cfg.get("arch"), "arch")
+    dataset = read_csv(cfg["dataset"])
+    dims = ModelDims(**_read_fields(ModelDims, cfg["dims"], "dims"))
+    arch = ModelArch(**_read_fields(ModelArch, cfg.get("arch", {}), "arch"))
 
-    init = _mapping(_get(cfg, "init", "config", {}), "init", {"seed", "map_scale"})
-    model = ELModel.for_training(dims, dataset, arch,
-                                 seed=_int(init, "seed", "init", seed + 1),
-                                 map_scale=_float(init, "map_scale", "init", 0.05))
-
-    tr = _mapping(_get(cfg, "train", "config"), "train",
-                  {"epochs", "batch_size", "step_size", "decay", "seed", "val_fraction"})
-    train_cfg = TrainConfig(
-        epochs=_int(tr, "epochs", "train"),
-        batch_size=_int(tr, "batch_size", "train", 256),
-        step_size=_float(tr, "step_size", "train", 1e-2),
-        decay=_float(tr, "decay", "train", 1.0),
-        seed=_int(tr, "seed", "train", seed + 2),
-        val_fraction=_float(tr, "val_fraction", "train", 0.2))
+    init = _read(cfg.get("init", {}), "init", {}, {"seed": _seed, "map_scale": _float})
+    model = ELModel.for_training(dims, dataset, arch, **{"seed": seed + 1, **init})
+    train_cfg = TrainConfig(**{"seed": seed + 2,
+                               **_read_fields(TrainConfig, cfg["train"], "train", seed=_seed)})
     trained, history = train_model(model, dataset, train_cfg)
     save_model(trained, run.path("model.npz"))
 
@@ -323,49 +306,34 @@ def _run_train(cfg, seed, run):
         summary["final_train_loss"] = history["train"][-1]
     if has_val:
         summary["final_val_loss"] = history["val"][-1]
-    holdout = _path(cfg, "holdout", "config", None)
-    if holdout is not None:
-        summary.update(_write_r2(run, trained, read_csv(holdout)))
+    if "holdout" in cfg:
+        summary.update(_write_r2(run, trained, read_csv(cfg["holdout"])))
     return summary
 
 
 def _run_eval(cfg, seed, run):
-    model = load_model(_path(cfg, "model", "config"))
-    dataset = read_csv(_path(cfg, "dataset", "config"))
-    if (dataset.y.shape[1], dataset.v.shape[1], dataset.d.shape[1], dataset.z.shape[1]) \
-            != (model.dims.ny, model.dims.nu, model.dims.nd, model.dims.nz):
-        raise ValidationError("dataset channel counts do not match the model")
+    model = load_model(cfg["model"])
+    dataset = read_csv(cfg["dataset"])
+    dataset.check_dims(model.dims)
     return {"rows": len(dataset), **_write_r2(run, model, dataset)}
 
 
 def _run_design_lqr(cfg, seed, run):
-    model = load_model(_path(cfg, "model", "config"))
-    target = _mapping(_get(cfg, "target", "config"), "target", {"y", "d", "tol"})
-    y_target = _vector(_get(target, "y", "target"), "target.y", model.dims.ny)
-    d_bar = _vector(_get(target, "d", "target"), "target.d", model.dims.nd)
-    Q, R = _weights(cfg, model.dims)
+    model = load_model(cfg["model"])
+    target = _read(cfg["target"], "target", {"y": partial(_vector, width=model.dims.ny),
+                                             "d": partial(_vector, width=model.dims.nd)},
+                   {"tol": _float})
+    Q, R = _weights(cfg.get("weights", {}), model.dims)
 
-    design = design_lqr(model, y_target, d_bar, Q, R,
-                        target_tol=_float(target, "tol", "target", 1e-6))
-    A, B, _ = model.linear_core(d_bar)
+    design = design_lqr(model, target["y"], target["d"], Q, R,
+                        **({"target_tol": target["tol"]} if "tol" in target else {}))
+    A, B, _ = model.linear_core(target["d"])
     eigs = np.linalg.eigvals(A - B @ design.K)
     _write_json(run, "design.json", {
         "P": design.P, "K": design.K, "x_d": design.x_d, "u_d": design.u_d,
-        "Q": design.Q, "R": design.R, "y_target": y_target, "d_bar": d_bar,
+        "Q": design.Q, "R": design.R, "y_target": target["y"], "d_bar": target["d"],
         "closed_loop_eigs_real": np.sort(eigs.real)})
     return {"spectral_abscissa": float(np.max(eigs.real))}
-
-
-def _barrier(node, nu, nz, where):
-    node = _mapping(node, where, {"z_max", "v_min", "v_max", "k1", "k2", "rate_weight",
-                                  "margin"})
-    return BarrierSpec(
-        z_max=_vector(_get(node, "z_max", where), f"{where}.z_max", nz),
-        v_min=_vector(_get(node, "v_min", where), f"{where}.v_min", nu),
-        v_max=_vector(_get(node, "v_max", where), f"{where}.v_max", nu),
-        k1=_float(node, "k1", where, 1.0), k2=_float(node, "k2", where, 1.0),
-        rate_weight=_float(node, "rate_weight", where, 1.0),
-        margin=_float(node, "margin", where, 0.0))
 
 
 def _trace_summary(model, trace, y_d):
@@ -397,11 +365,16 @@ def _write_plot_script(run, controllers, ny):
         f.write("\n".join(lines) + "\n")
 
 
-def _run_simulate(cfg, seed, run):
-    model = load_model(_path(cfg, "model", "config"))
-    plant, _ = _plant_from(_get(cfg, "plant", "config"), seed, "plant")
+# simulate's top-level keys that go to simulate_closed_loop as they are
+_LOOP_OPTIONS = {"control_period": _float, "substeps": _int, "noise_std": _float}
 
-    controllers = _get(cfg, "controllers", "config")
+
+def _run_simulate(cfg, seed, run):
+    model = load_model(cfg["model"])
+    dims = model.dims
+    plant, _ = _plant_from(cfg["plant"], seed, "plant")
+
+    controllers = cfg["controllers"]
     if not isinstance(controllers, list) or not controllers:
         raise ValidationError("controllers must be a nonempty list")
     unknown = [c for c in controllers if not isinstance(c, str) or c not in CONTROLLERS]
@@ -411,84 +384,91 @@ def _run_simulate(cfg, seed, run):
     if len(set(controllers)) != len(controllers):
         raise ValidationError("controllers are repeated")
 
-    y_d = _timeseries(_get(cfg, "target", "config"), model.dims.ny, "target")
-    d = _timeseries(_get(cfg, "disturbance", "config"), model.dims.nd, "disturbance")
-    Q, R = _weights(cfg, model.dims)
-    spec = (_barrier(cfg["barrier"], model.dims.nu, model.dims.nz, "barrier")
-            if "barrier" in cfg else None)
+    y_d = _timeseries(cfg["target"], dims.ny, "target")
+    d = _timeseries(cfg["disturbance"], dims.nd, "disturbance")
+    Q, R = _weights(cfg.get("weights", {}), dims)
+    spec = None
+    if "barrier" in cfg:
+        spec = BarrierSpec(**_read_fields(
+            BarrierSpec, cfg["barrier"], "barrier", z_max=partial(_vector, width=dims.nz),
+            v_min=partial(_vector, width=dims.nu), v_max=partial(_vector, width=dims.nu),
+            k1=_float, k2=_float))
     if "icbf" in controllers and spec is None:
         raise ValidationError("config: the icbf controller needs a barrier section")
 
-    y0, u0 = (_get(cfg, key, "config", None) for key in ("y0", "u0"))
-    kwargs = dict(
-        control_period=_float(cfg, "control_period", "config", 1e-3),
-        substeps=_int(cfg, "substeps", "config", SUBSTEPS_PER_TICK),
-        noise_std=_float(cfg, "noise_std", "config", 0.0),
-        Q=Q, R=R, spec=spec, seed=seed,
-        y0=None if y0 is None else _vector(y0, "config.y0", model.dims.ny),
-        u0=None if u0 is None else _vector(u0, "config.u0", model.dims.nu))
-    horizon = _float(cfg, "horizon", "config")
+    kwargs = {key: value for key, value in cfg.items() if key in _LOOP_OPTIONS}
+    for key, width in (("y0", dims.ny), ("u0", dims.nu)):
+        if key in cfg:
+            kwargs[key] = _vector(cfg[key], f"config.{key}", width)
+    horizon = cfg["horizon"]
 
     summaries = {}
     for ctrl in controllers:
         try:
-            trace = simulate_closed_loop(plant, model, ctrl, y_d, d, horizon, **kwargs)
+            trace = simulate_closed_loop(plant, model, ctrl, y_d, d, horizon, Q=Q, R=R,
+                                         spec=spec, seed=seed, **kwargs)
         except ElcontrolError as exc:
-            partial = getattr(exc, "trace", None)
-            if partial is not None and len(partial):
-                write_trace_csv(partial, run.path(f"trace_{ctrl}.partial.csv"))
+            partial_trace = getattr(exc, "trace", None)
+            if partial_trace is not None and len(partial_trace):
+                write_trace_csv(partial_trace, run.path(f"trace_{ctrl}.partial.csv"))
             raise
         write_trace_csv(trace, run.path(f"trace_{ctrl}.csv"))
         summaries[ctrl] = _trace_summary(model, trace, y_d)
 
-    if cfg.get("plots", False):
-        _write_plot_script(run, controllers, model.dims.ny)
+    if cfg.get("plots"):
+        _write_plot_script(run, controllers, dims.ny)
 
     summary = {"controllers": summaries, "horizon": horizon}
     if len(controllers) > 1:
         summary["comparison"] = {
-            key: {c: summaries[c][key] for c in controllers}
+            key: {c: summaries[c].get(key) for c in controllers}
             for key in ("tracking_rmse_total", "max_h")}
     return summary
 
 
+_INLINE_SYSTEM = {"n": _int, "f": _raw, "g": _raw}
+
+
 def _system_from(node, where, allow_file=True):
-    node = _mapping(node, where, {"fixture", "n", "file", "f", "g"})
-    sources = [k for k in ("fixture", "file", "f") if k in node]
-    if len(sources) != 1 or (not allow_file and "file" in node):
+    system = _read(node, where, {}, {"fixture": _raw, "file": _path, **_INLINE_SYSTEM})
+    sources = [k for k in ("fixture", "file", "f") if k in system]
+    if len(sources) != 1 or (not allow_file and "file" in system):
         raise ValidationError(
             f"{where}: give exactly one of fixture, file, or inline f/g"
             + ("" if allow_file else " (a system file cannot point to another file)"))
-    if "fixture" in node:
-        name = node["fixture"]
+    if "fixture" in system:
+        name = system["fixture"]
         if name == "integrator-chain":
-            return liecheck.integrator_chain(_int(node, "n", where, 3))
+            return liecheck.integrator_chain(system.get("n", 3))
         if name == "noninvolutive-chain":
-            if _int(node, "n", where, 3) != 3:
-                raise ValidationError(f"{where}: the noninvolutive fixture has n = 3")
-            return liecheck.noninvolutive_chain()
+            pair = liecheck.noninvolutive_chain()
+            if system.get("n", pair.n) != pair.n:
+                raise ValidationError(f"{where}: the noninvolutive fixture has n = {pair.n}")
+            return pair
         raise ValidationError(
             f"{where}.fixture must be integrator-chain or noninvolutive-chain, "
             f"got {name!r}")
-    if "file" in node:
-        path = _path(node, "file", where)
+    if "file" in system:
+        path = system["file"]
         with open(path) as f:
             loaded = yaml.safe_load(f)
-        return _system_from(_mapping(loaded, path), path, allow_file=False)
-    n = _int(node, "n", where)
-    f_exprs, g_exprs = _get(node, "f", where), _get(node, "g", where)
-    return VectorFieldPair(compile_field(f_exprs, n), compile_field(g_exprs, n), n)
+        return _system_from(loaded, path, allow_file=False)
+    inline = _read(system, where, _INLINE_SYSTEM)
+    n = inline["n"]
+    return VectorFieldPair(compile_field(inline["f"], n), compile_field(inline["g"], n), n)
+
+
+# check-linearizable's top-level keys that go to check_linearizable as they are
+_CHECK_OPTIONS = {"samples": _int, "tol": _float}
 
 
 def _run_check_linearizable(cfg, seed, run):
-    system = _system_from(_get(cfg, "system", "config"), "system")
-    domain = _mapping(_get(cfg, "domain", "config"), "domain", {"low", "high"})
-    low = _vector(_get(domain, "low", "domain"), "domain.low", system.n)
-    high = _vector(_get(domain, "high", "domain"), "domain.high", system.n)
-
-    samples = _int(cfg, "samples", "config", liecheck.DEFAULT_SAMPLES)
-    tol = _float(cfg, "tol", "config", liecheck.DEFAULT_TOL)
-    report = check_linearizable(system, (low, high), samples=samples, tol=tol, seed=seed)
+    system = _system_from(cfg["system"], "system")
+    vector = partial(_vector, width=system.n)
+    domain = _read(cfg["domain"], "domain", {"low": vector, "high": vector})
+    low, high = domain["low"], domain["high"]
+    report = check_linearizable(system, (low, high), seed=seed,
+                                **{k: v for k, v in cfg.items() if k in _CHECK_OPTIONS})
     _write_json(run, "report.json", {
         "verdict": report.verdict, "tol": report.tol, "note": report.note,
         "samples": len(report.points), "seed": seed,
@@ -506,21 +486,26 @@ def _run_check_linearizable(cfg, seed, run):
 # ---------------------------------------------------------------------------
 # entry point
 
-# each command's function and its top-level keys besides `seed` and `output`
+# each command: its function, its required and its optional top-level keys
+# besides `seed` and `output`, and its help line
 _COMMANDS = {
-    "gen-data": (_run_gen_data, {"plant", "dataset", "excitation"},
+    "gen-data": (_run_gen_data, {"plant": _raw, "dataset": _raw, "excitation": _raw}, {},
                  "excite a plant and record a trajectory dataset"),
-    "train": (_run_train, {"dataset", "dims", "arch", "init", "train", "holdout"},
+    "train": (_run_train, {"dataset": _path, "dims": _raw, "train": _raw},
+              {"arch": _raw, "init": _raw, "holdout": _path},
               "fit a latent-linear model to a dataset"),
-    "eval": (_run_eval, {"model", "dataset"}, "score a model on a dataset (per-channel R^2)"),
-    "design-lqr": (_run_design_lqr, {"model", "target", "weights"},
+    "eval": (_run_eval, {"model": _path, "dataset": _path}, {},
+             "score a model on a dataset (per-channel R^2)"),
+    "design-lqr": (_run_design_lqr, {"model": _path, "target": _raw}, {"weights": _raw},
                    "solve the regulator design for a saved model"),
-    "simulate": (_run_simulate, {"model", "plant", "controllers", "target", "disturbance",
-                                 "horizon", "control_period", "substeps", "y0", "u0",
-                                 "noise_std", "weights", "barrier", "plots"},
+    "simulate": (_run_simulate,
+                 {"model": _path, "plant": _raw, "controllers": _raw, "target": _raw,
+                  "disturbance": _raw, "horizon": _float},
+                 {**_LOOP_OPTIONS, "y0": _raw, "u0": _raw, "weights": _raw, "barrier": _raw,
+                  "plots": _raw},
                  "run one or more controllers closed loop"),
-    "check-linearizable": (_run_check_linearizable, {"system", "domain", "samples", "tol"},
-                           "sampled exact-linearizability check"),
+    "check-linearizable": (_run_check_linearizable, {"system": _raw, "domain": _raw},
+                           _CHECK_OPTIONS, "sampled exact-linearizability check"),
 }
 
 
@@ -530,7 +515,7 @@ def _build_parser():
         description="Batch runner: every command reads a YAML config and "
                     "writes reproducible outputs into a run directory.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, blurb) in _COMMANDS.items():
+    for name, (*_, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--seed", type=int, default=None,
@@ -542,13 +527,15 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    command, required, optional, _ = _COMMANDS[args.command]
     try:
         with open(args.config) as f:
             raw = f.read()
         cfg = yaml.safe_load(raw)
-        cfg = _mapping({} if cfg is None else cfg, "config")
-        seed = args.seed if args.seed is not None else _int(cfg, "seed", "config", 0)
-        out = args.out if args.out is not None else _get(cfg, "output", "config", None)
+        cfg = _read({} if cfg is None else cfg, "config", required,
+                    {**optional, "seed": _seed, "output": _raw})
+        seed = _seed(args.seed, "--seed") if args.seed is not None else cfg.get("seed", 0)
+        out = args.out if args.out is not None else cfg.get("output")
         if not isinstance(out, str):
             raise ValidationError(
                 "no output directory path: set `output` in the config or pass --out")
@@ -556,9 +543,9 @@ def main(argv=None):
         run = _Run(out)
         with open(run.path("config.echo.yaml"), "w") as f:
             f.write(raw)
-        command, keys, _ = _COMMANDS[args.command]
-        _mapping(cfg, "config", keys | {"seed", "output"})
-        body = command(cfg, seed, run)
+        # numpy stays quiet: a finiteness check guards every value published
+        with np.errstate(all="ignore"):
+            body = command(cfg, seed, run)
         summary = {"command": args.command, "seed": seed,
                    "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
                    "outputs": sorted(run.written)}

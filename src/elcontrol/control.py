@@ -140,7 +140,7 @@ def steady_target(model, y_target, d_bar, tol=1e-6):
 
     x_d is the latent image of y_target; u_d is the least-squares solution
     of A x_d + B u_d + c = 0.  Returns (x_d, u_d, residual); a residual
-    above tol raises NotRealizableError carrying the residual.
+    above tol, or NaN, raises NotRealizableError carrying the residual.
     """
     y_target = np.asarray(y_target, dtype=np.float64).reshape(-1)
     d_bar = np.asarray(d_bar, dtype=np.float64).reshape(-1)
@@ -148,7 +148,7 @@ def steady_target(model, y_target, d_bar, tol=1e-6):
     x_d = model.x_from_y(y_target, d_bar)
     u_d = np.linalg.lstsq(B, -(A @ x_d + c), rcond=None)[0]
     res = float(np.linalg.norm(A @ x_d + B @ u_d + c))
-    if res > tol:
+    if not res <= tol:
         raise NotRealizableError(
             f"target is not a steady state: core residual {res:.3e} > {tol:.1e}",
             residual=res)

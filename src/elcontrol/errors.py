@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cap on counts."""
+
+# the most rows, ticks, chips or sample points a call may allocate
+MAX_COUNT = 10**7
 
 
 class ElcontrolError(Exception):
@@ -52,3 +55,10 @@ class TrainingDivergedError(ElcontrolError):
         super().__init__(message)
         self.checkpoint = checkpoint
         self.epoch = epoch
+
+
+def checked_count(count, what):
+    """`count` rounded to an int, checked to be at most MAX_COUNT (NaN is not)."""
+    if not count <= MAX_COUNT:
+        raise ValidationError(f"{what} is {count:g}, not a finite count up to {MAX_COUNT:g}")
+    return int(round(count))

@@ -34,10 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NonFiniteError, ValidationError
-
-DEFAULT_SAMPLES = 100
-DEFAULT_TOL = 1e-6
+from .errors import MAX_COUNT, NonFiniteError, ValidationError
 
 # the largest literal exponent the compiler expands into repeated products
 MAX_POWER = 16
@@ -146,8 +143,7 @@ class CheckReport:
         return "pass"
 
 
-def check_linearizable(system, domain, samples=DEFAULT_SAMPLES,
-                       tol=DEFAULT_TOL, seed=0):
+def check_linearizable(system, domain, samples=100, tol=1e-6, seed=0):
     """Sample the box and test spanning rank plus involutivity.
 
     domain is a (low, high) pair, each a scalar or length-n vector.  At each
@@ -157,8 +153,8 @@ def check_linearizable(system, domain, samples=DEFAULT_SAMPLES,
     residual below tol.  The verdict reports the first condition that fails
     anywhere ("fail-rank" before "fail-involutive"), else "pass".
     """
-    if samples < 1:
-        raise ValidationError("at least one sample point is required")
+    if not 1 <= samples <= MAX_COUNT:
+        raise ValidationError(f"the sample count must be from 1 to {MAX_COUNT:g}, got {samples}")
     if not tol > 0:
         raise ValidationError("tolerance must be positive")
     n = system.n

@@ -171,6 +171,7 @@ class ELModel:
         """Fresh trainable model: scalers frozen from `dataset`, near-identity
         maps, and the linear core warm-started by least squares on the scaled
         records (treating the maps as identity)."""
+        dataset.check_dims(dims)
         scalers = {"y": Scaler.fit(dataset.y), "v": Scaler.fit(dataset.v),
                    "d": Scaler.fit(dataset.d), "z": Scaler.fit(dataset.z)}
         ys = scalers["y"].transform(dataset.y)
@@ -186,6 +187,8 @@ class ELModel:
         """Random parameters in one fixed draw order: the map nets, then the
         core's A, B and c nets with `core_biases` as their last biases, then
         Xi at scale 0.5."""
+        if not (map_scale >= 0 and core_scale >= 0):
+            raise ValidationError("map_scale and core_scale must be nonnegative")
         rng = np.random.default_rng(seed)
         for net in self.state_map.nets + self.input_map.nets:
             net.init(self.params, rng, scale=1.0, out_scale=map_scale)
@@ -475,6 +478,11 @@ class TrajectoryDataset:
             raise ValidationError(
                 f"{name}_dot disagrees with differenced {name}: "
                 f"max error {err:.3e} > {self.fd_tol:.1e} * {scale:.3e}")
+
+    def check_dims(self, dims):
+        """ValidationError unless the channel counts are those of `dims`."""
+        if tuple(a.shape[1] for a in (self.y, self.v, self.d, self.z)) != dataclasses.astuple(dims):
+            raise ValidationError("dataset channel counts do not match the model")
 
     def segment(self, start, stop):
         """Contiguous sub-dataset keeping the stored derivatives."""

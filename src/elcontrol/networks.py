@@ -35,7 +35,7 @@ import operator
 import numpy as np
 
 from .arrays import NUMPY, TANGENT, Tangent, seed
-from .errors import ConditioningError
+from .errors import ConditioningError, NonFiniteError
 
 COND_LIMIT = 1e12
 
@@ -251,7 +251,8 @@ class Bnn(_Stacked):
     def coefficients(self, xp, params, cond):
         """Every layer's (W(d), b(d), c(d), cond W), W from `weight`.  cond W
         is None but for a finite W in a numpy entry `memo` keeps, where
-        `_guard` computes it once for `inverse_with` (it fails on a NaN)."""
+        `_guard` computes it once for `inverse_with`, which rejects a W that
+        is not finite before taking its condition number."""
         return self.stack.memo(xp, params, cond, self._layers, self._guard)
 
     def _layers(self, xp, params, cond):
@@ -282,6 +283,8 @@ class Bnn(_Stacked):
     def inverse_with(self, coef, x):
         for k in reversed(range(len(coef))):
             W, b, c, cond = coef[k]
+            if cond is None and not np.all(np.isfinite(W)):
+                raise NonFiniteError(f"layer '{self.prefix}.l{k}': weight is not finite")
             cond = np.linalg.cond(W) if cond is None else cond
             if np.any(cond > COND_LIMIT):
                 raise ConditioningError(

@@ -21,11 +21,10 @@ import numpy as np
 
 from .control import (CONTROLLERS, BarrierSpec, ControllerState, DesignCache,
                       _barrier_rows)
-from .errors import NonFiniteError, ValidationError
+from .errors import NonFiniteError, ValidationError, checked_count
 from .model import ELModel, ModelDims, TrajectoryDataset, write_blocks
 
 SAFETY_FACTOR = 10.0
-SUBSTEPS_PER_TICK = 10
 
 EXCITATION_KINDS = ("chirp", "prbs", "sum-of-sines")
 
@@ -100,7 +99,7 @@ def gen_excitation(kind, duration, period, box, seed=0):
             return amp * np.sum(weights * omega * np.cos(omega * t + phases), axis=0)
 
     elif kind == "prbs":
-        n_chips = int(np.ceil(duration / period)) + 1
+        n_chips = checked_count(np.ceil(duration / period), "the prbs chip count") + 1
         chips = rng.integers(0, 2, size=(n_chips, k)).astype(np.float64)
         levels = low + chips * (high - low)
 
@@ -268,10 +267,7 @@ def simulate_open_loop(plant, v, d, y0, step, steps=None, fd_tol=1e-2):
     if steps is None:
         if not hasattr(v, "duration"):
             raise ValidationError("steps is required when v carries no duration")
-        steps = v.duration / step
-        if not np.isfinite(steps):
-            raise ValidationError(f"duration / step = {steps} is not a finite step count")
-        steps = int(round(steps))
+        steps = checked_count(v.duration / step, "the step count duration / step")
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
     d_slope = _slope_of(d, plant.dims.nd)
@@ -339,7 +335,7 @@ def write_trace_csv(trace, path):
 
 def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
                          control_period=1e-3, Q=None, R=None, spec=None,
-                         y0=None, u0=None, substeps=SUBSTEPS_PER_TICK,
+                         y0=None, u0=None, substeps=10,
                          noise_std=0.0, seed=0):
     """Run one controller against the plant and log every tick.
 
@@ -383,7 +379,7 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
     rng = np.random.default_rng(seed)
 
     dt = float(control_period)
-    ticks = int(round(horizon / dt))
+    ticks = checked_count(horizon / dt, "the tick count horizon / control_period")
     caches = {}
     meta = {"controller": controller, "control_period": dt, "horizon": float(horizon),
             "substeps": int(substeps), "seed": int(seed), "noise_std": float(noise_std)}

@@ -1,14 +1,18 @@
-"""The criterion-10 CLI configs: one small config per command.
+"""The criterion-10 CLI configs: small configs per command.
 
 `configs(gen_out)` returns them; every command after `gen-data` reads the
-dataset and model that `gen-data` writes into `gen_out`.  `simulate-step`
-runs `simulate` again under a piecewise-constant disturbance with one step,
-so the model's kept disturbance-only data is both reused and replaced;
-`command(name)` gives the command an entry runs.  Run as a script,
+dataset and model that `gen-data` writes into `gen_out`.  An entry named
+`<command>+<variant>` runs `command(name)` again on another config:
+`simulate+step` under a piecewise-constant disturbance with one step, so
+the model's kept disturbance-only data is both reused and replaced, and
+the `+every-key` entries (with `gen-data+mismatch` and
+`check-linearizable+inline`) set every optional key of every section to a
+value other than its default, where the plain entries leave most of them
+out.  Run as a script,
 
     PYTHONPATH=<checkout>/src python tests/criterion10.py OUT
 
-writes each config to `OUT/<name>.yaml` and runs the seven entries into
+writes each config to `OUT/<name>.yaml` and runs the entries into
 `OUT/gen` (gen-data) and `OUT/<name>` (the others).  Running two
 checkouts at the same OUT path and comparing with `diff -r` checks that
 their outputs are byte-identical; the same path matters because
@@ -24,7 +28,7 @@ from elcontrol.cli import main as cli_main
 
 
 def command(name):
-    return name.removesuffix("-step")
+    return name.partition("+")[0]
 
 
 def configs(gen_out):
@@ -61,9 +65,36 @@ def configs(gen_out):
                        "target": {"y": [0.2, -0.1], "d": [0.0]},
                        "weights": {"q": 4.0}},
         "simulate": simulate,
-        "simulate-step": {
+        "simulate+step": {
             **simulate, "horizon": 0.1,
             "disturbance": {"schedule": {"times": [0.0, 0.05], "values": [[0.0], [0.2]]}}},
+        "gen-data+mismatch": {
+            "seed": 3, "plant": {"kind": "mismatch"},
+            "dataset": {"duration": 1.0, "step": 0.005, "y0": [0.1, -0.2], "fd_tol": 0.5},
+            "excitation": {
+                "v": {"kind": "prbs", "period": 0.25, "low": [-1.0, -0.5],
+                      "high": [1.0, 0.5], "seed": 13},
+                "d": {"kind": "chirp", "period": 0.01, "low": 0.0, "high": 0.4}}},
+        "train+every-key": {
+            "seed": 1, "dataset": str(gen_out / "dataset.csv"), "dims": dims,
+            "arch": arch, "init": {"seed": 6, "map_scale": 0.03},
+            "train": {"epochs": 2, "batch_size": 64, "step_size": 0.02, "decay": 0.9,
+                      "seed": 9, "val_fraction": 0.3},
+            "holdout": str(gen_out / "dataset.csv")},
+        "design-lqr+every-key": {
+            "model": str(gen_out / "plant_model.npz"),
+            "target": {"y": [0.2, -0.1], "d": [0.1], "tol": 1e-5},
+            "weights": {"q": [[4.0, 0.5], [0.5, 2.0]], "r": [2.0, 0.5]}},
+        "simulate+every-key": {
+            **simulate, "controllers": ["lqr", "icbf", "sontag"], "horizon": 0.04,
+            "control_period": 0.004, "substeps": 3, "y0": [0.05, -0.05],
+            "u0": [0.1, 0.0], "noise_std": 0.01,
+            "weights": {"q": [4.0, 2.0], "r": [[1.0, 0.1], [0.1, 2.0]]},
+            "barrier": {**simulate["barrier"], "margin": 0.01}, "plots": True},
+        "check-linearizable+inline": {
+            "seed": 4, "system": {"n": 3, "f": ["y2 + sinh(y1)", "y3", "0"],
+                                  "g": ["0", "0", "1"]},
+            "domain": {"low": -1.0, "high": [1.0, 2.0, 0.5]}, "samples": 7, "tol": 1e-7},
         "check-linearizable": {
             "seed": 0, "system": {"fixture": "noninvolutive-chain"},
             "domain": {"low": -1.0, "high": 1.0}, "samples": 25},

@@ -253,6 +253,37 @@ def test_gen_data_step_count_overflow_is_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "step count" in err[0], err
 
 
+def _over_the_cap(tmp_path, source, case):
+    """(command, config) asking for more than MAX_COUNT rows, chips, ticks or
+    samples; the finite ones would allocate that many without the cap."""
+    gen = gen_config(tmp_path / "run")
+    prbs = {"kind": "prbs", "period": 1e-3, "low": -1.0, "high": 1.0}
+    if case == "infinite prbs chip count":
+        gen["dataset"]["duration"] = 1e300
+        gen["excitation"]["v"] = {**prbs, "period": 1e-300}
+    elif case == "huge prbs chip count":
+        gen["dataset"]["duration"] = 1e12
+        gen["excitation"]["v"] = prbs
+    elif case == "huge step count":
+        gen["dataset"].update(duration=1e6, step=1e-6)
+    elif case == "huge sample count":
+        return "check-linearizable", check_config(
+            tmp_path / "run", {"fixture": "integrator-chain"}) | {"samples": 10**8}
+    else:
+        return "simulate", sim_config(tmp_path / "run", str(source / "plant_model.npz"),
+                                      ["lqr"]) | {"horizon": 1e300}
+    return "gen-data", gen
+
+
+@pytest.mark.parametrize("case", ["infinite prbs chip count", "huge prbs chip count",
+                                  "huge step count", "huge tick count", "huge sample count"])
+def test_counts_over_the_cap_are_one_error_line(tmp_path, teacher_run, capsys, case):
+    command, cfg = _over_the_cap(tmp_path, teacher_run, case)
+    assert run_cli(tmp_path, command, cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "count" in err[0], err
+
+
 def test_gen_data_zero_duration_writes_header_only(tmp_path):
     cfg = gen_config(tmp_path / "out", duration=0.0, kind="mismatch")
     assert run_cli(tmp_path, "gen-data", cfg) == 0
@@ -503,6 +534,25 @@ def test_simulate_non_finite_tick_is_one_error_line_with_finite_partial_trace(tm
     assert partial.shape[0] > 0 and np.all(np.isfinite(partial))
 
 
+@pytest.mark.parametrize("command", ["design-lqr", "simulate"])
+def test_overflowing_disturbance_is_one_error_line(tmp_path, command):
+    # at d = (1e6, -1e6) the core and W(d) overflow to NaN: the steady
+    # target's residual is NaN, and so would be the state map's inverse
+    model_path = str(tmp_path / "model.npz")
+    save_model(ELModel.random(ModelDims(3, 3, 2, 2), seed=0), model_path)
+    cfg = {"output": str(tmp_path / "run"), "model": model_path,
+           "target": {"y": [0.1, 0.0, 0.0], "d": [1e6, -1e6]}}
+    if command == "simulate":
+        cfg = {"output": str(tmp_path / "run"), "model": model_path,
+               "plant": {"kind": "teacher", "model": model_path}, "controllers": ["icbf"],
+               "u0": [0.0, 0.0, 0.0], "target": {"constant": [0.1, 0.0, 0.0]},
+               "disturbance": {"constant": [1e6, -1e6]}, "horizon": 0.01,
+               "barrier": {"z_max": [5.0, 5.0], "v_min": -2.0, "v_max": 2.0}}
+    err = run_cli_subprocess(command, "--config", write_config(tmp_path / "c.yaml", cfg))
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not (tmp_path / "run" / "design.json").exists()
+
+
 def test_simulate_leaving_the_safety_box_is_one_error_line_with_partial_trace(
         tmp_path, capsys, monkeypatch):
     # the plant drifts 6.5 per 1 ms tick; the box is 10x the +-5 operating
@@ -575,6 +625,15 @@ def _malformed_value(tmp_path, source, case):
         sim["weights"] = {"q": [1.0, float("inf")]}
     elif case == "nan y0":
         sim["y0"] = [0.1, float("nan")]
+    elif case == "negative seed":
+        sim["seed"] = -1
+    elif case == "negative map_scale":
+        return "train", {"output": str(tmp_path / "run"), "dims": TINY_DIMS,
+                         "dataset": str(source / "dataset.csv"), "init": {"map_scale": -0.5},
+                         "train": {"epochs": 0}}
+    elif case == "dims unlike the dataset's":
+        return "train", {"output": str(tmp_path / "run"), "dataset": str(source / "dataset.csv"),
+                         "dims": {**TINY_DIMS, "ny": 3}, "train": {"epochs": 0}}
     elif case == "zero step":
         cfg = gen_config(tmp_path / "run")
         cfg["dataset"]["step"] = 0.0
@@ -599,20 +658,28 @@ def _malformed_value(tmp_path, source, case):
 
 # the key each non-finite case's error line must name
 NAMED_KEY = {"nan target": "target", "inf weight": "weights.q", "nan y0": "y0",
-             "non-string holdout": "holdout"}
+             "non-string holdout": "holdout", "negative seed": "seed",
+             "negative map_scale": "map_scale"}
 
 
 @pytest.mark.parametrize("case", ["non-numeric weight", "non-numeric schedule value",
                                   "nan horizon", "numeric output", "zero step",
                                   "non-numeric csv cell (eval)",
                                   "non-numeric csv cell (train)", "non-uniform time grid",
-                                  *NAMED_KEY])
+                                  "dims unlike the dataset's", *NAMED_KEY])
 def test_malformed_config_values_are_one_error_line(tmp_path, teacher_run, capsys, case):
     command, cfg = _malformed_value(tmp_path, teacher_run, case)
     assert run_cli(tmp_path, command, cfg) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert NAMED_KEY.get(case, "") in err[0]
+
+
+def test_simulate_zero_horizon_compares_empty_traces(tmp_path, teacher_run):
+    cfg = sim_config(tmp_path / "run", str(teacher_run / "plant_model.npz"), ["lqr", "icbf"])
+    assert run_cli(tmp_path, "simulate", {**cfg, "horizon": 0.0}) == 0
+    summary = json.load(open(tmp_path / "run" / "summary.json"))
+    assert summary["comparison"]["tracking_rmse_total"] == {"lqr": None, "icbf": None}
 
 
 def test_null_initial_state_means_not_given(tmp_path, teacher_run):

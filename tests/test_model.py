@@ -68,6 +68,13 @@ def test_predict_ydot_non_finite_jacobian_is_an_error():
         m.predict_ydot(np.zeros(3), np.full(3, 1e3), np.zeros(2), np.zeros(2))
 
 
+def test_non_finite_state_map_weight_is_an_error():
+    # at this d the exp on W(d)'s diagonal overflows, so W(d) holds a NaN
+    m = ELModel.random(ModelDims(3, 3, 2, 2), seed=0)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="not finite"):
+        m.y_from_x(np.zeros(3), np.array([1e6, -1e6]))
+
+
 @pytest.mark.parametrize("field,value", [("phi_depth", 0), ("core_hidden", -3),
                                          ("xi_hidden", 2.5), ("psi_depth", True),
                                          ("phi_hidden", np.int64(8))])
