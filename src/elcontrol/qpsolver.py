@@ -1,20 +1,34 @@
-"""Dense strictly convex quadratic programming by a primal active-set method.
+"""Dense strictly convex quadratic programming by a dual active-set method.
 
 Solves
 
     minimize    0.5 x^T H x + q^T x
     subject to  G x <= w
 
-with H symmetric positive definite.  Equality-constrained subproblems are
-solved through their full KKT system, which stays accurate when H carries
-tiny regularisation eigenvalues and re-projects the iterate onto the working
-rows so roundoff cannot accumulate.  Ties are broken by lowest constraint
-index (Bland's rule), so the iteration is deterministic and cannot cycle.  Infeasibility is detected
-by a phase-1 problem that minimizes the maximum violation; its optimum also
-yields a Farkas-type certificate.
+with H symmetric positive definite, by the method of Goldfarb & Idnani
+(*A numerically stable dual method for solving strictly convex quadratic
+programs*, Math. Programming 27, 1983).  The iteration starts at the
+unconstrained minimizer -H^-1 q, found with the Cholesky factor that also
+checks that H is positive definite, and so needs no feasible start.  It
+takes the most violated row p (lowest index on ties) and raises its
+multiplier t from 0.  For a working set W, one KKT solve of
 
-The solver checks its own KKT conditions before returning: a returned
-"optimal" solution always carries a verified certificate.
+    [[H, G_W^T], [G_W, 0]] [x, z; u, r] = [[-q, -G_p^T], [w_W, 0]]
+
+gives the minimizer x on the working rows with its multipliers u, and the
+primal and dual directions z and r: x + t z, with multipliers u + t r on W
+and t on p, is stationary with W active.  The step is the smaller of the
+full step, which makes row p active, and the partial step that drops the
+first working row whose multiplier reaches 0 (lowest index on ties).  The
+working rows stay linearly independent, and each step recomputes x from
+the solve instead of accumulating updates.
+
+A row that can be neither added (z ~ 0) nor made room for (no r_i < 0)
+proves infeasibility.  mu = e_p + r on the working rows satisfies mu >= 0,
+G^T mu = 0 and w^T mu = -(violation of p) < 0, so no x satisfies every row;
+`violation_bound` = -w^T mu / sum(mu) is a lower bound on max_i (G_i x - w_i)
+for every x.  The solver checks its own KKT conditions before returning
+"optimal" and its Farkas certificate before returning "infeasible".
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ from .errors import ConditioningError, SolverError
 
 FEAS_TOL = 1e-9
 MU_TOL = 1e-10
-STEP_TOL = 1e-12
+CERT_TOL = 1e-9
 
 
 @dataclass
@@ -97,156 +111,84 @@ def kkt_residual(problem: QpProblem, x, mu):
     return float(max(parts))
 
 
-def _eqp_step(H, g, G, w, x, working):
-    """Step to the minimizer of the QP restricted to the working rows.
-
-    Solves the KKT system of  min 0.5 p'Hp + g'p  s.t.  Gw (x + p) = w_w
-    with partial pivoting, so the step stays accurate when H carries tiny
-    regularisation eigenvalues (the Schur complement in H would not).  The
-    right-hand side pulls x back onto the working rows, so roundoff from
-    earlier iterations cannot accumulate.  Returns (p, nu) where nu are the
-    multipliers at x + p.
-    """
-    n = x.shape[0]
-    Gw = G[working]
-    k = Gw.shape[0]
-    kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = Gw.T
-    kkt[n:, :n] = Gw
-    rhs = np.concatenate([-g, w[working] - Gw @ x])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except LinAlgError:
-        # linearly dependent working set; the minimum-norm multipliers do
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return sol[:n], sol[n:]
-
-
-def _active_set_iterate(problem: QpProblem, L, x0, max_iter):
-    """Primal active-set loop from a feasible x0, empty working set, L = chol(H)."""
-    H, q, G, w = problem.H, problem.q, problem.G, problem.w
-    x = x0.copy()
-    working = []
-    iters = 0
-    while True:
-        iters += 1
-        if iters > max_iter:
-            raise SolverError("QP active-set iteration limit exceeded")
-        g = H @ x + q
-        if working:
-            p, nu = _eqp_step(H, g, G, w, x, working)
-        else:
-            nu = np.zeros(0)
-            p = -_chol_solve(L, g)
-
-        if np.max(np.abs(p)) > 1e-9 * (1.0 + np.max(np.abs(x))):
-            # largest feasible step along p; ties keep the lowest row index
-            alpha = 1.0
-            blocker = -1
-            for i in range(problem.r):
-                if i in working:
-                    continue
-                gi_p = G[i] @ p
-                if gi_p > STEP_TOL:
-                    cap = max((w[i] - G[i] @ x) / gi_p, 0.0)
-                    if cap < alpha - 1e-12 * (1.0 + alpha):
-                        alpha = cap
-                        blocker = i
-            x = x + alpha * p
-            if blocker >= 0:
-                working.append(blocker)
-                working.sort()
-                continue
-            # full step: x is now the working-set minimizer, nu its multipliers
-        else:
-            x = x + p
-        if not working or np.min(nu) >= -MU_TOL:
-            mu = np.zeros(problem.r)
-            for idx, j in enumerate(working):
-                mu[j] = max(nu[idx], 0.0)
-            return x, mu, tuple(working), iters
-        # Bland: drop the lowest-index constraint with a negative multiplier
-        drop = min(j for idx, j in enumerate(working) if nu[idx] < -MU_TOL)
-        working.remove(drop)
-
-
-def _phase1(problem: QpProblem, x_start, max_iter):
-    """Minimize the maximum violation s of G x - w <= s 1.
-
-    The auxiliary objective 0.5*delta*|x|^2 + 0.5*s^2 is strictly convex and
-    well scaled; minimizing s^2 drives s to the smallest achievable violation
-    (a negative s never helps, it only tightens the constraints).  Because
-    the regularisation biases the optimum slightly, a least-squares polish on
-    the near-active rows recovers an exactly feasible point whenever one
-    exists nearby.  Returns (feasible_x, None) or (None, certificate).
-    """
-    n, r = problem.n, problem.r
-    delta = 1e-8
-    H1 = np.zeros((n + 1, n + 1))
-    H1[:n, :n] = delta * np.eye(n)
-    H1[n, n] = 1.0
-    q1 = np.zeros(n + 1)
-    G1 = np.zeros((r, n + 1))
-    G1[:, :n] = problem.G
-    G1[:, n] = -1.0
-    aux = QpProblem(H1, q1, G1, problem.w)
-    s0 = max(0.0, float(np.max(problem.G @ x_start - problem.w))) + 1.0
-    x0 = np.concatenate([x_start, [s0]])
-    x_aux, mu_aux, _, _ = _active_set_iterate(aux, _chol(H1), x0, max_iter)
-    x_cand = x_aux[:n]
-
-    def violation(x):
-        return float(np.max(problem.G @ x - problem.w))
-
-    if violation(x_cand) <= FEAS_TOL:
-        return x_cand, None
-    # polish: move minimally onto the near-active rows
-    near = np.flatnonzero(problem.G @ x_cand - problem.w >= -1e-6)
-    if near.size:
-        Ga = problem.G[near]
-        delta_x = np.linalg.lstsq(Ga, problem.w[near] - Ga @ x_cand, rcond=None)[0]
-        x_polish = x_cand + delta_x
-        if violation(x_polish) <= FEAS_TOL:
-            return x_polish, None
-    s_opt = max(x_aux[n], violation(x_cand))
-    certificate = {
-        "max_violation_at_optimum": float(s_opt),
-        "farkas_multipliers": mu_aux,
-        "farkas_gap": float(mu_aux @ problem.w),
-        "farkas_stationarity": float(np.max(np.abs(problem.G.T @ mu_aux))) if r else 0.0,
-    }
-    return None, certificate
+def _infeasible(problem, mu, iters):
+    """The "infeasible" result for Farkas multipliers mu, after checking them."""
+    G, w = problem.G, problem.w
+    gap = float(mu @ w)
+    stat = float(np.max(np.abs(G.T @ mu)))
+    if not (gap < 0.0 and stat <= CERT_TOL * mu.sum() * np.max(np.abs(G))):
+        raise SolverError(f"QP infeasibility certificate failed its own check: gap {gap:.3e}, "
+                          f"stationarity {stat:.3e}")
+    certificate = {"violation_bound": -gap / float(mu.sum()), "farkas_multipliers": mu,
+                   "farkas_gap": gap, "farkas_stationarity": stat}
+    return QpSolution(np.full(problem.n, np.nan), np.zeros(problem.r), (), "infeasible",
+                      iters, np.inf, certificate)
 
 
 def solve(problem: QpProblem) -> QpSolution:
-    """Solve the QP from a cold start: the unconstrained minimizer when it is
-    feasible, else the phase-1 point, with an empty working set.
+    """Solve the QP by the dual active-set iteration from the unconstrained
+    minimizer.
 
     Returns a QpSolution with status "optimal" (KKT-verified, tolerance 1e-8
-    on the scaled residual) or "infeasible" (with a Farkas certificate).
-    Raises SolverError when the iteration limit is hit or the KKT check fails.
+    on the scaled residual) or "infeasible" (with a verified Farkas
+    certificate); `iterations` counts the KKT solves.  Raises SolverError
+    when the iteration limit is hit, a KKT system is singular, or either
+    self-check fails.
     """
+    H, q, G, w = problem.H, problem.q, problem.G, problem.w
     n, r = problem.n, problem.r
-    L = _chol(problem.H)
+    x = -_chol_solve(_chol(H), q)
+    mu = np.zeros(r)
+    working = []
+    p = -1                 # the row being added, -1 between rows
+    iters = 0
     max_iter = 50 + 10 * (r + n)
-    x_free = -_chol_solve(L, problem.q)
+    while r:
+        if p < 0:
+            viol = G @ x - w
+            viol[working] = -np.inf
+            p = int(np.argmax(viol))
+            if viol[p] <= FEAS_TOL:
+                break
+        iters += 1
+        if iters > max_iter:
+            raise SolverError("QP active-set iteration limit exceeded")
+        k = len(working)
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = H
+        kkt[:n, n:] = G[working].T
+        kkt[n:, :n] = G[working]
+        rhs = np.zeros((n + k, 2))
+        rhs[:n, 0], rhs[n:, 0], rhs[:n, 1] = -q, w[working], -G[p]
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except LinAlgError as exc:
+            raise SolverError("QP working rows became linearly dependent") from exc
+        (x_w, z), (u, dr) = sol[:n].T, sol[n:].T
+        cert = np.zeros(r)
+        cert[working], cert[p] = dr, 1.0
+        gz = G[p] @ z
+        # the full step, unless row p depends on the working rows
+        full = np.inf
+        if gz < 0.0 and (np.max(np.abs(G.T @ cert))
+                         > CERT_TOL * np.abs(cert).sum() * np.max(np.abs(G))):
+            full = (w[p] - G[p] @ x_w) / gz
+        # the partial step: the first working multiplier u + t dr to reach 0
+        shrinking = np.flatnonzero(dr < -MU_TOL * np.max(np.abs(cert)))
+        ratios = -u[shrinking] / dr[shrinking]
+        t = min(full, ratios.min(initial=np.inf))
+        if t == np.inf:
+            return _infeasible(problem, np.maximum(cert, 0.0), iters)
+        x = x_w + t * z
+        mu[:] = 0.0
+        mu[working], mu[p] = np.maximum(u + t * dr, 0.0), t
+        if t < full:
+            del working[shrinking[np.argmin(ratios)]]
+        else:
+            working, p = sorted(working + [p]), -1
 
-    if r == 0:
-        return QpSolution(x_free, np.zeros(0), (), "optimal", 1,
-                          kkt_residual(problem, x_free, np.zeros(0)))
-
-    if np.max(problem.G @ x_free - problem.w) <= FEAS_TOL:
-        x0 = x_free
-    else:
-        x0, certificate = _phase1(problem, x_free, max_iter)
-        if x0 is None:
-            return QpSolution(np.full(n, np.nan), np.zeros(r), (), "infeasible", 0,
-                              np.inf, certificate)
-
-    x, mu, active, iters = _active_set_iterate(problem, L, x0, max_iter)
     res = kkt_residual(problem, x, mu)
-    scale = 1.0 + float(np.max(np.abs(problem.q))) + float(np.max(np.abs(problem.H)))
+    scale = 1.0 + float(np.max(np.abs(q))) + float(np.max(np.abs(H)))
     if res > 1e-8 * scale:
         raise SolverError(f"QP solution failed its own KKT certificate: residual {res:.3e}")
-    return QpSolution(x, mu, active, "optimal", iters, res)
+    return QpSolution(x, mu, tuple(working), "optimal", iters, res)

@@ -245,6 +245,17 @@ def test_gen_data_is_byte_identical_across_reruns(tmp_path):
             == (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_gen_data_accepts_prbs_at_the_default_fd_tol(tmp_path):
+    """A chip edge is a real jump in y_dot, which the difference check of
+    the written dataset must not take for an inconsistent derivative."""
+    cfg = gen_config(tmp_path / "out")
+    del cfg["dataset"]["fd_tol"]
+    cfg["excitation"]["v"] = {"kind": "prbs", "period": 0.05, "low": -1.0, "high": 1.0,
+                              "seed": 13}
+    assert run_cli(tmp_path, "gen-data", cfg) == 0
+    assert len(read_csv(tmp_path / "out" / "dataset.csv")) == 401
+
+
 def test_gen_data_step_count_overflow_is_one_error_line(tmp_path, capsys):
     cfg = gen_config(tmp_path / "out")
     cfg["dataset"].update(duration=1e300, step=1e-300)

@@ -324,6 +324,9 @@ def test_dataset_validation_errors():
     with pytest.raises(ValidationError):
         TrajectoryDataset(t, ok["v"], ok["d"], np.sin(t)[:, None], ok["z"],
                           y_dot=np.full((10, 1), 5.0))
+    with pytest.raises(ValidationError):
+        TrajectoryDataset(t, ok["v"], ok["d"], np.sin(t)[:, None], ok["z"],
+                          y_dot=1.1 * np.cos(t)[:, None])
 
 
 def test_csv_round_trip(tmp_path):

@@ -89,7 +89,7 @@ def test_infeasible_returns_certificate():
     assert sol.status == "infeasible"
     cert = sol.certificate
     assert cert is not None
-    assert cert["max_violation_at_optimum"] > 1e-6
+    assert cert["violation_bound"] > 1e-6
     mu = cert["farkas_multipliers"]
     # Farkas: mu >= 0, G^T mu ~ 0, mu^T w < 0 certifies infeasibility
     assert np.min(mu) >= -1e-12
