@@ -1,17 +1,18 @@
-"""Array namespaces: the three evaluation modes of the network blocks.
+"""Array functions whose operand picks the evaluation mode of a network block.
 
-A block's pass is written once against a namespace `xp`, which supplies
-what operators (+ - * / @, unary minus, `.T`) cannot express: `mlps` (the
-outputs of the conditioning nets in a `networks.MlpStack`), `softplus`,
-`exp`, `sinh`, `asinh`, `narrow` (a slice of the last axis), `reshape` and,
-in the numpy modes only, `transpose`.  `NUMPY` evaluates float64 arrays,
-`GRAPH` builds `autodiff` graphs, and `TANGENT` propagates forward-mode
-`Tangent` values (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
-2008), in which plain arrays are constants.  In both numpy modes a stack
-runs as one net, through `ParamMlp.forward_np` or
-`ParamMlp.forward_and_input_jacobian_np` with a plain array input, so code
-that wraps those two methods sees every conditioning evaluation; the graph
-mode evaluates the nets one by one.
+A block's pass is written once, with operators (+ - * / @, unary minus,
+`.T`) and the functions here for what operators cannot express: `mlps`
+(the outputs of the conditioning nets in a `networks.MlpStack`),
+`softplus`, `exp`, `sinh`, `asinh`, `narrow` (a slice of the last axis),
+`reshape` and `transpose`.  Like the operators, each function dispatches on
+its operand's type: an `autodiff.Tensor` builds graph nodes, a `Tangent`
+propagates a forward-mode value and Jacobian (Griewank & Walther,
+Evaluating Derivatives, 2nd ed., 2008, ch. 6), and anything else is a
+float64 array evaluated by numpy, so in tangent mode plain arrays are
+constants.  For an array or a tangent a stack runs as one net, through
+`ParamMlp.forward_np` or `ParamMlp.forward_and_input_jacobian_np` with a
+plain array input, so code that wraps those two methods sees every
+conditioning evaluation; a tensor evaluates the nets one by one.
 """
 
 from __future__ import annotations
@@ -122,91 +123,62 @@ def seed(x, offset=0):
 _softplus = functools.partial(np.logaddexp, 0.0)
 
 
-class NumpyOps:
-    """Plain float64 evaluation."""
-
-    softplus = _softplus
-    exp = staticmethod(np.exp)
-    sinh = staticmethod(np.sinh)
-    asinh = staticmethod(np.arcsinh)
-    reshape = staticmethod(np.reshape)
-    transpose = staticmethod(np.transpose)
-
-    def mlp(self, net, params, x):
-        return net.forward_np(params, x)
-
-    def mlps(self, stack, params, x):
-        """The member nets' outputs of an `MlpStack`, from one evaluation of it."""
-        out = self.mlp(stack, params, x)
-        return [self.narrow(out, k * stack.width, net.out_dim) for k, net in enumerate(stack.nets)]
-
-    def narrow(self, x, start, length):
-        return x[..., start:start + length]
-
-
-def _elementwise(value, slope):
-    """Tangent-mode form of `value`, whose derivative is slope(x, value(x))."""
+def _elementwise(value, graph, slope):
+    """`value` of a numpy operand, `graph` of a `Tensor`, and the tangent of a
+    `Tangent`, whose derivative is slope(x, value(x))."""
 
     def op(x):
-        if not isinstance(x, Tangent):
-            return value(x)
-        out = value(x.val)
-        return Tangent(out, x.tan * slope(x.val, out)[..., None])
+        if isinstance(x, Tangent):
+            out = value(x.val)
+            return Tangent(out, x.tan * slope(x.val, out)[..., None])
+        if isinstance(x, ad.Tensor):
+            return graph(x)
+        return value(x)
 
-    return staticmethod(op)
+    return op
 
 
-class TangentOps(NumpyOps):
-    """Forward-mode evaluation; plain arrays pass through as numpy values."""
+# sigmoid(x) = exp(x - softplus(x)) is stable in both tails
+softplus = _elementwise(_softplus, ad.softplus, lambda x, out: np.exp(x - out))
+exp = _elementwise(np.exp, ad.exp, lambda x, out: out)
+sinh = _elementwise(np.sinh, ad.sinh, lambda x, out: np.cosh(x))
+asinh = _elementwise(np.arcsinh, ad.asinh, lambda x, out: 1.0 / np.sqrt(1.0 + x * x))
 
-    # sigmoid(x) = exp(x - softplus(x)) is stable in both tails
-    softplus = _elementwise(_softplus, lambda x, out: np.exp(x - out))
-    exp = _elementwise(np.exp, lambda x, out: out)
-    sinh = _elementwise(np.sinh, lambda x, out: np.cosh(x))
-    asinh = _elementwise(np.arcsinh, lambda x, out: 1.0 / np.sqrt(1.0 + x * x))
 
-    def mlp(self, net, params, x):
-        if not isinstance(x, Tangent):
-            return net.forward_np(params, x)
-        val, jac = net.forward_and_input_jacobian_np(params, x.val)
-        return Tangent(val, jac if x.eye else jac @ x.tan)
-
-    def narrow(self, x, start, length):
-        if not isinstance(x, Tangent):
-            return x[..., start:start + length]
+def narrow(x, start, length):
+    """Entries [start, start + length) of the last axis."""
+    if isinstance(x, Tangent):
         return Tangent(x.val[..., start:start + length], x.tan[..., start:start + length, :])
+    if isinstance(x, ad.Tensor):
+        return ad.narrow(x, -1, start, length)
+    return x[..., start:start + length]
 
-    def reshape(self, x, shape):
-        if not isinstance(x, Tangent):
-            return np.reshape(x, shape)
+
+def reshape(x, shape):
+    if isinstance(x, Tangent):
         tan = x.tan
         if tan.ndim <= x.val.ndim:
             tan = np.broadcast_to(tan, x.val.shape + tan.shape[-1:])
         return Tangent(np.reshape(x.val, shape), np.reshape(tan, shape + tan.shape[-1:]))
+    return (ad.reshape if isinstance(x, ad.Tensor) else np.reshape)(x, shape)
 
-    def transpose(self, x, axes):
-        if not isinstance(x, Tangent):
-            return np.transpose(x, axes)
+
+def transpose(x, axes):
+    if isinstance(x, Tangent):
         tan = np.broadcast_to(x.tan, x.val.shape + x.tan.shape[-1:])
         return Tangent(np.transpose(x.val, axes), np.transpose(tan, axes + (len(axes),)))
+    return (ad.transpose if isinstance(x, ad.Tensor) else np.transpose)(x, axes)
 
 
-class GraphOps:
-    """`autodiff` graph construction, node for node the primitives of the numpy pass."""
-
-    softplus = staticmethod(ad.softplus)
-    exp = staticmethod(ad.exp)
-    sinh = staticmethod(ad.sinh)
-    asinh = staticmethod(ad.asinh)
-    reshape = staticmethod(ad.reshape)
-
-    def mlps(self, stack, params, x):
-        return [net.forward(self, params, x) for net in stack.nets]
-
-    def narrow(self, x, start, length):
-        return ad.narrow(x, -1, start, length)
-
-
-NUMPY = NumpyOps()
-TANGENT = TangentOps()
-GRAPH = GraphOps()
+def mlps(stack, params, x):
+    """The member nets' outputs of a `networks.MlpStack` at x.  A `Tensor`
+    runs the nets one by one; otherwise the stack runs once, through
+    `forward_np` or, for a `Tangent`, `forward_and_input_jacobian_np`."""
+    if isinstance(x, ad.Tensor):
+        return [net.forward(params, x) for net in stack.nets]
+    if isinstance(x, Tangent):
+        val, jac = stack.forward_and_input_jacobian_np(params, x.val)
+        out = Tangent(val, jac if x.eye else jac @ x.tan)
+    else:
+        out = stack.forward_np(params, x)
+    return [narrow(out, k * stack.width, net.out_dim) for k, net in enumerate(stack.nets)]

@@ -37,7 +37,7 @@ from numpy.linalg import LinAlgError
 from . import qpsolver
 from .errors import (InfeasibleError, NonFiniteError, NotRealizableError,
                      ValidationError)
-from .networks import COND_LIMIT
+from .networks import check_conditioning
 from .qpsolver import QpProblem
 
 RICCATI_TOL = 1e-8
@@ -302,8 +302,7 @@ def _barrier_rows(model, x, u, d_bar, spec, maps):
     z, dz_dx, dz_du = model.z_from_latent(x, u, d_bar, with_gradients=True)
     if spec.z_max.size != z.size:
         raise ValidationError("output bound dimension does not match the model")
-    if np.linalg.cond(maps.dx_dy) > COND_LIMIT:
-        raise ValidationError("state map Jacobian is too ill-conditioned for barrier gradients")
+    check_conditioning(maps.dx_dy, "state-map Jacobian of the barrier gradients")
 
     (u_hi, u_lo), du_dy = maps.u_from_v_with_jac(np.stack([spec.v_max, spec.v_min]))
     # chain through y(x): dy/dx is the inverse state-map Jacobian

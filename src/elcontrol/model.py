@@ -20,8 +20,8 @@ All published operations take and return physical-unit arrays; feature
 standardization is internal and frozen when the model is constructed, so a
 zero-epoch training run cannot change a model.  Operations accept a single
 record (dim,) or a batch (N, dim).  For a single record, Phi's d-only layer
-data and the core's A(d), B(d), c(d) are kept per mode once d comes twice
-in a row, and reused while it repeats with the same bytes
+data and the core's A(d), B(d), c(d) are kept, as arrays and as tangents,
+once d comes twice in a row, and reused while it repeats with the same bytes
 (`networks.MlpStack.memo`); replacing a parameter entry invalidates them,
 and the kept arrays are read-only.
 """
@@ -32,6 +32,7 @@ import collections
 import dataclasses
 import io
 import json
+import numbers
 import zipfile
 from dataclasses import dataclass
 
@@ -39,10 +40,9 @@ import numpy as np
 from numpy.lib import format as npformat
 
 from . import autodiff as ad
-from .arrays import GRAPH, NUMPY, TANGENT, seed
-from .errors import (ConditioningError, NonFiniteError, ShapeError,
-                     TrainingDivergedError, ValidationError)
-from .networks import COND_LIMIT, Bnn, DiagonalBnn, MlpStack, ParamMlp, Picnn, Scaler
+from .arrays import mlps, reshape, seed
+from .errors import NonFiniteError, ShapeError, TrainingDivergedError, ValidationError
+from .networks import Bnn, DiagonalBnn, MlpStack, ParamMlp, Picnn, Scaler, check_conditioning
 
 MODEL_FORMAT_VERSION = 1
 GRAD_CLIP_NORM = 10.0
@@ -146,10 +146,11 @@ class ELModel:
         for k, shape in expected.items():
             if got[k] != shape:
                 raise ValidationError(f"parameter {k}: shape {got[k]} != expected {shape}")
-        for name, dim in (("y", self.dims.ny), ("v", self.dims.nu),
-                          ("d", self.dims.nd), ("z", self.dims.nz)):
-            if self.scalers[name].dim != dim:
-                raise ValidationError(f"scaler {name!r} dim {self.scalers[name].dim} != {dim}")
+        for name, dim in zip("yvdz", dataclasses.astuple(self.dims)):
+            s = self.scalers[name]
+            if not (s.mean.shape == s.std.shape == (dim,) and np.all(s.std > 0)):
+                raise ValidationError(
+                    f"scaler {name!r} needs mean and std of shape ({dim},) and std > 0")
 
     def clone(self, params=None):
         new = {k: v.copy() for k, v in (params or self.params).items()}
@@ -240,36 +241,36 @@ class ELModel:
     def _cond(self, b):
         return np.concatenate([b["ys"], b["ds"]], axis=-1)
 
-    def _core(self, xp, params, ds):
-        return self.core.memo(xp, params, ds, self._core_maps)
+    def _core(self, params, ds):
+        return self.core.memo(params, ds, self._core_maps)
 
-    def _core_maps(self, xp, params, ds):
+    def _core_maps(self, params, ds):
         ny, nu = self.dims.ny, self.dims.nu
-        A, B, c = xp.mlps(self.core, params, ds)
-        return xp.reshape(A, A.shape[:-1] + (ny, ny)), xp.reshape(B, B.shape[:-1] + (ny, nu)), c
+        A, B, c = mlps(self.core, params, ds)
+        return reshape(A, A.shape[:-1] + (ny, ny)), reshape(B, B.shape[:-1] + (ny, nu)), c
 
     def x_from_y(self, y, d):
         b, single = self._batch(y=y, d=d)
-        return _unbatch(single, self.state_map.forward_np(self.params, b["ys"], b["ds"]))
+        return _unbatch(single, self.state_map.forward(self.params, b["ys"], b["ds"]))
 
     def y_from_x(self, x, d):
         b, single = self._batch(x=x, d=d)
-        phi = self.state_map.coefficients(NUMPY, self.params, b["ds"])
+        phi = self.state_map.coefficients(self.params, b["ds"])
         return _unbatch(single, self._y_with(phi, b["x"]))
 
     def u_from_v(self, v, y, d):
         b, single = self._batch(v=v, y=y, d=d)
-        return _unbatch(single, self.input_map.inverse_np(self.params, b["vs"], self._cond(b)))
+        return _unbatch(single, self.input_map.inverse(self.params, b["vs"], self._cond(b)))
 
     def v_from_u(self, u, y, d):
         b, single = self._batch(u=u, y=y, d=d)
-        psi = self.input_map.coefficients(NUMPY, self.params, self._cond(b))
+        psi = self.input_map.coefficients(self.params, self._cond(b))
         return _unbatch(single, self._v_with(psi, b["u"]))
 
     def u_from_v_with_jac(self, v, y, d):
         """u = Psi^{-1}(v,y,d) and its physical Jacobians du/dy, du/dd."""
         b, single = self._batch(v=v, y=y, d=d)
-        psi = self.input_map.coefficients(TANGENT, self.params, seed(self._cond(b)))
+        psi = self.input_map.coefficients(self.params, seed(self._cond(b)))
         return _unbatch(single, *self._u_with(psi, b["v"]))
 
     def state_jacobians(self, y, d):
@@ -282,7 +283,7 @@ class ELModel:
         """A(d), B(d), c(d) of the latent dynamics; for a single d they may be
         the read-only arrays `MlpStack.memo` keeps, so copy before writing."""
         b, single = self._batch(d=d)
-        return _unbatch(single, *self._core(NUMPY, self.params, b["ds"]))
+        return _unbatch(single, *self._core(self.params, b["ds"]))
 
     def maps_at(self, x, d):
         """`PointMaps` at one latent state x (ny,) under d (nd,).  Bit for bit
@@ -291,11 +292,11 @@ class ELModel:
         """
         b, _ = self._batch(x=x, d=d)
         sy = self.scalers["y"]
-        phi = self.state_map.coefficients(NUMPY, self.params, b["ds"])
+        phi = self.state_map.coefficients(self.params, b["ds"])
         y = self._y_with(phi, b["x"])
         b["ys"] = sy.transform(y)
-        dx_dy = self.state_map.forward_with(TANGENT, phi, seed(b["ys"])).tan / sy.std
-        psi = self.input_map.coefficients(TANGENT, self.params, seed(self._cond(b)))
+        dx_dy = self.state_map.forward_with(phi, seed(b["ys"])).tan / sy.std
+        psi = self.input_map.coefficients(self.params, seed(self._cond(b)))
         psi_row = [[t.val[0] for t in layer] for layer in psi]
         return PointMaps(y[0], dx_dy[0], lambda v: self._u_with(psi, v)[:2],
                          lambda u: self._v_with(psi_row, u))
@@ -305,11 +306,11 @@ class ELModel:
         return self.scalers["y"].inverse(self.state_map.inverse_with(phi, x))
 
     def _v_with(self, psi, u):
-        return self.scalers["v"].inverse(self.input_map.forward_with(NUMPY, psi, u))
+        return self.scalers["v"].inverse(self.input_map.forward_with(psi, u))
 
     def _u_with(self, psi, v):
         """u and its physical Jacobians du/dy, du/dd from Psi's tangent conditioning."""
-        u = self.input_map.inverse_with(TANGENT, psi, self.scalers["v"].transform(v))
+        u = self.input_map.inverse_with(psi, self.scalers["v"].transform(v))
         ny = self.dims.ny
         return (u.val, u.tan[..., :ny] / self.scalers["y"].std,
                 u.tan[..., ny:] / self.scalers["d"].std)
@@ -320,8 +321,8 @@ class ELModel:
         xi = np.concatenate([b["x"], b["u"]], axis=-1)
         sz = self.scalers["z"]
         if not with_gradients:
-            return _unbatch(single, sz.inverse(self.z_map.forward_np(self.params, xi, b["ds"])))
-        zs = self.z_map.forward(TANGENT, self.params, seed(xi), b["ds"])
+            return _unbatch(single, sz.inverse(self.z_map.forward(self.params, xi, b["ds"])))
+        zs = self.z_map.forward(self.params, seed(xi), b["ds"])
         G = zs.tan * sz.std[:, None]
         ny = self.dims.ny
         return _unbatch(single, sz.inverse(zs.val), G[..., :ny], G[..., ny:])
@@ -335,15 +336,9 @@ class ELModel:
         # an overflowing Jacobian pass shows up in the checks that follow
         with np.errstate(over="ignore", invalid="ignore"):
             x, J_y, J_d = self.state_map.forward_with_jacobians(self.params, b["ys"], ds)
-        if not np.all(np.isfinite(J_y)):
-            raise NonFiniteError("state-map output Jacobian is not finite")
-        cond = np.linalg.cond(J_y)
-        if not np.all(np.isfinite(cond)) or np.any(cond > COND_LIMIT):
-            raise ConditioningError(
-                f"state-map output Jacobian condition number {np.max(cond):.3e} "
-                f"exceeds limit {COND_LIMIT:.1e}")
-        u = self.input_map.inverse_np(self.params, b["vs"], self._cond(b))
-        A, B, c = self._core(NUMPY, self.params, ds)
+        check_conditioning(J_y, "state-map output Jacobian")
+        u = self.input_map.inverse(self.params, b["vs"], self._cond(b))
+        A, B, c = self._core(self.params, ds)
         dds = b["d_dot"] / self.scalers["d"].std
         rhs = (np.einsum("bij,bj->bi", A, x) + np.einsum("bij,bj->bi", B, u) + c
                - np.einsum("bij,bj->bi", J_d, dds))
@@ -353,8 +348,8 @@ class ELModel:
     def predict_z(self, v, y, d):
         """Constrained-output prediction zhat = Xi(Phi(y,d), Psi^{-1}(v,y,d), d)."""
         b, single = self._batch(v=v, y=y, d=d)
-        x = self.state_map.forward_np(self.params, b["ys"], b["ds"])
-        u = self.input_map.inverse_np(self.params, b["vs"], self._cond(b))
+        x = self.state_map.forward(self.params, b["ys"], b["ds"])
+        u = self.input_map.inverse(self.params, b["vs"], self._cond(b))
         return _unbatch(single, self.z_from_latent(x, u, b["d"]))
 
     # -- training loss -------------------------------------------------------
@@ -368,14 +363,14 @@ class ELModel:
             ys = self.scalers["y"].transform(Y)
             ds = self.scalers["d"].transform(D)
             vs = self.scalers["v"].transform(V)
-            x = self.state_map.forward(GRAPH, pt, ys, ds)
+            x = self.state_map.forward(pt, ys, ds)
             J_y, J_d = ad.jacobian_rows(x, [Y, D])
-            u = self.input_map.inverse(GRAPH, pt, vs, ad.concat([ys, ds], axis=-1))
-            A, B, c = self._core(GRAPH, pt, ds)
+            u = self.input_map.inverse(pt, vs, ad.concat([ys, ds], axis=-1))
+            A, B, c = self._core(pt, ds)
             rhs = ad.sub(ad.add(ad.add(ad.matvec(A, x), ad.matvec(B, u)), c),
                          ad.matvec(J_d, DDOT))
             ydot_hat = ad.squeeze(ad.solve(J_y, ad.expand_dims(rhs, -1)), -1)
-            zs = self.z_map.forward(GRAPH, pt, ad.concat([x, u], axis=-1), ds)
+            zs = self.z_map.forward(pt, ad.concat([x, u], axis=-1), ds)
             z_hat = self.scalers["z"].inverse(zs)
             e = ad.concat([ad.sub(ydot_hat, kw["ydot"]), ad.sub(z_hat, kw["z"])], axis=-1)
             weighted = ad.mul(ad.matmul(e, ad.constant(q_e)), e)
@@ -418,7 +413,8 @@ class TrajectoryDataset:
     Derivative channels not supplied are computed by central differences on
     the uniform grid (second-order one-sided at the ends).  Construction
     validates the grid, finiteness, and that stored derivatives agree with
-    differenced signals to within `fd_tol` relative to the channel scale.
+    differenced signals to within `fd_tol` relative to the channel scale
+    (an `fd_tol` of inf skips that check).
     """
 
     def __init__(self, t, v, d, y, z, d_dot=None, y_dot=None, fd_tol=1e-2):
@@ -439,6 +435,8 @@ class TrajectoryDataset:
         self.d = col("d", d)
         self.y = col("y", y)
         self.z = col("z", z)
+        if isinstance(fd_tol, bool) or not isinstance(fd_tol, numbers.Real) or not fd_tol >= 0:
+            raise ValidationError(f"fd_tol must be a number >= 0, got {fd_tol!r}")
         self.fd_tol = float(fd_tol)
         period = float(self.t[1] - self.t[0]) if n > 1 else 0.0
         self.y_dot = (col("y_dot", y_dot, self.y.shape[1]) if y_dot is not None
@@ -535,10 +533,13 @@ def read_csv(path):
     """Read a dataset CSV; derivative columns are used if present else differenced."""
     with open(path) as f:
         header = f.readline().strip().split(",")
-        try:
-            table = np.loadtxt(f, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: not a numeric table ({exc})") from None
+        body = f.read()
+    if not body.strip():
+        raise ValidationError(f"{path}: no data rows")
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not a numeric table ({exc})") from None
     if table.shape[1] != len(header):
         raise ValidationError(f"{path}: {table.shape[1]} columns != header {len(header)}")
     groups: dict[str, list[int]] = {}
@@ -553,18 +554,25 @@ def read_csv(path):
     unknown = sorted(set(groups) - known)
     if unknown:
         raise ValidationError(f"{path}: unknown column groups {unknown}")
-    fd_tol = 1e-2
+    sidecar = f"{path}.meta.json"
     try:
-        with open(f"{path}.meta.json") as f:
-            fd_tol = float(json.load(f).get("fd_tol", fd_tol))
-    except (OSError, ValueError):
-        pass
+        with open(sidecar) as f:
+            meta = json.load(f)
+    except FileNotFoundError:
+        meta = {}
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{sidecar}: unreadable ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{sidecar}: not a JSON object")
     pick = lambda g: table[:, groups[g]]
-    return TrajectoryDataset(
-        pick("t")[:, 0], pick("v"), pick("d"), pick("y"), pick("z"),
-        d_dot=pick("ddot") if "ddot" in groups else None,
-        y_dot=pick("ydot") if "ydot" in groups else None,
-        fd_tol=fd_tol)
+    try:
+        return TrajectoryDataset(
+            pick("t")[:, 0], pick("v"), pick("d"), pick("y"), pick("z"),
+            d_dot=pick("ddot") if "ddot" in groups else None,
+            y_dot=pick("ydot") if "ydot" in groups else None,
+            fd_tol=meta.get("fd_tol", 1e-2))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +750,14 @@ def load_model(path) -> ELModel:
     missing = [key for key in scaler_keys if key not in data]
     if missing:
         raise ValidationError(f"{path}: missing entries {missing}")
-    nonfinite = sorted(key for key, arr in data.items()
-                       if key != "__meta__" and not np.all(np.isfinite(arr)))
-    if nonfinite:
-        raise ValidationError(f"{path}: non-finite values in {nonfinite}")
+    bad = sorted(key for key, arr in data.items() if key != "__meta__"
+                 and not (arr.dtype.kind == "f" and np.all(np.isfinite(arr))))
+    if bad:
+        raise ValidationError(f"{path}: non-float or non-finite values in {bad}")
     scalers = {name: Scaler(data[f"scaler.{name}.mean"], data[f"scaler.{name}.std"])
                for name in ("y", "v", "d", "z")}
     params = {key[len("param."):]: arr for key, arr in data.items() if key.startswith("param.")}
-    return ELModel(ModelDims(*dims), ModelArch(**arch), scalers, params)
+    try:
+        return ELModel(ModelDims(*dims), ModelArch(**arch), scalers, params)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

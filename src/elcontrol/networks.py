@@ -1,12 +1,14 @@
 """Network building blocks for learned exactly-linearizable models.
 
-Each block defines its forward pass once, against an array namespace
-(`arrays`), and that one definition runs in three modes: plain numpy for
-simulation (`forward_np`, `inverse_np`), `autodiff` graph tensors for
-training, and forward-mode tangents for the value plus its input Jacobian.
+Each block defines its forward pass once, and its operands pick the mode
+(`arrays`): float64 arrays for simulation, `autodiff` graph tensors for
+training, and forward-mode tangents for the value plus its input Jacobian;
+`Bnn.inverse` takes arrays only.  `ParamMlp.forward_np` and
+`forward_and_input_jacobian_np` stay because every array and tangent
+conditioning pass goes through them, so code that wraps them sees each.
 
-A block's conditioning nets all read the same input, so in the two numpy
-modes they run as one stacked net (`MlpStack`) per block and call; graph
+A block's conditioning nets all read the same input, so for arrays and
+tangents they run as one stacked net (`MlpStack`) per block and call; graph
 evaluation keeps them separate, net by net, so the training graph does not
 depend on the stacking.  `coefficients` returns every layer's net outputs
 and the `*_with` methods run the layers on them, so a caller can evaluate
@@ -34,10 +36,23 @@ import operator
 
 import numpy as np
 
-from .arrays import NUMPY, TANGENT, Tangent, seed
+from .arrays import Tangent, asinh, exp, mlps, narrow, reshape, seed, sinh, softplus, transpose
 from .errors import ConditioningError, NonFiniteError
 
 COND_LIMIT = 1e12
+
+
+def check_conditioning(M, name, cond=None):
+    """NonFiniteError for a non-finite matrix (stack) M, else ConditioningError
+    unless its condition number, or the `cond` already taken of a finite M,
+    is at most COND_LIMIT."""
+    if cond is None:
+        if not np.all(np.isfinite(M)):
+            raise NonFiniteError(f"{name} is not finite")
+        cond = np.linalg.cond(M)
+    if not np.all(cond <= COND_LIMIT):
+        raise ConditioningError(f"{name} condition number {np.max(cond):.3e} "
+                                f"exceeds limit {COND_LIMIT:.1e}")
 
 
 class Scaler:
@@ -59,10 +74,6 @@ class Scaler:
         # constant features pass through unscaled
         std = np.where(std > 1e-9, std, 1.0)
         return cls(mean, std)
-
-    @property
-    def dim(self):
-        return self.mean.shape[0]
 
     def transform(self, x):
         """Standardize an array or a graph tensor."""
@@ -110,18 +121,18 @@ class ParamMlp:
         if last_bias is not None:
             params[f"{self.prefix}.b3"] = np.asarray(last_bias, dtype=np.float64).reshape(self.out_dim).copy()
 
-    def forward(self, xp, params, x):
+    def forward(self, params, x):
         W1, b1, W2, b2, W3, b3 = map(params.__getitem__, self.keys)
-        h1 = xp.softplus(x @ W1.T + b1)
-        h2 = xp.softplus(h1 @ W2.T + b2)
+        h1 = softplus(x @ W1.T + b1)
+        h2 = softplus(h1 @ W2.T + b2)
         return h2 @ W3.T + b3
 
     def forward_np(self, params, x):
-        return self.forward(NUMPY, params, x)
+        return self.forward(params, x)
 
     def forward_and_input_jacobian_np(self, params, x):
         """Value and d(out)/d(x), shapes (..., O) and (..., O, I)."""
-        out = self.forward(TANGENT, params, seed(x))
+        out = self.forward(params, seed(x))
         return out.val, out.tan
 
 
@@ -145,24 +156,24 @@ class MlpStack(ParamMlp):
         self._source = self._packed = None
         self._memo = {}
 
-    def memo(self, xp, params, x, build, keep=lambda xp, value: value):
-        """`build(xp, params, x)` at a one-row input x: numpy values, or
-        tangents seeded with the identity.  Once the same row comes twice in
-        a row with the same bytes, `keep(xp, value)` of its value is kept
-        read-only, one entry per mode, and returned while the packed weights
-        it was built from are current.  A row seen once keeps only its bytes;
-        batches and graphs keep nothing."""
-        row = x.val if xp is TANGENT and isinstance(x, Tangent) and x.eye else x
-        if (row is x and xp is not NUMPY) or row.shape != (1, self.in_dim):
-            return build(xp, params, x)
-        key = row.tobytes()
-        entry = self._memo.get(xp)
+    def memo(self, params, x, build, keep=lambda value: value):
+        """`build(params, x)` at a one-row input x: an array, or a tangent
+        seeded with the identity.  Once the same row comes twice in a row
+        with the same bytes, `keep(value)` of its value is kept read-only,
+        one entry for arrays and one for tangents, and returned while the
+        packed weights it was built from are current.  A row seen once keeps
+        only its bytes; batches, other tangents and graphs keep nothing."""
+        row = x.val if isinstance(x, Tangent) and x.eye else x
+        if not isinstance(row, np.ndarray) or row.shape != (1, self.in_dim):
+            return build(params, x)
+        mode, key = row is not x, row.tobytes()
+        entry = self._memo.get(mode)
         if entry is None or entry[1] != key:
-            self._memo[xp] = None, key, None
-            return build(xp, params, x)
+            self._memo[mode] = None, key, None
+            return build(params, x)
         packed = self._pack(params)
         if entry[0] is not packed:
-            entry = self._memo[xp] = packed, key, _read_only(keep(xp, build(xp, params, x)))
+            entry = self._memo[mode] = packed, key, _read_only(keep(build(params, x)))
         return entry[2]
 
     def _pack(self, params):
@@ -180,13 +191,13 @@ class MlpStack(ParamMlp):
                 array.setflags(write=False)
         return self._packed
 
-    def forward(self, xp, params, x):
+    def forward(self, params, x):
         W1, b1, W2, b2, W3, b3 = self._pack(params)
         # rows go last, so each layer is K matrix products over all rows
-        rows = xp.transpose(xp.reshape(x, (-1, self.in_dim)), (1, 0))
-        h = xp.softplus(W2 @ xp.softplus(W1 @ rows + b1) + b2)
-        out = xp.transpose(W3 @ h + b3, (2, 0, 1))
-        return xp.reshape(out, x.shape[:-1] + (self.out_dim,))
+        rows = transpose(reshape(x, (-1, self.in_dim)), (1, 0))
+        h = softplus(W2 @ softplus(W1 @ rows + b1) + b2)
+        out = transpose(W3 @ h + b3, (2, 0, 1))
+        return reshape(out, x.shape[:-1] + (self.out_dim,))
 
 
 def _read_only(value):
@@ -209,16 +220,13 @@ class _Stacked:
         self.nets = nets
         self.stack = MlpStack(nets)
 
-    def coefficients(self, xp, params, cond):
+    def coefficients(self, params, cond):
         """Every layer's (w, b, c) net outputs, from one evaluation of the stack."""
-        outs = xp.mlps(self.stack, params, cond)
+        outs = mlps(self.stack, params, cond)
         return [outs[i:i + 3] for i in range(0, len(outs), 3)]
 
-    def forward(self, xp, params, z, cond):
-        return self.forward_with(xp, self.coefficients(xp, params, cond), z)
-
-    def forward_np(self, params, z, cond):
-        return self.forward(NUMPY, params, z, cond)
+    def forward(self, params, z, cond):
+        return self.forward_with(self.coefficients(params, cond), z)
 
 
 class Bnn(_Stacked):
@@ -239,57 +247,52 @@ class Bnn(_Stacked):
         super().__init__([ParamMlp(f"{prefix}.l{k}.{name}", cond_dim, widths[name], hidden)
                           for k in range(depth) for name in "wbc"])
 
-    def weight(self, xp, raw):
+    def weight(self, raw):
         """W(d) = L(d) U(d), shape (..., n, n), from a layer's w-net output."""
         n, k = self.n, self.k_low
-        L_flat = xp.narrow(raw, 0, k) @ self.s_low + np.eye(n).reshape(-1)
-        U_flat = (xp.exp(xp.narrow(raw, k, n)) @ self.s_diag
-                  + xp.narrow(raw, k + n, n * n - k - n) @ self.s_up)
+        L_flat = narrow(raw, 0, k) @ self.s_low + np.eye(n).reshape(-1)
+        U_flat = (exp(narrow(raw, k, n)) @ self.s_diag
+                  + narrow(raw, k + n, n * n - k - n) @ self.s_up)
         shape = raw.shape[:-1] + (n, n)
-        return xp.reshape(L_flat, shape) @ xp.reshape(U_flat, shape)
+        return reshape(L_flat, shape) @ reshape(U_flat, shape)
 
-    def coefficients(self, xp, params, cond):
+    def coefficients(self, params, cond):
         """Every layer's (W(d), b(d), c(d), cond W), W from `weight`.  cond W
-        is None but for a finite W in a numpy entry `memo` keeps, where
+        is None but for a finite W in an array entry `memo` keeps, where
         `_guard` computes it once for `inverse_with`, which rejects a W that
         is not finite before taking its condition number."""
-        return self.stack.memo(xp, params, cond, self._layers, self._guard)
+        return self.stack.memo(params, cond, self._layers, self._guard)
 
-    def _layers(self, xp, params, cond):
-        return tuple([(self.weight(xp, raw), b, c, None)
-                      for raw, b, c in _Stacked.coefficients(self, xp, params, cond)])
+    def _layers(self, params, cond):
+        return tuple([(self.weight(raw), b, c, None)
+                      for raw, b, c in _Stacked.coefficients(self, params, cond)])
 
     @staticmethod
-    def _guard(xp, layers):
-        return tuple((W, b, c, np.linalg.cond(W) if xp is NUMPY and np.all(np.isfinite(W))
-                      else None) for W, b, c, _ in layers)
+    def _guard(layers):
+        return tuple((W, b, c, np.linalg.cond(W) if isinstance(W, np.ndarray)
+                      and np.all(np.isfinite(W)) else None) for W, b, c, _ in layers)
 
-    def forward_with(self, xp, coef, y):
+    def forward_with(self, coef, y):
         for W, b, c, _ in coef:
-            Wy = W @ xp.reshape(y, y.shape + (1,))
-            t = xp.reshape(Wy, Wy.shape[:-1]) + b
-            y = xp.asinh(c + xp.sinh(t))
+            Wy = W @ reshape(y, y.shape + (1,))
+            t = reshape(Wy, Wy.shape[:-1]) + b
+            y = asinh(c + sinh(t))
         return y
 
     def forward_with_jacobians(self, params, y, dc):
         """Value, d(out)/dy and d(out)/dd by one tangent pass over [d | y]."""
         nd = dc.shape[-1]
-        out = self.forward(TANGENT, params, seed(y, offset=nd), seed(dc))
+        out = self.forward(params, seed(y, offset=nd), seed(dc))
         return out.val, out.tan[..., nd:], out.tan[..., :nd]
 
-    def inverse_np(self, params, x, dc):
-        return self.inverse_with(self.coefficients(NUMPY, params, dc), x)
+    def inverse(self, params, x, dc):
+        """The inverse map, on float64 arrays only."""
+        return self.inverse_with(self.coefficients(params, dc), x)
 
     def inverse_with(self, coef, x):
         for k in reversed(range(len(coef))):
             W, b, c, cond = coef[k]
-            if cond is None and not np.all(np.isfinite(W)):
-                raise NonFiniteError(f"layer '{self.prefix}.l{k}': weight is not finite")
-            cond = np.linalg.cond(W) if cond is None else cond
-            if np.any(cond > COND_LIMIT):
-                raise ConditioningError(
-                    f"layer '{self.prefix}.l{k}': weight condition number {np.max(cond):.3e} "
-                    f"exceeds limit {COND_LIMIT:.1e}")
+            check_conditioning(W, f"layer '{self.prefix}.l{k}': weight", cond)
             t = np.arcsinh(np.sinh(x) - c)
             x = np.linalg.solve(W, (t - b)[..., None])[..., 0]
         return x
@@ -312,21 +315,18 @@ class DiagonalBnn(_Stacked):
         super().__init__([ParamMlp(f"{prefix}.l{k}.{name}", cond_dim, m, hidden)
                           for k in range(depth) for name in "wbc"])
 
-    def forward_with(self, xp, coef, u):
+    def forward_with(self, coef, u):
         for raw, b, c in coef:
-            u = xp.asinh(c + xp.sinh(xp.exp(raw) * u + b))
+            u = asinh(c + sinh(exp(raw) * u + b))
         return u
 
-    def inverse(self, xp, params, v, cond):
-        return self.inverse_with(xp, self.coefficients(xp, params, cond), v)
+    def inverse(self, params, v, cond):
+        return self.inverse_with(self.coefficients(params, cond), v)
 
-    def inverse_with(self, xp, coef, v):
+    def inverse_with(self, coef, v):
         for raw, b, c in reversed(coef):
-            v = (xp.asinh(xp.sinh(v) - c) - b) * xp.exp(-raw)
+            v = (asinh(sinh(v) - c) - b) * exp(-raw)
         return v
-
-    def inverse_np(self, params, v, cond):
-        return self.inverse(NUMPY, params, v, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ class Picnn:
             params[f"{self.prefix}.l{self.depth - 1}.b"] = (
                 np.asarray(last_bias, dtype=np.float64).reshape(self.out_dim).copy())
 
-    def forward(self, xp, params, xi, ctx):
+    def forward(self, params, xi, ctx):
         s = ctx
         z = None
         for k in range(self.depth):
@@ -403,12 +403,9 @@ class Picnn:
             pre = (xi * (s @ params[f"{p}.Wxis"].T + params[f"{p}.bxi"])) @ params[f"{p}.Wxi"].T
             pre = pre + s @ params[f"{p}.Ws"].T + params[f"{p}.b"]
             if z is not None:
-                gate = xp.softplus(s @ params[f"{p}.Wzs"].T + params[f"{p}.bz"])
-                pre = pre + (z * gate) @ xp.softplus(params[f"{p}.Wz_raw"]).T
-            z = pre if k == self.depth - 1 else xp.softplus(pre)
+                gate = softplus(s @ params[f"{p}.Wzs"].T + params[f"{p}.bz"])
+                pre = pre + (z * gate) @ softplus(params[f"{p}.Wz_raw"]).T
+            z = pre if k == self.depth - 1 else softplus(pre)
             if k < self.depth - 1:
-                s = xp.softplus(s @ params[f"{p}.V"].T + params[f"{p}.r"])
+                s = softplus(s @ params[f"{p}.V"].T + params[f"{p}.r"])
         return z
-
-    def forward_np(self, params, xi, ctx):
-        return self.forward(NUMPY, params, xi, ctx)

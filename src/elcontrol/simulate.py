@@ -235,17 +235,21 @@ def _check_inside_safety_box(y, plant):
             f"({SAFETY_FACTOR:g}x the operating range)")
 
 
-def _hold(plant, y, v, d, d_slope, t, period, substeps):
-    """Integrate the plant from y over [t, t + period] with v held, by `substeps` RK4 steps."""
+def _signal(f, t):
+    """Signal f at time t as a float64 vector."""
+    return np.atleast_1d(np.asarray(f(t), dtype=np.float64))
+
+
+def _hold(plant, y, ydot_t, v, d, d_slope, t, period, substeps):
+    """Integrate the plant from y over [t, t + period] with v held, by
+    `substeps` RK4 steps; `ydot_t` is the plant's derivative at (t, y)."""
     def ydot(tau, state):
-        return plant.derivative(state, v,
-                                np.atleast_1d(np.asarray(d(tau), dtype=np.float64)),
-                                np.atleast_1d(np.asarray(d_slope(tau), dtype=np.float64)))
+        return plant.derivative(state, v, _signal(d, tau), _signal(d_slope, tau))
 
     h = period / substeps
     for j in range(substeps):
         tau = t + j * h
-        k1 = ydot(tau, y)
+        k1 = ydot(tau, y) if j else ydot_t
         k2 = ydot(tau + 0.5 * h, y + 0.5 * h * k1)
         k3 = ydot(tau + 0.5 * h, y + 0.5 * h * k2)
         k4 = ydot(tau + h, y + h * k3)
@@ -276,12 +280,11 @@ def simulate_open_loop(plant, v, d, y0, step, steps=None, fd_tol=1e-2):
     rows = []
     for k, t in enumerate(t_grid):
         _check_inside_safety_box(y, plant)
-        v_k, d_k, dd_k = (np.atleast_1d(np.asarray(f(t), dtype=np.float64))
-                          for f in (v, d, d_slope))
-        rows.append((v_k, d_k, dd_k, y.copy(), plant.derivative(y, v_k, d_k, dd_k),
-                     np.atleast_1d(plant.outputs(y, v_k, d_k))))
+        v_k, d_k, dd_k = (_signal(f, t) for f in (v, d, d_slope))
+        ydot = plant.derivative(y, v_k, d_k, dd_k)
+        rows.append((v_k, d_k, dd_k, y.copy(), ydot, np.atleast_1d(plant.outputs(y, v_k, d_k))))
         if k < steps:
-            y = _hold(plant, y, v_k, d, d_slope, t, step, 1)
+            y = _hold(plant, y, ydot, v_k, d, d_slope, t, step, 1)
     v_col, d_col, dd_col, y_col, ydot_col, z_col = (np.array(col) for col in zip(*rows))
     return TrajectoryDataset(t_grid, v_col, d_col, y_col, z_col, d_dot=dd_col,
                              y_dot=ydot_col, fd_tol=fd_tol)
@@ -415,8 +418,7 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
         for k in range(ticks):
             t = k * dt
             _check_inside_safety_box(y, plant)
-            d_bar = np.atleast_1d(np.asarray(d_fn(t), dtype=np.float64))
-            target = np.atleast_1d(np.asarray(y_d_fn(t), dtype=np.float64))
+            d_bar, target = _signal(d_fn, t), _signal(y_d_fn, t)
             key = target.tobytes()
             if key not in caches:
                 caches[key] = DesignCache(model, target, Q, R)
@@ -435,7 +437,8 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
             for name, (_, value) in table.items():
                 columns[name][k] = value()
             done = k + 1
-            y = _hold(plant, y, v_cmd, d_fn, d_slope, t, dt, substeps)
+            ydot = plant.derivative(y, v_cmd, d_bar, _signal(d_slope, t))
+            y = _hold(plant, y, ydot, v_cmd, d_fn, d_slope, t, dt, substeps)
     except Exception as exc:
         exc.trace = trace(done)
         raise

@@ -24,7 +24,10 @@ def qp_infeasible_from_third_call(monkeypatch):
             return real(problem)
         return qpsolver.QpSolution(np.full(problem.n, np.nan), np.zeros(problem.r), (),
                                    "infeasible", 0, np.inf,
-                                   {"max_violation_at_optimum": 1.0})
+                                   {"violation_bound": 1.0,
+                                    "farkas_multipliers": np.ones(problem.r),
+                                    "farkas_gap": -float(problem.r),
+                                    "farkas_stationarity": 0.0})
 
     monkeypatch.setattr(qpsolver, "solve", solve)
     return calls

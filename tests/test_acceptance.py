@@ -67,8 +67,8 @@ def test_criterion_01_structural_invariants():
     for _ in range(1000):
         y = rng.uniform(-2, 2, size=3)
         d = rng.uniform(-1, 1, size=2)
-        x = bnn.forward_np(params, y, d)
-        worst_rt = max(worst_rt, np.max(np.abs(bnn.inverse_np(params, x, d) - y)))
+        x = bnn.forward(params, y, d)
+        worst_rt = max(worst_rt, np.max(np.abs(bnn.inverse(params, x, d) - y)))
     assert worst_rt < 1e-9
 
     dbnn = DiagonalBnn("psi", 3, 5, depth=3, hidden=8)
@@ -78,12 +78,12 @@ def test_criterion_01_structural_invariants():
         cond = rng.uniform(-1, 1, size=5)
         u1 = rng.uniform(-2, 2, size=3)
         bump = rng.uniform(0, 1, size=3) * (rng.random(3) < 0.7)
-        v1 = dbnn.forward_np(dparams, u1, cond)
-        v2 = dbnn.forward_np(dparams, u1 + bump, cond)
+        v1 = dbnn.forward(dparams, u1, cond)
+        v2 = dbnn.forward(dparams, u1 + bump, cond)
         assert np.all(v2 >= v1 - 1e-12)
         assert np.all(v2[bump > 0] > v1[bump > 0])
         worst_drt = max(worst_drt, np.max(np.abs(
-            dbnn.inverse_np(dparams, v1, cond) - u1)))
+            dbnn.inverse(dparams, v1, cond) - u1)))
     assert worst_drt < 1e-9
 
     picnn = Picnn("xi", 4, 2, 2, depth=3, hidden=8, ctx_hidden=8)
@@ -95,9 +95,9 @@ def test_criterion_01_structural_invariants():
         a = rng.uniform(-2, 2, size=4)
         b = rng.uniform(-2, 2, size=4)
         theta = rng.uniform()
-        mix = picnn.forward_np(pparams, theta * a + (1 - theta) * b, ctx)
-        chord = (theta * picnn.forward_np(pparams, a, ctx)
-                 + (1 - theta) * picnn.forward_np(pparams, b, ctx))
+        mix = picnn.forward(pparams, theta * a + (1 - theta) * b, ctx)
+        chord = (theta * picnn.forward(pparams, a, ctx)
+                 + (1 - theta) * picnn.forward(pparams, b, ctx))
         worst_slack = min(worst_slack, np.min(chord - mix))
     assert worst_slack >= -1e-12
 

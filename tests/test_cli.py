@@ -399,6 +399,19 @@ def _bad_model_file(path, source, case):
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as f:
             np.savez(f, **arrays)
+    elif case in ("scaler std too wide", "zero scaler std", "string parameter"):
+        with np.load(source) as data:
+            arrays = {k: data[k] for k in data.files}
+        std = arrays["scaler.y.std"]
+        if case == "scaler std too wide":
+            arrays["scaler.y.std"] = np.concatenate([std, std])
+        elif case == "zero scaler std":
+            arrays["scaler.y.std"] = np.zeros_like(std)
+        else:
+            key = sorted(k for k in arrays if k.startswith("param."))[0]
+            arrays[key] = np.full(arrays[key].shape, "x")
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
     else:
         model = load_model(source)
         key = sorted(model.params)[0]
@@ -407,7 +420,8 @@ def _bad_model_file(path, source, case):
 
 
 @pytest.mark.parametrize("case", ["not a zip archive", "truncated archive", "unknown arch key",
-                                  "non-integer dims", "nan parameter"])
+                                  "non-integer dims", "nan parameter", "scaler std too wide",
+                                  "zero scaler std", "string parameter"])
 def test_eval_rejects_bad_model_files(tmp_path, teacher_run, capsys, case):
     bad = tmp_path / "bad.npz"
     _bad_model_file(bad, teacher_run / "plant_model.npz", case)
@@ -415,7 +429,8 @@ def test_eval_rejects_bad_model_files(tmp_path, teacher_run, capsys, case):
            "dataset": str(teacher_run / "dataset.csv")}
     assert run_cli(tmp_path, "eval", cfg) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+    # rejected at load, so the line names the file
+    assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +542,24 @@ def run_cli_subprocess(*argv):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stderr
     return proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("case", ["sidecar not json", "sidecar list", "fd_tol string",
+                                  "fd_tol nan", "fd_tol negative", "header only"])
+def test_bad_dataset_files_are_one_error_line_naming_them(tmp_path, teacher_run, case):
+    csv = tmp_path / "data.csv"
+    lines = (teacher_run / "dataset.csv").read_text().splitlines(keepends=True)
+    csv.write_text(lines[0] if case == "header only" else "".join(lines))
+    meta = json.loads((teacher_run / "dataset.csv.meta.json").read_text())
+    sidecar = {"sidecar not json": "{", "sidecar list": json.dumps([meta]),
+               "fd_tol string": json.dumps({**meta, "fd_tol": "abc"}),
+               "fd_tol nan": json.dumps({**meta, "fd_tol": float("nan")}),
+               "fd_tol negative": json.dumps({**meta, "fd_tol": -1})}
+    (tmp_path / "data.csv.meta.json").write_text(sidecar.get(case, json.dumps(meta)))
+    cfg = {"output": str(tmp_path / "run"), "model": str(teacher_run / "plant_model.npz"),
+           "dataset": str(csv)}
+    err = run_cli_subprocess("eval", "--config", write_config(tmp_path / "c.yaml", cfg))
+    assert len(err) == 1 and err[0].startswith("error:") and str(csv) in err[0], err
 
 
 def test_simulate_non_finite_tick_is_one_error_line_with_finite_partial_trace(tmp_path):

@@ -16,7 +16,7 @@ from elcontrol.control import (RICCATI_TOL, BarrierSpec, ControllerState,
                                equilibrium_kkt_residual,
                                icbf_problem, icbf_step, lqr_control,
                                solve_care, sontag_control, steady_target)
-from elcontrol.errors import (InfeasibleError, NonFiniteError,
+from elcontrol.errors import (ConditioningError, InfeasibleError, NonFiniteError,
                               NotRealizableError, ValidationError)
 from elcontrol.model import ELModel, ModelDims
 
@@ -234,6 +234,18 @@ def test_barrier_values_gradients_match_fd():
         fd = (barrier_values(m, x, u + e, d, spec)[0]
               - barrier_values(m, x, u - e, d, spec)[0]) / (2 * step)
         assert np.max(np.abs(fd - dh_du[:, j])) < 1e-6
+
+
+def test_ill_conditioned_state_map_is_one_error_for_prediction_and_barriers():
+    m = ELModel.random(ModelDims(3, 3, 2, 2), seed=0)
+    bias = m.params["phi.l0.c.b3"].copy()
+    bias[0] = 1e13
+    m.params["phi.l0.c.b3"] = bias
+    spec = BarrierSpec(z_max=[1.0, 1.0], v_min=[-1.0] * 3, v_max=[1.0] * 3)
+    with pytest.raises(ConditioningError, match="condition number"):
+        m.predict_ydot(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(2))
+    with pytest.raises(ConditioningError, match="condition number"):
+        barrier_values(m, np.zeros(3), np.zeros(3), np.zeros(2), spec)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -183,7 +183,7 @@ def test_predict_z_identity_collapse():
     y = np.array([0.4, -0.8]); v = np.array([1.2, 0.1]); d = np.array([0.2])
     got = m.predict_z(v, y, d)
     xi = np.concatenate([y, v])[None, :]
-    want = m.z_map.forward_np(m.params, xi, d[None, :])[0]
+    want = m.z_map.forward(m.params, xi, d[None, :])[0]
     assert np.allclose(got, want, atol=1e-12)
 
 

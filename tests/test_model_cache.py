@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elcontrol.arrays import NUMPY, TANGENT, seed
+from elcontrol.arrays import seed
 from elcontrol.model import ELModel, ModelArch, ModelDims
 
 dims = st.integers(1, 4)
@@ -42,11 +42,11 @@ def other_tangent_passes(m, y, d):
     for the entry of an identity seed."""
     ys, ds = m.scalers["y"].transform(y)[None], m.scalers["d"].transform(d)[None]
     for _ in range(2):
-        m.state_map.forward(TANGENT, m.params, seed(ys), ds)
-        m._core(TANGENT, m.params, ds)
+        m.state_map.forward(m.params, seed(ys), ds)
+        m._core(m.params, ds)
     for _ in range(2):
-        m.state_map.forward(TANGENT, m.params, seed(ys), seed(ds, offset=ys.shape[1]))
-        m._core(TANGENT, m.params, seed(ds, offset=1))
+        m.state_map.forward(m.params, seed(ys), seed(ds, offset=ys.shape[1]))
+        m._core(m.params, seed(ds, offset=1))
 
 
 def assert_bit_equal(got, want):
@@ -100,8 +100,8 @@ def test_kept_arrays_are_read_only():
     # an entry is made at the second call in a row
     for _ in range(2):
         A, B, c = m.linear_core(d)
-        (W, b, c_phi, cond), *_ = m.state_map.coefficients(NUMPY, m.params, ds)
-        (W_t, b_t, _, _), *_ = m.state_map.coefficients(TANGENT, m.params, seed(ds))
+        (W, b, c_phi, cond), *_ = m.state_map.coefficients(m.params, ds)
+        (W_t, b_t, _, _), *_ = m.state_map.coefficients(m.params, seed(ds))
     for array in (A, B, c, W, b, c_phi, cond, W_t.val, W_t.tan, b_t.val):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0

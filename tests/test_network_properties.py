@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elcontrol.arrays import NUMPY, TANGENT, Tangent, seed
+from elcontrol.arrays import Tangent, mlps, seed
 from elcontrol.model import ELModel, ModelArch, ModelDims
 from elcontrol.networks import Bnn, DiagonalBnn, MlpStack, ParamMlp, Picnn
 
@@ -39,8 +39,8 @@ def assert_close(got, want):
 
 
 def check_stack(stack, params, x):
-    values = NUMPY.mlps(stack, params, x)
-    tangents = TANGENT.mlps(stack, params, seed(x))
+    values = mlps(stack, params, x)
+    tangents = mlps(stack, params, seed(x))
     for net, value, tangent in zip(stack.nets, values, tangents, strict=True):
         want, want_jac = net.forward_and_input_jacobian_np(params, x)
         assert_close(value, net.forward_np(params, x))
@@ -79,9 +79,9 @@ def test_stack_repacks_when_a_parameter_is_replaced():
     stack = MlpStack(nets)
     params = random_params(nets, rng)
     x = rng.uniform(-1, 1, (ROWS, 2))
-    before = NUMPY.mlps(stack, params, x)
+    before = mlps(stack, params, x)
     params["b.b3"] = params["b.b3"] + 1.0
-    after = NUMPY.mlps(stack, params, x)
+    after = mlps(stack, params, x)
     assert np.array_equal(after[0], before[0])
     assert_close(after[1], before[1] + 1.0)
 
@@ -92,7 +92,7 @@ def test_stack_rejects_an_in_place_write_after_packing():
     nets = [ParamMlp("a", 2, 3, hidden=4), ParamMlp("b", 2, 1, hidden=4)]
     stack = MlpStack(nets)
     params = random_params(nets, rng)
-    NUMPY.mlps(stack, params, rng.uniform(-1, 1, (ROWS, 2)))
+    mlps(stack, params, rng.uniform(-1, 1, (ROWS, 2)))
     with pytest.raises(ValueError, match="read-only"):
         params["b.b3"][0] = 1.0
 
@@ -132,8 +132,8 @@ def test_identity_seed_equals_explicit_identity(n_xi, n_ctx, depth, s):
     picnn.init(params, rng)
     xi = rng.uniform(-1, 1, (ROWS, n_xi))
     ctx = rng.uniform(-1, 1, (ROWS, n_ctx))
-    fast = picnn.forward(TANGENT, params, seed(xi), ctx)
-    explicit = picnn.forward(TANGENT, params, Tangent(xi, np.eye(n_xi).copy()), ctx)
+    fast = picnn.forward(params, seed(xi), ctx)
+    explicit = picnn.forward(params, Tangent(xi, np.eye(n_xi).copy()), ctx)
     assert np.array_equal(fast.val, explicit.val)
     assert np.array_equal(np.broadcast_to(fast.tan, explicit.tan.shape), explicit.tan)
 
@@ -148,7 +148,7 @@ def test_convex_head_satisfies_jensen_at_every_context(n_xi, n_ctx, n_out, depth
     a, b = rng.uniform(-2, 2, (2, ROWS, n_xi))
     ctx = rng.uniform(-1, 1, (ROWS, n_ctx))
     theta = rng.uniform(0, 1, (ROWS, 1))
-    mixed = picnn.forward_np(params, theta * a + (1 - theta) * b, ctx)
-    chord = (theta * picnn.forward_np(params, a, ctx)
-             + (1 - theta) * picnn.forward_np(params, b, ctx))
+    mixed = picnn.forward(params, theta * a + (1 - theta) * b, ctx)
+    chord = (theta * picnn.forward(params, a, ctx)
+             + (1 - theta) * picnn.forward(params, b, ctx))
     assert np.all(mixed <= chord + 1e-12)

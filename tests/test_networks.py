@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import elcontrol.autodiff as ad
-from elcontrol.arrays import GRAPH, TANGENT, seed
+from elcontrol.arrays import seed
 from elcontrol.errors import ConditioningError
 from elcontrol.networks import Bnn, DiagonalBnn, ParamMlp, Picnn, Scaler
 
@@ -60,7 +60,7 @@ def test_mlp_graph_matches_numpy():
     mlp = ParamMlp("f", 3, 4, hidden=8)
     params = random_params([mlp], rng)
     X = rng.normal(size=(5, 3))
-    out_t = mlp.forward(GRAPH, tensorize(params), ad.as_tensor(X))
+    out_t = mlp.forward(tensorize(params), ad.as_tensor(X))
     assert np.allclose(out_t.data, mlp.forward_np(params, X), atol=1e-14)
     assert np.array_equal(mlp.forward_and_input_jacobian_np(params, X)[0],
                           mlp.forward_np(params, X))
@@ -81,7 +81,7 @@ def test_bnn_identity_configuration():
     bnn, params = identity_bnn()
     y = np.array([0.3, -1.2, 0.8])
     d = np.array([0.5, -0.5])
-    assert np.allclose(bnn.forward_np(params, y, d), y, atol=1e-14)
+    assert np.allclose(bnn.forward(params, y, d), y, atol=1e-14)
 
 
 def test_bnn_single_layer_scaling_collapses():
@@ -95,7 +95,7 @@ def test_bnn_single_layer_scaling_collapses():
     k_low = layer.k_low
     params["l.l0.w.b3"][k_low:k_low + 2] = np.log(2.0)
     y = np.array([0.4, -0.9])
-    out = layer.forward_np(params, y, np.array([0.0]))
+    out = layer.forward(params, y, np.array([0.0]))
     assert np.allclose(out, 2 * y, atol=1e-12)
 
 
@@ -106,9 +106,9 @@ def test_bnn_round_trip_random():
     for _ in range(20):
         y = rng.uniform(-2, 2, size=3)
         d = rng.uniform(-1, 1, size=2)
-        x = bnn.forward_np(params, y, d)
-        assert np.max(np.abs(bnn.inverse_np(params, x, d) - y)) < 1e-9
-        assert np.max(np.abs(bnn.forward_np(params, bnn.inverse_np(params, x, d), d) - x)) < 1e-9
+        x = bnn.forward(params, y, d)
+        assert np.max(np.abs(bnn.inverse(params, x, d) - y)) < 1e-9
+        assert np.max(np.abs(bnn.forward(params, bnn.inverse(params, x, d), d) - x)) < 1e-9
 
 
 def test_bnn_layer_inverse_closed_form():
@@ -120,7 +120,7 @@ def test_bnn_layer_inverse_closed_form():
     params["l.l0.c.b3"] = np.ones(2)
     x = np.array([0.7, -0.2])
     expect = np.arcsinh(np.sinh(x) - 1.0)
-    assert np.allclose(layer.inverse_np(params, x, np.zeros(1)), expect, atol=1e-14)
+    assert np.allclose(layer.inverse(params, x, np.zeros(1)), expect, atol=1e-14)
 
 
 def test_bnn_jacobian_matches_autodiff_and_fd():
@@ -131,14 +131,14 @@ def test_bnn_jacobian_matches_autodiff_and_fd():
     d0 = rng.uniform(-1, 1, size=2)
 
     out, J_y, J_d = bnn.forward_with_jacobians(params, y0, d0)
-    assert np.allclose(out, bnn.forward_np(params, y0, d0), atol=1e-14)
+    assert np.allclose(out, bnn.forward(params, y0, d0), atol=1e-14)
 
     h = 1e-6
     J_y_fd = np.column_stack([
-        (bnn.forward_np(params, y0 + h * e, d0) - bnn.forward_np(params, y0 - h * e, d0)) / (2 * h)
+        (bnn.forward(params, y0 + h * e, d0) - bnn.forward(params, y0 - h * e, d0)) / (2 * h)
         for e in np.eye(3)])
     J_d_fd = np.column_stack([
-        (bnn.forward_np(params, y0, d0 + h * e) - bnn.forward_np(params, y0, d0 - h * e)) / (2 * h)
+        (bnn.forward(params, y0, d0 + h * e) - bnn.forward(params, y0, d0 - h * e)) / (2 * h)
         for e in np.eye(2)])
     assert np.max(np.abs(J_y - J_y_fd)) < 1e-6
     assert np.max(np.abs(J_d - J_d_fd)) < 1e-6
@@ -147,7 +147,7 @@ def test_bnn_jacobian_matches_autodiff_and_fd():
     pt = tensorize(params)
 
     def fwd(y):
-        out = bnn.forward(GRAPH, pt, ad.expand_dims(y, 0), ad.constant(d0[None, :]))
+        out = bnn.forward(pt, ad.expand_dims(y, 0), ad.constant(d0[None, :]))
         return ad.squeeze(out, 0)
 
     y = ad.as_tensor(y0)
@@ -174,10 +174,10 @@ def test_bnn_graph_matches_numpy():
     params = random_params(bnn.nets, rng, scale=0.4)
     Y = rng.uniform(-1, 1, size=(4, 2))
     D = rng.uniform(-1, 1, size=(4, 2))
-    out_t = bnn.forward(GRAPH, tensorize(params), ad.as_tensor(Y), ad.as_tensor(D))
-    assert np.allclose(out_t.data, bnn.forward_np(params, Y, D), atol=1e-13)
+    out_t = bnn.forward(tensorize(params), ad.as_tensor(Y), ad.as_tensor(D))
+    assert np.allclose(out_t.data, bnn.forward(params, Y, D), atol=1e-13)
     assert np.array_equal(bnn.forward_with_jacobians(params, Y, D)[0],
-                          bnn.forward_np(params, Y, D))
+                          bnn.forward(params, Y, D))
 
 
 def test_bnn_inverse_conditioning_guard():
@@ -191,7 +191,7 @@ def test_bnn_inverse_conditioning_guard():
     params["l.l0.w.b3"][k_low] = 18.0
     params["l.l0.w.b3"][k_low + 1] = -18.0
     with pytest.raises(ConditioningError):
-        layer.inverse_np(params, np.array([0.1, 0.1]), np.zeros(1))
+        layer.inverse(params, np.array([0.1, 0.1]), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_dbnn_identity_configuration():
         net.init_zero(params)
     u = np.array([0.2, -0.4, 1.1])
     cond = np.zeros(5)
-    assert np.allclose(dbnn.forward_np(params, u, cond), u, atol=1e-14)
+    assert np.allclose(dbnn.forward(params, u, cond), u, atol=1e-14)
 
 
 def test_dbnn_round_trip_and_monotone():
@@ -217,8 +217,8 @@ def test_dbnn_round_trip_and_monotone():
         u2 = u1.copy()
         i = rng.integers(0, 3)
         u2[i] += rng.uniform(1e-3, 1.0)
-        v1 = dbnn.forward_np(params, u1, cond)
-        v2 = dbnn.forward_np(params, u2, cond)
+        v1 = dbnn.forward(params, u1, cond)
+        v2 = dbnn.forward(params, u2, cond)
         # strictly increasing in the perturbed coordinate, others unchanged
         assert v2[i] > v1[i]
         mask = np.arange(3) != i
@@ -227,8 +227,8 @@ def test_dbnn_round_trip_and_monotone():
     for _ in range(50):
         cond = rng.uniform(-1, 1, size=5)
         u = rng.uniform(-2, 2, size=3)
-        v = dbnn.forward_np(params, u, cond)
-        assert np.max(np.abs(dbnn.inverse_np(params, v, cond) - u)) < 1e-9
+        v = dbnn.forward(params, u, cond)
+        assert np.max(np.abs(dbnn.inverse(params, v, cond) - u)) < 1e-9
 
 
 def test_dbnn_box_image_is_box():
@@ -237,16 +237,16 @@ def test_dbnn_box_image_is_box():
     dbnn = DiagonalBnn("psi", 2, 3, depth=2, hidden=8)
     params = random_params(dbnn.nets, rng, scale=0.5)
     cond = rng.uniform(-1, 1, size=3)
-    lo = dbnn.inverse_np(params, np.zeros(2), cond)
-    hi = dbnn.inverse_np(params, np.ones(2), cond)
+    lo = dbnn.inverse(params, np.zeros(2), cond)
+    hi = dbnn.inverse(params, np.ones(2), cond)
     assert np.all(lo < hi)
     for _ in range(200):
         v = rng.uniform(0, 1, size=2)
-        u = dbnn.inverse_np(params, v, cond)
+        u = dbnn.inverse(params, v, cond)
         assert np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12)
     # corners map to corners
-    assert np.allclose(dbnn.forward_np(params, lo, cond), np.zeros(2), atol=1e-9)
-    assert np.allclose(dbnn.forward_np(params, hi, cond), np.ones(2), atol=1e-9)
+    assert np.allclose(dbnn.forward(params, lo, cond), np.zeros(2), atol=1e-9)
+    assert np.allclose(dbnn.forward(params, hi, cond), np.ones(2), atol=1e-9)
 
 
 def test_dbnn_inverse_cond_jacobian_matches_fd():
@@ -255,12 +255,12 @@ def test_dbnn_inverse_cond_jacobian_matches_fd():
     params = random_params(dbnn.nets, rng, scale=0.4)
     v0 = rng.uniform(-1, 1, size=3)
     c0 = rng.uniform(-1, 1, size=4)
-    out = dbnn.inverse(TANGENT, params, v0, seed(c0))
+    out = dbnn.inverse(params, v0, seed(c0))
     u, J = out.val, out.tan
-    assert np.allclose(u, dbnn.inverse_np(params, v0, c0), atol=1e-13)
+    assert np.allclose(u, dbnn.inverse(params, v0, c0), atol=1e-13)
     h = 1e-6
     J_fd = np.column_stack([
-        (dbnn.inverse_np(params, v0, c0 + h * e) - dbnn.inverse_np(params, v0, c0 - h * e)) / (2 * h)
+        (dbnn.inverse(params, v0, c0 + h * e) - dbnn.inverse(params, v0, c0 - h * e)) / (2 * h)
         for e in np.eye(4)])
     assert np.max(np.abs(J - J_fd)) < 1e-6
 
@@ -272,14 +272,14 @@ def test_dbnn_graph_matches_numpy():
     U = rng.uniform(-1, 1, size=(5, 2))
     C = rng.uniform(-1, 1, size=(5, 3))
     pt = tensorize(params)
-    fwd = dbnn.forward(GRAPH, pt, ad.as_tensor(U), ad.as_tensor(C))
-    assert np.allclose(fwd.data, dbnn.forward_np(params, U, C), atol=1e-13)
-    inv = dbnn.inverse(GRAPH, pt, ad.as_tensor(fwd.data), ad.as_tensor(C))
+    fwd = dbnn.forward(pt, ad.as_tensor(U), ad.as_tensor(C))
+    assert np.allclose(fwd.data, dbnn.forward(params, U, C), atol=1e-13)
+    inv = dbnn.inverse(pt, ad.as_tensor(fwd.data), ad.as_tensor(C))
     assert np.allclose(inv.data, U, atol=1e-10)
-    assert np.array_equal(dbnn.forward(TANGENT, params, seed(U), C).val,
-                          dbnn.forward_np(params, U, C))
-    assert np.array_equal(dbnn.inverse(TANGENT, params, fwd.data, seed(C)).val,
-                          dbnn.inverse_np(params, fwd.data, C))
+    assert np.array_equal(dbnn.forward(params, seed(U), C).val,
+                          dbnn.forward(params, U, C))
+    assert np.array_equal(dbnn.inverse(params, fwd.data, seed(C)).val,
+                          dbnn.inverse(params, fwd.data, C))
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +290,12 @@ def test_picnn_degenerate_constant():
     params = {}
     picnn.init_zero(params, last_bias=[3.0, -1.0])
     ctx = np.array([0.4, -0.2])
-    base = picnn.forward_np(params, np.zeros(4), ctx)
+    base = picnn.forward(params, np.zeros(4), ctx)
     assert np.allclose(base, [3.0, -1.0], atol=1e-12)
     rng = np.random.default_rng(11)
     for _ in range(20):
         xi = rng.uniform(-3, 3, size=4)
-        assert np.allclose(picnn.forward_np(params, xi, ctx), base, atol=1e-12)
+        assert np.allclose(picnn.forward(params, xi, ctx), base, atol=1e-12)
 
 
 def test_picnn_jensen_midpoint():
@@ -307,8 +307,8 @@ def test_picnn_jensen_midpoint():
         ctx = rng.uniform(-1, 1, size=2)
         a = rng.uniform(-2, 2, size=4)
         b = rng.uniform(-2, 2, size=4)
-        mid = picnn.forward_np(params, 0.5 * (a + b), ctx)
-        avg = 0.5 * (picnn.forward_np(params, a, ctx) + picnn.forward_np(params, b, ctx))
+        mid = picnn.forward(params, 0.5 * (a + b), ctx)
+        avg = 0.5 * (picnn.forward(params, a, ctx) + picnn.forward(params, b, ctx))
         assert np.all(mid <= avg + 1e-10)
 
 
@@ -319,12 +319,12 @@ def test_picnn_xi_gradient_matches_fd_and_graph():
     picnn.init(params, rng, scale=0.8)
     xi0 = rng.uniform(-1, 1, size=3)
     ctx0 = rng.uniform(-1, 1, size=2)
-    tangent = picnn.forward(TANGENT, params, seed(xi0), ctx0)
+    tangent = picnn.forward(params, seed(xi0), ctx0)
     out, G = tangent.val, tangent.tan
-    assert np.allclose(out, picnn.forward_np(params, xi0, ctx0), atol=1e-14)
+    assert np.allclose(out, picnn.forward(params, xi0, ctx0), atol=1e-14)
     h = 1e-6
     G_fd = np.column_stack([
-        (picnn.forward_np(params, xi0 + h * e, ctx0) - picnn.forward_np(params, xi0 - h * e, ctx0))
+        (picnn.forward(params, xi0 + h * e, ctx0) - picnn.forward(params, xi0 - h * e, ctx0))
         / (2 * h)
         for e in np.eye(3)])
     assert np.max(np.abs(G - G_fd)) / max(1.0, np.max(np.abs(G_fd))) < 1e-5
@@ -332,7 +332,7 @@ def test_picnn_xi_gradient_matches_fd_and_graph():
     pt = tensorize(params)
 
     def fwd(xi):
-        out = picnn.forward(GRAPH, pt, ad.expand_dims(xi, 0), ad.constant(ctx0[None, :]))
+        out = picnn.forward(pt, ad.expand_dims(xi, 0), ad.constant(ctx0[None, :]))
         return ad.squeeze(out, 0)
 
     xi = ad.as_tensor(xi0)
@@ -347,10 +347,10 @@ def test_picnn_graph_matches_numpy():
     picnn.init(params, rng, scale=0.6)
     XI = rng.uniform(-1, 1, size=(6, 4))
     CTX = rng.uniform(-1, 1, size=(6, 2))
-    out_t = picnn.forward(GRAPH, tensorize(params), ad.as_tensor(XI), ad.as_tensor(CTX))
-    assert np.allclose(out_t.data, picnn.forward_np(params, XI, CTX), atol=1e-13)
-    assert np.array_equal(picnn.forward(TANGENT, params, seed(XI), CTX).val,
-                          picnn.forward_np(params, XI, CTX))
+    out_t = picnn.forward(tensorize(params), ad.as_tensor(XI), ad.as_tensor(CTX))
+    assert np.allclose(out_t.data, picnn.forward(params, XI, CTX), atol=1e-13)
+    assert np.array_equal(picnn.forward(params, seed(XI), CTX).val,
+                          picnn.forward(params, XI, CTX))
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,21 @@ def test_open_loop_single_step_matches_manual_rk4_with_held_input():
     assert np.array_equal(ds.v[:, 0], np.array([0.0, 0.1]))
 
 
+def test_open_loop_evaluates_each_row_derivative_once():
+    # the logged derivative of row k is the first RK4 stage of step k
+    class Counted(DriftPlant):
+        calls = 0
+
+        def derivative(self, y, v, d, d_dot=None):
+            Counted.calls += 1
+            return super().derivative(y, v, d, d_dot)
+
+    steps = 20
+    ds = simulate_open_loop(Counted(), lambda t: np.array([np.sin(t)]), ZERO1,
+                            np.array([0.5]), step=0.05, steps=steps)
+    assert len(ds) == steps + 1 and Counted.calls == 4 * steps + 1
+
+
 def test_open_loop_uses_signal_duration_and_validates_arguments():
     sig = gen_excitation("sum-of-sines", 1.0, 0.25, (-0.1, 0.1), seed=1)
     ds = simulate_open_loop(DecayPlant(), sig, ZERO1, np.zeros(1), step=0.25)
@@ -369,7 +384,7 @@ def test_infeasible_mid_run_keeps_the_rows_already_written(qp_infeasible_from_th
     cert = info.value.certificate
     assert cert["barrier_values"].shape == (spec.n_rows,)
     assert np.all(np.isfinite(cert["barrier_values"]))
-    assert cert["max_violation_at_optimum"] == 1.0
+    assert cert["violation_bound"] == 1.0
     assert len(info.value.trace) == 2
     assert len(qp_infeasible_from_third_call) == 3
 
