@@ -287,11 +287,7 @@ def barrier_values(model, x, u, d_bar, spec):
     input bound, then the latent image of the lower bound minus u.  The
     margin is already added, so the filters can treat h <= 0 uniformly.
     """
-    return _barrier_rows(model, x, u, d_bar, spec, model.maps_at(x, d_bar))
-
-
-def _barrier_rows(model, x, u, d_bar, spec, maps):
-    """`barrier_values` on the caller's `model.maps_at(x, d_bar)`."""
+    maps = model.maps_at(x, d_bar)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     d_bar = np.asarray(d_bar, dtype=np.float64).reshape(-1)
@@ -343,16 +339,12 @@ def icbf_problem(model, x, u, d_bar, design, spec):
     lambda-independent term, so problem.objective(lam) + objective_shift
     equals the full expression.
     """
-    return _icbf_problem(model, x, u, d_bar, design, spec, model.maps_at(x, d_bar))
-
-
-def _icbf_problem(model, x, u, d_bar, design, spec, maps):
+    h, dh_dx, dh_du = barrier_values(model, x, u, d_bar, spec)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     A, B, c = model.linear_core(d_bar)
     drift = A @ x + B @ u + c
     err = u - lqr_control(design, x)
-    h, dh_dx, dh_du = _barrier_rows(model, x, u, d_bar, spec, maps)
 
     m = u.size
     problem = QpProblem(2.0 * spec.rate_weight * np.eye(m), 2.0 * err,
@@ -368,15 +360,14 @@ def icbf_step(model, state, x, d_bar, design, spec, dt):
     Solves the rate QP at (x, state.u), integrates u by an explicit Euler
     step of length dt, and maps the result to the published input
     v = Psi(u, y_from_x(x, d_bar), d_bar).  Returns (lam, new_state, v).  The
-    maps at x are evaluated once and shared by the barrier rows and v.  An
-    infeasible QP raises InfeasibleError carrying every barrier value for
-    diagnosis.
+    barrier rows and v read the maps at x that `model.maps_at` keeps, so
+    they are evaluated once.  An infeasible QP raises InfeasibleError
+    carrying every barrier value for diagnosis.
     """
     if not dt > 0:
         raise ValidationError("control period must be positive")
     d_bar = np.asarray(d_bar, dtype=np.float64).reshape(-1)
-    maps = model.maps_at(x, d_bar)
-    problem, _, h = _icbf_problem(model, x, state.u, d_bar, design, spec, maps)
+    problem, _, h = icbf_problem(model, x, state.u, d_bar, design, spec)
     sol = qpsolver.solve(problem)
     if sol.status != "optimal":
         cert = dict(sol.certificate or {})
@@ -384,7 +375,7 @@ def icbf_step(model, state, x, d_bar, design, spec, dt):
         raise InfeasibleError("rate filter QP is infeasible", certificate=cert)
     lam = sol.x
     u_new = state.u + dt * lam
-    return lam, ControllerState(u=u_new, t=state.t + dt), maps.v_from_u(u_new)
+    return lam, ControllerState(u=u_new, t=state.t + dt), model.maps_at(x, d_bar).v_from_u(u_new)
 
 
 def sontag_control(lf_v, lg_v):

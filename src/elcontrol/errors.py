@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the cap on counts."""
 
-# the most rows, ticks, chips or sample points a call may allocate
+# the most rows, ticks, chips, sample points or model floats a call may allocate
 MAX_COUNT = 10**7
 
 

@@ -222,19 +222,10 @@ def _check_point(system, y, tol):
 
 def integrator_chain(n):
     """y1' = y2, ..., y_{n-1}' = y_n, y_n' = v: linearizable by inspection."""
-
-    def f(x):
-        shifted = ad.narrow(x, 0, 1, n - 1)
-        return ad.concat([shifted, ad.constant(np.zeros(1))], axis=0)
-
-    def g(x):
-        e_last = np.zeros(n)
-        e_last[-1] = 1.0
-        return ad.constant(e_last)
-
     if n < 2:
         raise ValidationError("the chain needs at least two states")
-    return VectorFieldPair(f=f, g=g, n=n)
+    return VectorFieldPair(f=compile_field([f"y{i}" for i in range(2, n + 1)] + ["0"], n),
+                           g=compile_field(["0"] * (n - 1) + ["1"], n), n=n)
 
 
 def linear_fields(F, G):

@@ -41,8 +41,10 @@ from numpy.lib import format as npformat
 
 from . import autodiff as ad
 from .arrays import mlps, reshape, seed
-from .errors import NonFiniteError, ShapeError, TrainingDivergedError, ValidationError
-from .networks import Bnn, DiagonalBnn, MlpStack, ParamMlp, Picnn, Scaler, check_conditioning
+from .errors import (NonFiniteError, ShapeError, TrainingDivergedError, ValidationError,
+                     checked_count)
+from .networks import (Bnn, DiagonalBnn, MlpStack, ParamMlp, Picnn, Scaler, _read_only,
+                       check_conditioning)
 
 MODEL_FORMAT_VERSION = 1
 GRAD_CLIP_NORM = 10.0
@@ -101,6 +103,16 @@ class ELModel:
         self.arch = arch or ModelArch()
         a = self.arch
         ny, nu, nd, nz = dims.ny, dims.nu, dims.nd, dims.nz
+        # refuse a size no machine holds before anything is allocated: Phi's
+        # selection matrices hold 2 ny^4 floats, k nets (i -> o, hidden h) fewer
+        # than k (h + 1)(i + h + o + 1), and Xi fewer than the last term
+        def nets(k, i, o, h):
+            return k * (h + 1) * (i + h + o + 1)
+        checked_count(2 * ny ** 4 + nets(3 * a.phi_depth, nd, ny * ny, a.phi_hidden)
+                      + nets(3 * a.psi_depth, ny + nd, nu, a.psi_hidden)
+                      + nets(3, nd, ny * max(ny, nu), a.core_hidden)
+                      + 6 * a.xi_depth * (a.xi_hidden + ny + nu + nd + nz) ** 2,
+                      "the float count of a model this size")
         self.state_map = Bnn("phi", ny, cond_dim=nd, depth=a.phi_depth, hidden=a.phi_hidden)
         self.input_map = DiagonalBnn("psi", nu, cond_dim=ny + nd,
                                      depth=a.psi_depth, hidden=a.psi_hidden)
@@ -120,6 +132,7 @@ class ELModel:
                 net.init_zero(params)
             self.z_map.init_zero(params)
         self.params = params
+        self._point = None
         self.validate()
 
     # -- construction -----------------------------------------------------
@@ -164,8 +177,9 @@ class ELModel:
         toward -I, so random instances are well conditioned and stable near
         the origin.
         """
+        model = cls(dims, arch)
         biases = ((-np.eye(dims.ny)).reshape(-1), np.eye(dims.ny, dims.nu).reshape(-1), None)
-        return cls(dims, arch)._draw(seed, map_scale, core_scale, biases)
+        return model._draw(seed, map_scale, core_scale, biases)
 
     @classmethod
     def for_training(cls, dims, dataset, arch=None, seed=0, map_scale=0.05):
@@ -288,8 +302,16 @@ class ELModel:
     def maps_at(self, x, d):
         """`PointMaps` at one latent state x (ny,) under d (nd,).  Bit for bit
         what y_from_x, u_from_v_with_jac and v_from_u give, but Phi's and Psi's
-        conditioning run once, however often the two maps are called.
+        conditioning run once, however often the two maps are called.  The last
+        point is kept, y and dx_dy read-only, and returned while x and d repeat
+        in shape and bytes and Phi's and Psi's packed weights are current.
         """
+        x, d = np.asarray(x, dtype=np.float64), np.asarray(d, dtype=np.float64)
+        key = x.shape, d.shape, x.tobytes(), d.tobytes()
+        kept, stacks = self._point, (self.state_map.stack, self.input_map.stack)
+        if (kept is not None and kept[0] == key and kept[1] is stacks[0]._pack(self.params)
+                and kept[2] is stacks[1]._pack(self.params)):
+            return kept[3]
         b, _ = self._batch(x=x, d=d)
         sy = self.scalers["y"]
         phi = self.state_map.coefficients(self.params, b["ds"])
@@ -298,8 +320,11 @@ class ELModel:
         dx_dy = self.state_map.forward_with(phi, seed(b["ys"])).tan / sy.std
         psi = self.input_map.coefficients(self.params, seed(self._cond(b)))
         psi_row = [[t.val[0] for t in layer] for layer in psi]
-        return PointMaps(y[0], dx_dy[0], lambda v: self._u_with(psi, v)[:2],
+        maps = PointMaps(*_read_only((y[0], dx_dy[0])), lambda v: self._u_with(psi, v)[:2],
                          lambda u: self._v_with(psi_row, u))
+        # the packed weights the evaluation above ran on
+        self._point = key, stacks[0]._packed, stacks[1]._packed, maps
+        return maps
 
     # the maps on Phi's and Psi's conditioning outputs (`coefficients`)
     def _y_with(self, phi, x):

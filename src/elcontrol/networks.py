@@ -228,6 +228,10 @@ class _Stacked:
     def forward(self, params, z, cond):
         return self.forward_with(self.coefficients(params, cond), z)
 
+    def inverse(self, params, z, cond):
+        """The inverse map; Phi's (`Bnn`'s) takes float64 arrays only."""
+        return self.inverse_with(self.coefficients(params, cond), z)
+
 
 class Bnn(_Stacked):
     """A conditioned bijection y <-> x: layers asinh(c(d) + sinh(W(d) y + b(d)))."""
@@ -285,10 +289,6 @@ class Bnn(_Stacked):
         out = self.forward(params, seed(y, offset=nd), seed(dc))
         return out.val, out.tan[..., nd:], out.tan[..., :nd]
 
-    def inverse(self, params, x, dc):
-        """The inverse map, on float64 arrays only."""
-        return self.inverse_with(self.coefficients(params, dc), x)
-
     def inverse_with(self, coef, x):
         for k in reversed(range(len(coef))):
             W, b, c, cond = coef[k]
@@ -319,9 +319,6 @@ class DiagonalBnn(_Stacked):
         for raw, b, c in coef:
             u = asinh(c + sinh(exp(raw) * u + b))
         return u
-
-    def inverse(self, params, v, cond):
-        return self.inverse_with(self.coefficients(params, cond), v)
 
     def inverse_with(self, coef, v):
         for raw, b, c in reversed(coef):

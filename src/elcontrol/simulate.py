@@ -13,14 +13,12 @@ functions, and traces carry the seed and configuration that produced them.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import (CONTROLLERS, BarrierSpec, ControllerState, DesignCache,
-                      _barrier_rows)
+from .control import CONTROLLERS, BarrierSpec, ControllerState, DesignCache, barrier_values
 from .errors import NonFiniteError, ValidationError, checked_count
 from .model import ELModel, ModelDims, TrajectoryDataset, write_blocks
 
@@ -351,7 +349,8 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
     disturbance.  The rate-based filter needs `spec`; its input state starts
     at u0, by default at the preimage of the box midpoint of (v_min, v_max).
     Optional Gaussian measurement noise (noise_std > 0) perturbs only what
-    the controller sees.
+    the controller sees.  The logged h is `barrier_values` at the tick's x
+    and u, on the maps at x that the model keeps from the tick.
 
     A failure mid-run re-raises with `trace` attached holding every row
     written so far, including a tick whose plant integration then failed.
@@ -386,25 +385,13 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
     caches = {}
     meta = {"controller": controller, "control_period": dt, "horizon": float(horizon),
             "substeps": int(substeps), "seed": int(seed), "noise_std": float(noise_std)}
-    # ticks see a shallow copy of the model whose maps_at keeps its results by
-    # point for the rest of the tick, so the logged h reuses the tick's maps
-    tick_maps, tick_model = {}, copy.copy(model)
-
-    def maps_at(x, d):
-        key = x.tobytes(), d.tobytes()
-        if key not in tick_maps:
-            tick_maps[key] = model.maps_at(x, d)
-        return tick_maps[key]
-
-    tick_model.maps_at = maps_at
     # one entry per SimulationTrace column: the shape of its row and its value at a tick
     table = {"t": ((), lambda: t), "y": ((dims.ny,), lambda: measured),
              "x": ((dims.ny,), lambda: x), "u": ((dims.nu,), lambda: u),
              "v": ((dims.nu,), lambda: v_cmd),
              "z": ((dims.nz,), lambda: plant.outputs(y, v_cmd, d_bar)),
              "h": ((spec.n_rows if spec is not None else 0,),
-                   lambda: _barrier_rows(model, x, u, d_bar, spec, maps_at(x, d_bar))[0]
-                   if spec is not None else ()),
+                   lambda: barrier_values(model, x, u, d_bar, spec)[0] if spec is not None else ()),
              "lam": ((dims.nu,), lambda: lam), "d": ((dims.nd,), lambda: d_bar)}
     columns = {name: np.zeros((ticks,) + shape) for name, (shape, _) in table.items()}
     done = 0
@@ -426,11 +413,9 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
 
             measured = y + rng.normal(0.0, noise_std, dims.ny) if noise_std > 0 else y
             # overflow inside the tick shows up as the non-finite check below
-            tick_maps.clear()
             with np.errstate(all="ignore"):
                 x = model.x_from_y(measured, d_bar)
-                lam, state, u, v_cmd = tick(tick_model, state, x, measured, d_bar, design,
-                                            spec, dt)
+                lam, state, u, v_cmd = tick(model, state, x, measured, d_bar, design, spec, dt)
             if not all(np.all(np.isfinite(a)) for a in (x, lam, u, v_cmd)):
                 raise NonFiniteError(f"the {controller} tick at t = {t:g} produced "
                                      "non-finite values")

@@ -6,7 +6,6 @@ test's own PASSED/FAILED line doubles as the per-criterion verdict line.
 Runtime budgets are asserted where a criterion pins one.
 """
 
-import itertools
 import json
 import time
 
@@ -27,6 +26,7 @@ from elcontrol.qpsolver import QpProblem, solve
 from elcontrol.simulate import (TeacherPlant, gen_excitation, metrics_r2,
                                 simulate_closed_loop, simulate_open_loop,
                                 step_schedule)
+from test_qpsolver import enumerate_oracle
 
 SMALL_ARCH = ModelArch(phi_depth=1, phi_hidden=8, psi_depth=1, psi_hidden=8,
                        xi_depth=2, xi_hidden=8, core_hidden=8)
@@ -193,37 +193,6 @@ def test_criterion_03_riccati_random_and_closed_forms():
 # ---------------------------------------------------------------------------
 # 4. QP solver against exhaustive active-set enumeration
 
-def enumerate_qp(problem, tol=1e-9):
-    """Try every subset of constraints as equalities; return (x, mu, status)."""
-    n, r = problem.n, problem.r
-    best = (None, None, "infeasible")
-    best_obj = np.inf
-    for k in range(r + 1):
-        for subset in itertools.combinations(range(r), k):
-            S = list(subset)
-            KKT = np.zeros((n + k, n + k))
-            KKT[:n, :n] = problem.H
-            if k:
-                KKT[:n, n:] = problem.G[S].T
-                KKT[n:, :n] = problem.G[S]
-            rhs = np.concatenate([-problem.q, problem.w[S]])
-            try:
-                sol = np.linalg.solve(KKT, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            x, mu_s = sol[:n], sol[n:]
-            if k and np.min(mu_s) < -tol:
-                continue
-            if r and np.max(problem.G @ x - problem.w) > tol:
-                continue
-            obj = problem.objective(x)
-            if obj < best_obj - 1e-12:
-                mu = np.zeros(r)
-                mu[S] = mu_s
-                best, best_obj = (x, mu, "optimal"), obj
-    return best
-
-
 def test_criterion_04_qp_matches_enumeration():
     t0 = time.monotonic()
     rng = np.random.default_rng(104)
@@ -236,7 +205,7 @@ def test_criterion_04_qp_matches_enumeration():
         problem = QpProblem(M @ M.T + (0.1 + rng.uniform()) * np.eye(n),
                             rng.normal(size=n), rng.normal(size=(r, n)),
                             rng.normal(size=r) + 0.5)
-        x_ref, mu_ref, status_ref = enumerate_qp(problem)
+        x_ref, mu_ref, status_ref = enumerate_oracle(problem)
         sol = solve(problem)
         assert sol.status == status_ref
         if status_ref == "infeasible":

@@ -265,8 +265,9 @@ def test_gen_data_step_count_overflow_is_one_error_line(tmp_path, capsys):
 
 
 def _over_the_cap(tmp_path, source, case):
-    """(command, config) asking for more than MAX_COUNT rows, chips, ticks or
-    samples; the finite ones would allocate that many without the cap."""
+    """(command, config) asking for more than MAX_COUNT rows, chips, ticks,
+    samples or model floats; the finite ones would allocate that many without
+    the cap."""
     gen = gen_config(tmp_path / "run")
     prbs = {"kind": "prbs", "period": 1e-3, "low": -1.0, "high": 1.0}
     if case == "infinite prbs chip count":
@@ -277,6 +278,12 @@ def _over_the_cap(tmp_path, source, case):
         gen["excitation"]["v"] = prbs
     elif case == "huge step count":
         gen["dataset"].update(duration=1e6, step=1e-6)
+    elif case == "huge teacher dims":
+        gen["plant"]["dims"]["ny"] = 10**6
+    elif case == "huge train arch":
+        cfg = _valid_config("train", tmp_path / "run", source)
+        cfg["arch"]["phi_hidden"] = 10**6
+        return "train", cfg
     elif case == "huge sample count":
         return "check-linearizable", check_config(
             tmp_path / "run", {"fixture": "integrator-chain"}) | {"samples": 10**8}
@@ -287,7 +294,8 @@ def _over_the_cap(tmp_path, source, case):
 
 
 @pytest.mark.parametrize("case", ["infinite prbs chip count", "huge prbs chip count",
-                                  "huge step count", "huge tick count", "huge sample count"])
+                                  "huge step count", "huge tick count", "huge sample count",
+                                  "huge teacher dims", "huge train arch"])
 def test_counts_over_the_cap_are_one_error_line(tmp_path, teacher_run, capsys, case):
     command, cfg = _over_the_cap(tmp_path, teacher_run, case)
     assert run_cli(tmp_path, command, cfg) == 1
@@ -388,14 +396,14 @@ def _bad_model_file(path, source, case):
     elif case == "truncated archive":
         data = open(source, "rb").read()
         open(path, "wb").write(data[:len(data) // 2])
-    elif case in ("unknown arch key", "non-integer dims"):
+    elif case in ("unknown arch key", "non-integer dims", "huge dims"):
         with np.load(source) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
         if case == "unknown arch key":
             meta["arch"]["phi_width"] = 3
         else:
-            meta["dims"][0] = "2"
+            meta["dims"][0] = "2" if case == "non-integer dims" else 10**6
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as f:
             np.savez(f, **arrays)
@@ -420,8 +428,8 @@ def _bad_model_file(path, source, case):
 
 
 @pytest.mark.parametrize("case", ["not a zip archive", "truncated archive", "unknown arch key",
-                                  "non-integer dims", "nan parameter", "scaler std too wide",
-                                  "zero scaler std", "string parameter"])
+                                  "non-integer dims", "huge dims", "nan parameter",
+                                  "scaler std too wide", "zero scaler std", "string parameter"])
 def test_eval_rejects_bad_model_files(tmp_path, teacher_run, capsys, case):
     bad = tmp_path / "bad.npz"
     _bad_model_file(bad, teacher_run / "plant_model.npz", case)

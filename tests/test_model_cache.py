@@ -3,8 +3,9 @@
 A model that has already evaluated a disturbance (the kept entry is warm)
 must give bit for bit what a model that never saw it gives (a cold clone),
 in every map that reads the entries: the same d twice, a step to a new d,
-and a fresh d at every call as in data generation.  Replacing a parameter
-entry invalidates what was kept, and kept arrays are read-only.
+and a fresh d at every call as in data generation.  The same holds for the
+point `ELModel.maps_at` keeps.  Replacing a parameter entry invalidates what
+was kept, and kept arrays are read-only.
 """
 
 import numpy as np
@@ -27,12 +28,15 @@ def random_model(ny, nu, nd, depth, s):
 
 
 def evaluations(m, y, v, x, d):
-    """Every map that reads the kept entries, as flat arrays, one call each."""
+    """Every map that reads the kept entries, as flat arrays, one call each,
+    and `maps_at` once more at the same point, which returns the kept point."""
     maps = m.maps_at(x, d)
     u, du_dy = maps.u_from_v_with_jac(v[None, :])
     out = [m.x_from_y(y, d), m.y_from_x(x, d), maps.y, maps.dx_dy, u, du_dy,
            maps.v_from_u(u[0]), *m.linear_core(d), m.predict_ydot(v, y, d, 0.3 * d),
            *m.state_jacobians(y, d)]
+    kept = m.maps_at(x, d)
+    out += [kept.y, kept.dx_dy, *kept.u_from_v_with_jac(v[None, :]), kept.v_from_u(u[0])]
     return [np.asarray(a) for a in out]
 
 
@@ -85,6 +89,10 @@ def test_replaced_parameters_invalidate_kept_entries(ny, nu, nd, depth, s):
     y, v, x = (0.3 * rng.normal(size=k) for k in (ny, nu, ny))
     d = 0.3 * rng.normal(size=nd)
     before = evaluations(m, y, v, x, d)
+    # the kept point of maps_at sees a replaced Phi entry, and a replaced Psi entry
+    for key in ("phi.l0.c.b3", "psi.l0.b.b3"):
+        m.params[key] = m.params[key] + 0.05
+        assert_bit_equal(evaluations(m, y, v, x, d), evaluations(m.clone(), y, v, x, d))
     for key in ("phi.l0.w.b3", "phi.l0.b.b3", "core.a.b3", "core.c.b3"):
         m.params[key] = m.params[key] + 0.05
     after = evaluations(m, y, v, x, d)
@@ -102,7 +110,8 @@ def test_kept_arrays_are_read_only():
         A, B, c = m.linear_core(d)
         (W, b, c_phi, cond), *_ = m.state_map.coefficients(m.params, ds)
         (W_t, b_t, _, _), *_ = m.state_map.coefficients(m.params, seed(ds))
-    for array in (A, B, c, W, b, c_phi, cond, W_t.val, W_t.tan, b_t.val):
+    maps = m.maps_at(np.array([0.1, 0.2, 0.3]), d)
+    for array in (A, B, c, W, b, c_phi, cond, W_t.val, W_t.tan, b_t.val, maps.y, maps.dx_dy):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
     # and the entries still hold what they held

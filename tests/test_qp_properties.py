@@ -89,7 +89,7 @@ def check_certificate(rng, p, feasible_x=None):
 
 def check_against_oracle(rng, p):
     sol = check_certificate(rng, p)
-    x_ref, status = enumerate_oracle(p)
+    x_ref, _, status = enumerate_oracle(p)
     assert sol is not None and sol.status == status
     if status == "optimal":
         assert np.max(np.abs(sol.x - x_ref)) <= 1e-8 * (1.0 + np.max(np.abs(x_ref)))

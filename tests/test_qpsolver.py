@@ -8,16 +8,18 @@ from elcontrol.qpsolver import QpProblem, QpSolution, kkt_residual, solve
 
 
 def enumerate_oracle(problem: QpProblem, tol=1e-9):
-    """Solve by trying every subset of constraints as equalities.
+    """Solve by trying every subset of at most min(r, n) constraints as
+    equalities; a larger subset's KKT matrix is singular.
 
-    Returns (x, status). A candidate is valid when its KKT system is solvable,
-    all multipliers are nonnegative and the full constraint set holds.
+    Returns (x, mu, status), x and mu None when infeasible. A candidate is
+    valid when its KKT system is solvable, all multipliers are nonnegative
+    and the full constraint set holds.
     """
     from itertools import combinations
 
     n, r = problem.n, problem.r
-    best_x, best_obj = None, np.inf
-    for k in range(r + 1):
+    best, best_obj = (None, None, "infeasible"), np.inf
+    for k in range(min(r, n) + 1):
         for subset in combinations(range(r), k):
             S = list(subset)
             KKT = np.zeros((n + k, n + k))
@@ -30,17 +32,17 @@ def enumerate_oracle(problem: QpProblem, tol=1e-9):
                 sol = np.linalg.solve(KKT, rhs)
             except np.linalg.LinAlgError:
                 continue
-            x, mu = sol[:n], sol[n:]
-            if k and np.min(mu) < -tol:
+            x, mu_s = sol[:n], sol[n:]
+            if k and np.min(mu_s) < -tol:
                 continue
             if r and np.max(problem.G @ x - problem.w) > tol:
                 continue
             obj = problem.objective(x)
             if obj < best_obj - 1e-12:
-                best_obj, best_x = obj, x
-    if best_x is None:
-        return None, "infeasible"
-    return best_x, "optimal"
+                mu = np.zeros(r)
+                mu[S] = mu_s
+                best, best_obj = (x, mu, "optimal"), obj
+    return best
 
 
 def random_problem(rng, n=None, r=None):
@@ -109,7 +111,7 @@ def test_matches_enumeration_oracle():
     for _ in range(60):
         p = random_problem(rng, n=int(rng.integers(1, 5)), r=int(rng.integers(0, 9)))
         sol = solve(p)
-        x_ref, status_ref = enumerate_oracle(p)
+        x_ref, _, status_ref = enumerate_oracle(p)
         assert sol.status == status_ref
         if status_ref == "optimal":
             solved += 1
