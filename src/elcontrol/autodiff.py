@@ -17,9 +17,19 @@ system solve used to apply Jacobian inverses; its backward rule is two more
 solves and a rank-one product.
 
 `jacobian_rows` is the one Jacobian helper; its results stay in the graph.
+
+Each node is one numpy call on its operands' arrays, relu's mask included.
+Inside `with recording() as program` the calls are also noted, and
+`program.finish` makes them a `Program` that replays a loss and its
+gradients on new leaf arrays with no nodes, bit for bit; training replays
+every batch after the first of its shape.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
+import operator
 
 import numpy as np
 
@@ -31,7 +41,7 @@ __all__ = [
     "softplus", "relu", "square", "sum", "solve",
     "reshape", "transpose", "concat", "narrow", "stack", "expand_dims",
     "squeeze", "matvec",
-    "backward", "evaluate", "gradient", "jacobian_rows",
+    "backward", "evaluate", "gradient", "jacobian_rows", "recording", "Program",
 ]
 
 
@@ -114,8 +124,32 @@ def constant(x, name="const") -> Tensor:
     return Tensor(x, name=name)
 
 
-def _node(data, parents, vjp, name) -> Tensor:
-    return Tensor(data, parents=tuple(parents), vjp=vjp, name=name)
+def _node(fn, operands, vjp, name, *args, **kw) -> Tensor:
+    """The tensor fn(*operand data, *args, **kw) with the tuple `operands` as
+    its parents; an open `recording` appends the call to its program.  Every
+    node comes through here, so one or two operands are unpacked by hand, and
+    numpy's float64 result skips `Tensor.__init__`'s checks."""
+    if len(operands) == 1:
+        data = fn(operands[0].data, *args, **kw)
+    elif len(operands) == 2:
+        data = fn(operands[0].data, operands[1].data, *args, **kw)
+    else:
+        data = fn(*[t.data for t in operands], *args, **kw)
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    out.parents, out.vjp, out.name = operands, vjp, name
+    if _recording is not None:
+        slot = _recording.slot
+        _recording.ops.append((fn, tuple(slot(t.data) for t in operands), args, kw,
+                               slot(out.data)))
+    return out
+
+
+_softplus = functools.partial(np.logaddexp, 0.0)
+
+
+def _concat(*parts, axis):
+    return np.concatenate(parts, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +189,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return _sum_to_shape(g, a.shape), _sum_to_shape(g, b.shape)
 
-    return _node(a.data + b.data, (a, b), vjp, "add")
+    return _node(np.add, (a, b), vjp, "add")
 
 
 def sub(a, b) -> Tensor:
@@ -165,7 +199,7 @@ def sub(a, b) -> Tensor:
     def vjp(g):
         return _sum_to_shape(g, a.shape), _sum_to_shape(mul(g, -1.0), b.shape)
 
-    return _node(a.data - b.data, (a, b), vjp, "sub")
+    return _node(np.subtract, (a, b), vjp, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -175,7 +209,7 @@ def mul(a, b) -> Tensor:
     def vjp(g):
         return _sum_to_shape(mul(g, b), a.shape), _sum_to_shape(mul(g, a), b.shape)
 
-    return _node(a.data * b.data, (a, b), vjp, "mul")
+    return _node(np.multiply, (a, b), vjp, "mul")
 
 
 def matmul(a, b) -> Tensor:
@@ -190,7 +224,7 @@ def matmul(a, b) -> Tensor:
         gb = _sum_to_shape(matmul(transpose(a), g), b.shape)
         return ga, gb
 
-    return _node(np.matmul(a.data, b.data), (a, b), vjp, "matmul")
+    return _node(np.matmul, (a, b), vjp, "matmul")
 
 
 def solve(a, b) -> Tensor:
@@ -200,7 +234,7 @@ def solve(a, b) -> Tensor:
         raise ShapeError(f"'solve': coefficient matrix must be square, got {a.shape}")
     if b.ndim < 2 or b.shape[-2] != a.shape[-1]:
         raise ShapeError(f"'solve': incompatible shapes {a.shape} and {b.shape}")
-    out = _node(np.linalg.solve(a.data, b.data), (a, b), None, "solve")
+    out = _node(np.linalg.solve, (a, b), None, "solve")
 
     def vjp(g):
         gb = solve(transpose(a), g)
@@ -220,7 +254,7 @@ def sinh(x) -> Tensor:
     def vjp(g):
         return (mul(g, cosh(x)),)
 
-    return _node(np.sinh(x.data), (x,), vjp, "sinh")
+    return _node(np.sinh, (x,), vjp, "sinh")
 
 
 def cosh(x) -> Tensor:
@@ -229,7 +263,7 @@ def cosh(x) -> Tensor:
     def vjp(g):
         return (mul(g, sinh(x)),)
 
-    return _node(np.cosh(x.data), (x,), vjp, "cosh")
+    return _node(np.cosh, (x,), vjp, "cosh")
 
 
 def asinh(x) -> Tensor:
@@ -239,12 +273,12 @@ def asinh(x) -> Tensor:
         # d/dx asinh = (1 + x^2)^(-1/2), written with exp/log primitives
         return (mul(g, exp(mul(log(add(square(x), 1.0)), -0.5))),)
 
-    return _node(np.arcsinh(x.data), (x,), vjp, "asinh")
+    return _node(np.arcsinh, (x,), vjp, "asinh")
 
 
 def exp(x) -> Tensor:
     x = as_tensor(x)
-    out = _node(np.exp(x.data), (x,), None, "exp")
+    out = _node(np.exp, (x,), None, "exp")
 
     def vjp(g):
         return (mul(g, out),)
@@ -255,7 +289,7 @@ def exp(x) -> Tensor:
 
 def log(x) -> Tensor:
     x = as_tensor(x)
-    out = _node(np.log(x.data), (x,), None, "log")
+    out = _node(np.log, (x,), None, "log")
 
     def vjp(g):
         return (mul(g, exp(mul(out, -1.0))),)
@@ -266,7 +300,7 @@ def log(x) -> Tensor:
 
 def softplus(x) -> Tensor:
     x = as_tensor(x)
-    out = _node(np.logaddexp(0.0, x.data), (x,), None, "softplus")
+    out = _node(_softplus, (x,), None, "softplus")
 
     def vjp(g):
         # sigmoid(x) = exp(x - softplus(x)), stable for all x
@@ -276,14 +310,24 @@ def softplus(x) -> Tensor:
     return out
 
 
+def _positive(x):
+    return (x > 0).astype(np.float64)
+
+
+def _relu(x):
+    return x * _positive(x)
+
+
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = (x.data > 0).astype(np.float64)
 
     def vjp(g):
-        return (mul(g, constant(mask, "relu_mask")),)
+        # the mask is computed from x when it runs, but differentiates as a constant
+        mask = _node(_positive, (x,), None, "relu_mask")
+        mask.parents = ()
+        return (mul(g, mask),)
 
-    return _node(x.data * mask, (x,), vjp, "relu")
+    return _node(_relu, (x,), vjp, "relu")
 
 
 def square(x) -> Tensor:
@@ -292,7 +336,7 @@ def square(x) -> Tensor:
     def vjp(g):
         return (mul(g, mul(x, 2.0)),)
 
-    return _node(np.square(x.data), (x,), vjp, "square")
+    return _node(np.square, (x,), vjp, "square")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +358,7 @@ def sum(x, axis=None, keepdims=False) -> Tensor:
             g = reshape(g, _kept_shape(x.shape, axis))
         return (mul(g, constant(np.ones(x.shape), "ones")),)
 
-    return _node(np.sum(x.data, axis=axis, keepdims=keepdims), (x,), vjp, "sum")
+    return _node(np.sum, (x,), vjp, "sum", axis=axis, keepdims=keepdims)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +371,7 @@ def reshape(x, shape) -> Tensor:
     def vjp(g):
         return (reshape(g, x.shape),)
 
-    return _node(np.reshape(x.data, shape), (x,), vjp, "reshape")
+    return _node(np.reshape, (x,), vjp, "reshape", shape)
 
 
 def transpose(x, axes=None) -> Tensor:
@@ -344,7 +388,7 @@ def transpose(x, axes=None) -> Tensor:
     def vjp(g):
         return (transpose(g, inv),)
 
-    return _node(np.transpose(x.data, perm), (x,), vjp, "transpose")
+    return _node(np.transpose, (x,), vjp, "transpose", perm)
 
 
 def concat(parts, axis=0) -> Tensor:
@@ -356,7 +400,7 @@ def concat(parts, axis=0) -> Tensor:
     def vjp(g):
         return tuple(narrow(g, ax, int(offsets[i]), sizes[i]) for i in range(len(parts)))
 
-    return _node(np.concatenate([p.data for p in parts], axis=ax), tuple(parts), vjp, "concat")
+    return _node(_concat, tuple(parts), vjp, "concat", axis=ax)
 
 
 def narrow(x, axis, start, length) -> Tensor:
@@ -380,7 +424,7 @@ def narrow(x, axis, start, length) -> Tensor:
             pieces.append(constant(np.zeros(shp), "pad"))
         return (concat(pieces, axis=ax) if len(pieces) > 1 else pieces[0],)
 
-    return _node(x.data[idx], (x,), vjp, "narrow")
+    return _node(operator.getitem, (x,), vjp, "narrow", idx)
 
 
 def expand_dims(x, axis) -> Tensor:
@@ -505,8 +549,7 @@ def evaluate(graph: Graph, inputs: dict | None = None) -> Tensor:
         raise ShapeError(f"missing graph inputs: {sorted(missing)}")
     bound = {k: as_tensor(v) for k, v in inputs.items()}
     out = graph.fn(**graph.parameters, **bound)
-    if not np.all(np.isfinite(out.data)):
-        raise NonFiniteError("graph evaluation produced non-finite entries")
+    _check_finite(out.data, _LOSS_NOT_FINITE)
     graph._output = out
     return out
 
@@ -524,12 +567,22 @@ def gradient(graph: Graph, seed=None) -> dict[str, np.ndarray]:
         seed = 1.0
     names = list(graph.parameters)
     adj = backward(out, seed, [graph.parameters[k] for k in names])
-    result = {}
-    for name, g in zip(names, adj):
-        if not np.all(np.isfinite(g.data)):
-            raise NonFiniteError(f"gradient of parameter {name!r} is non-finite")
-        result[name] = g.data
-    return result
+    return _checked_gradients(names, [g.data for g in adj])
+
+
+_LOSS_NOT_FINITE = "graph evaluation produced non-finite entries"
+
+
+def _check_finite(array, message):
+    if not np.all(np.isfinite(array)):
+        raise NonFiniteError(message)
+
+
+def _checked_gradients(names, arrays):
+    """{name: array}, raising at the first non-finite array in order."""
+    for name, array in zip(names, arrays):
+        _check_finite(array, f"gradient of parameter {name!r} is non-finite")
+    return dict(zip(names, arrays))
 
 
 def jacobian_rows(out: Tensor, wrt) -> list[Tensor]:
@@ -549,3 +602,105 @@ def jacobian_rows(out: Tensor, wrt) -> list[Tensor]:
         seed[..., i] = 1.0
         rows.append(backward(out, constant(seed), wrt, _plan=plan))
     return [stack([r[j] for r in rows], axis=out.ndim - 1) for j in range(len(wrt))]
+
+
+# ---------------------------------------------------------------------------
+# recorded programs
+
+class Program:
+    """A loss and its gradients, recorded once as numpy calls and replayed
+    on new leaf arrays, as ADOL-C replays a tape (Griewank, Juedes & Utke,
+    ACM TOMS 1996).
+
+    A `recording` fills `ops` with (function, operand slots, args, kwargs,
+    output slot), a slot being one array told apart by identity.  `finish`
+    keeps each leaf not named in `inputs` as a read-only constant, one slot
+    per value, and drops repeated calls and calls that no output reads.
+    `run` makes the rest in order, the loss's first, so it returns the
+    graph's results bit for bit and raises what `evaluate` and `gradient`
+    raise at the same call.
+    """
+
+    def __init__(self):
+        self.ops, self.slots, self.values = [], {}, []
+
+    def slot(self, array):
+        if id(array) not in self.slots:
+            self.slots[id(array)] = len(self.values)
+            self.values.append(array)
+        return self.slots[id(array)]
+
+    def finish(self, inputs, loss, gradients=None):
+        """`loss` is the evaluated output's data and `gradients` what
+        `gradient` returned, or None for a loss alone."""
+        names = {id(a): k for k, a in inputs.items()}
+        wanted = [self.slot(a) for a in (loss, *(gradients or {}).values())]
+        made, same, seen, ops = {op[-1] for op in self.ops}, {}, {}, []
+        self.inputs = [(names[id(a)], s) for s, a in enumerate(self.values) if id(a) in names]
+        for s, a in enumerate(self.values):
+            self.values[s] = None
+            if s not in made and id(a) not in names:
+                same[s] = seen.setdefault((a.shape, a.tobytes()), s)
+                self.values[s] = np.array(a)
+                self.values[s].setflags(write=False)
+        for fn, ins, args, kw, out in self.ops:
+            ins = tuple(same.get(i, i) for i in ins)
+            same[out] = seen.setdefault((fn, ins, repr((args, kw))), out)
+            if same[out] == out:
+                ops.append((fn, ins, args, kw, out))
+        self.loss, *grads = (same.get(s, s) for s in wanted)
+        forward = _reads(ops, [self.loss])
+        done = {op[-1] for op in forward}
+        ops = forward + [op for op in _reads(ops, grads) if op[-1] not in done]
+        # each call also names the slots it reads last, so a run frees them
+        # as it goes and reuses their memory within the run
+        last = {s: i for i, op in enumerate(ops) for s in op[1]}
+        ops = [op + (tuple({s for s in op[1] if last[s] == i} - {self.loss, *grads}),)
+               for i, op in enumerate(ops)]
+        self.forward, self.backward = ops[:len(forward)], ops[len(forward):]
+        self.gradients = gradients and dict(zip(gradients, grads))
+        return self
+
+    def run(self, inputs, with_gradient=True):
+        """The loss at `inputs`, and the gradients (None unless `with_gradient`)."""
+        values = self.values.copy()
+        for name, s in self.inputs:
+            values[s] = inputs[name]
+        _replay(self.forward, values)
+        _check_finite(values[self.loss], _LOSS_NOT_FINITE)
+        if not with_gradient:
+            return values[self.loss], None
+        _replay(self.backward, values)
+        return values[self.loss], _checked_gradients(
+            self.gradients, [values[s] for s in self.gradients.values()])
+
+
+def _reads(ops, slots):
+    """The calls of `ops` that `slots` read, directly or through others, in order."""
+    wanted, kept = set(slots), []
+    for op in reversed(ops):
+        if op[-1] in wanted:
+            wanted.update(op[1])
+            kept.append(op)
+    return kept[::-1]
+
+
+def _replay(ops, values):
+    for fn, ins, args, kw, out, read_last in ops:
+        values[out] = fn(*[values[i] for i in ins], *args, **kw)
+        for s in read_last:
+            values[s] = None
+
+
+_recording = None
+
+
+@contextlib.contextmanager
+def recording():
+    """A `Program` that records the call of every node built in the block."""
+    global _recording
+    outer, _recording = _recording, Program()
+    try:
+        yield _recording
+    finally:
+        _recording = outer

@@ -287,6 +287,10 @@ def _run_train(cfg, seed, run):
     dataset = read_csv(cfg["dataset"])
     dims = ModelDims(**_read_fields(ModelDims, cfg["dims"], "dims"))
     arch = ModelArch(**_read_fields(ModelArch, cfg.get("arch", {}), "arch"))
+    dataset.check_dims(dims, cfg["dataset"])
+    if "holdout" in cfg:
+        holdout = read_csv(cfg["holdout"])
+        holdout.check_dims(dims, cfg["holdout"])
 
     init = _read(cfg.get("init", {}), "init", {}, {"seed": _seed, "map_scale": _float})
     model = ELModel.for_training(dims, dataset, arch, **{"seed": seed + 1, **init})
@@ -307,14 +311,14 @@ def _run_train(cfg, seed, run):
     if has_val:
         summary["final_val_loss"] = history["val"][-1]
     if "holdout" in cfg:
-        summary.update(_write_r2(run, trained, read_csv(cfg["holdout"])))
+        summary.update(_write_r2(run, trained, holdout))
     return summary
 
 
 def _run_eval(cfg, seed, run):
     model = load_model(cfg["model"])
     dataset = read_csv(cfg["dataset"])
-    dataset.check_dims(model.dims)
+    dataset.check_dims(model.dims, cfg["dataset"])
     return {"rows": len(dataset), **_write_r2(run, model, dataset)}
 
 

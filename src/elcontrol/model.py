@@ -506,10 +506,11 @@ class TrajectoryDataset:
                 f"{name}_dot disagrees with differenced {name}: "
                 f"max error {err:.3e} > {self.fd_tol:.1e} * {scale:.3e}")
 
-    def check_dims(self, dims):
-        """ValidationError unless the channel counts are those of `dims`."""
-        if tuple(a.shape[1] for a in (self.y, self.v, self.d, self.z)) != dataclasses.astuple(dims):
-            raise ValidationError("dataset channel counts do not match the model")
+    def check_dims(self, dims, source="dataset"):
+        """ValidationError naming `source` unless the channel counts are `dims`'."""
+        counts = tuple(a.shape[1] for a in (self.y, self.v, self.d, self.z))
+        if counts != dataclasses.astuple(dims):
+            raise ValidationError(f"{source}: channel counts {counts} do not match {dims}")
 
     def segment(self, start, stop):
         """Contiguous sub-dataset keeping the stored derivatives."""
@@ -661,10 +662,23 @@ def train(model: ELModel, data: TrajectoryDataset, cfg: TrainConfig):
     history = {"train": [], "val": []}
     checkpoint = {k: p.copy() for k, p in params.items()}
 
-    def batch_loss(model_now, sel_arrays, count):
-        g = model_now.loss_graph(q_e, count)
-        out = ad.evaluate(g, sel_arrays)
-        return g, float(out.data)
+    programs = {}
+
+    def batch_loss(arrays, with_gradient=True):
+        """Loss and gradients of a batch.  The first batch of each shape runs
+        the graph and records it as an `ad.Program`, and later ones replay
+        that; every training shape comes before the validation set's."""
+        count, leaves = len(arrays["y"]), {**trained.params, **arrays}
+        program = programs.get(count)
+        if program is None:
+            with ad.recording() as program:
+                g = trained.loss_graph(q_e, count)
+                value = ad.evaluate(g, arrays).data
+                grads = ad.gradient(g) if with_gradient else None
+            programs[count] = program.finish(leaves, value, grads)
+        else:
+            value, grads = program.run(leaves, with_gradient)
+        return float(value), grads
 
     for epoch in range(cfg.epochs):
         step = cfg.step_size * cfg.decay ** epoch
@@ -674,8 +688,7 @@ def train(model: ELModel, data: TrajectoryDataset, cfg: TrainConfig):
             sel = perm[start:start + cfg.batch_size]
             batch = {k: a[sel] for k, a in tr.items()}
             try:
-                g, value = batch_loss(trained, batch, len(sel))
-                grads = ad.gradient(g)
+                value, grads = batch_loss(batch)
             except (NonFiniteError, np.linalg.LinAlgError) as exc:
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}",
@@ -697,7 +710,7 @@ def train(model: ELModel, data: TrajectoryDataset, cfg: TrainConfig):
         history["train"].append(epoch_sum / n_train)
         if n_val:
             try:
-                _, val_value = batch_loss(trained, va, n_val)
+                val_value, _ = batch_loss(va, with_gradient=False)
             except (NonFiniteError, np.linalg.LinAlgError) as exc:
                 raise TrainingDivergedError(
                     f"validation loss diverged in epoch {epoch}",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import elcontrol.autodiff as ad
-from elcontrol.errors import GraphStateError, ShapeError
+from elcontrol.errors import GraphStateError, NonFiniteError, ShapeError
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -360,3 +360,84 @@ def test_jacobian_rows_equals_one_backward_per_row():
     (got,) = ad.jacobian_rows(out, [x])
     (expected,) = _rows_one_backward_each(out, [x])
     assert np.array_equal(got.data, expected)
+
+
+# ---------------------------------------------------------------------------
+# recorded programs: replaying the numpy calls of one graph on new leaves
+
+def _record(graph, inputs):
+    with ad.recording() as program:
+        loss = ad.evaluate(graph, inputs).data
+        grads = ad.gradient(graph)
+    leaves = {k: t.data for k, t in graph.parameters.items()}
+    return program.finish({**leaves, **inputs}, loss, grads)
+
+
+def _fresh(fn, params, names, inputs):
+    g = ad.Graph(fn, params, names)
+    return ad.evaluate(g, inputs).data, ad.gradient(g)
+
+
+def test_recorded_relu_replays_on_sign_flipped_inputs():
+    # the mask is an operation on x, not a constant taken from the recorded x
+    def fn(w, x):
+        h = ad.relu(ad.matmul(x, w))
+        return ad.sum(ad.mul(ad.relu(ad.mul(h, x)), x))
+
+    rng = np.random.default_rng(3)
+    x, w = rng.normal(size=(5, 4)), rng.normal(size=(4, 4))
+    program = _record(ad.Graph(fn, {"w": w}, ("x",)), {"x": x})
+    for sign in (1.0, -1.0):
+        got_loss, got = program.run({"w": sign * w, "x": -x})
+        want_loss, want = _fresh(fn, {"w": sign * w}, ("x",), {"x": -x})
+        assert got_loss == want_loss and np.array_equal(got["w"], want["w"])
+
+
+def test_program_drops_repeated_and_unread_calls():
+    def fn(p, x):
+        ad.exp(ad.mul(x, p))   # read by nothing
+        return ad.add(ad.sum(ad.sinh(ad.mul(x, p))), ad.sum(ad.sinh(ad.mul(x, p))))
+
+    program = _record(ad.Graph(fn, {"p": np.ones(3)}, ("x",)), {"x": np.arange(3.0)})
+    calls = [op[0] for op in program.forward + program.backward]
+    assert len(program.ops) > len(calls) and np.exp not in calls
+    assert [op[0] for op in program.forward] == [np.multiply, np.sinh, np.sum, np.add]
+
+
+def test_program_gradient_of_unreached_parameter_is_a_read_only_zero():
+    def fn(x, p, q):
+        return ad.sum(ad.mul(x, p))
+
+    program = _record(ad.Graph(fn, {"p": np.ones(3), "q": np.ones(2)}, ("x",)),
+                      {"x": np.arange(3.0)})
+    loss, grads = program.run({"p": np.full(3, 2.0), "q": np.ones(2), "x": np.ones(3)})
+    assert loss == 6.0 and np.array_equal(grads["p"], np.ones(3))
+    assert np.array_equal(grads["q"], np.zeros(2)) and not grads["q"].flags.writeable
+    assert program.run({"p": np.ones(3), "q": np.ones(2), "x": np.ones(3)}, False)[1] is None
+
+
+def _raised(call):
+    try:
+        call()
+    except (NonFiniteError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_program_raises_what_the_graph_raises():
+    def fn(p, a, x):
+        return ad.sum(ad.add(ad.log(ad.mul(p, x)), ad.solve(a, ad.reshape(x, (2, 1)))))
+
+    leaves = {"p": np.ones(2), "a": np.eye(2)}
+    program = _record(ad.Graph(fn, leaves, ("x",)), {"x": np.ones(2)})
+    # a loss that is not finite, a finite loss whose gradient is not (log of a
+    # subnormal p), and a singular solve
+    cases = [({**leaves, "x": np.array([-1.0, 1.0])}, "graph evaluation"),
+             ({**leaves, "p": np.array([1e-320, 1.0])}, "gradient of parameter 'p'"),
+             ({**leaves, "a": np.zeros((2, 2))}, "Singular")]
+    with np.errstate(all="ignore"):
+        for run, message in cases:
+            want = _raised(lambda: _fresh(fn, {k: run[k] for k in leaves}, ("x",),
+                                          {"x": run.get("x", np.ones(2))}))
+            got = _raised(lambda: program.run({"x": np.ones(2), **run}))
+            assert got == want and message in got[1]

@@ -744,6 +744,30 @@ def test_null_initial_state_means_not_given(tmp_path, teacher_run):
     assert traces[0] == traces[1]
 
 
+@pytest.mark.parametrize("case", ["missing holdout", "narrow holdout", "narrow dataset",
+                                  "narrow eval dataset"])
+def test_dataset_errors_name_the_file_before_training(tmp_path, teacher_run, capsys, case):
+    # "narrow": one input channel where the model has two
+    data, bad = str(teacher_run / "dataset.csv"), str(tmp_path / "narrow.csv")
+    ds = read_csv(data)
+    write_csv(TrajectoryDataset(ds.t, ds.v[:, :1], ds.d, ds.y, ds.z, d_dot=ds.d_dot,
+                                y_dot=ds.y_dot, fd_tol=ds.fd_tol), bad)
+    cfg = {"output": str(tmp_path / "run"), "dims": TINY_DIMS, "dataset": data,
+           "holdout": bad, "train": {"epochs": 1}}
+    if case == "missing holdout":
+        cfg["holdout"] = bad = str(tmp_path / "missing.csv")
+    elif case == "narrow dataset":
+        cfg = {**cfg, "dataset": bad, "holdout": data}
+    command = "eval" if case == "narrow eval dataset" else "train"
+    if command == "eval":
+        cfg = {"output": str(tmp_path / "run"), "dataset": bad,
+               "model": str(teacher_run / "plant_model.npz")}
+    assert run_cli(tmp_path, command, cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and bad in err[0]
+    assert not (tmp_path / "run" / "model.npz").exists()
+
+
 def test_null_holdout_means_not_given(tmp_path, teacher_run):
     cfg = {"output": str(tmp_path / "run"), "dims": TINY_DIMS, "holdout": None,
            "dataset": str(teacher_run / "dataset.csv"), "train": {"epochs": 0}}

@@ -10,10 +10,12 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import elcontrol.autodiff as ad
 from elcontrol.errors import NonFiniteError, TrainingDivergedError, ValidationError
-from elcontrol.model import (ELModel, ModelArch, ModelDims, TrainConfig,
+from elcontrol.model import (GRAD_CLIP_NORM, ELModel, ModelArch, ModelDims, TrainConfig,
                              TrajectoryDataset, default_q_e, load_model, loss,
                              read_csv, save_model, train, write_csv)
 
@@ -410,17 +412,107 @@ def test_train_deterministic_given_seed():
         assert np.array_equal(t1.params[k], t2.params[k]), k
 
 
+def _train_graph_per_step(model, data, cfg):
+    """`train`'s loop with a fresh graph for every batch, the way it ran before
+    it recorded one program per batch shape: (params, history), or
+    (checkpoint, epoch) of the divergence."""
+    q_e = default_q_e(data)
+    n_val = int(round(cfg.val_fraction * len(data)))
+    n_train = len(data) - n_val
+    arrays = {"v": data.v, "y": data.y, "d": data.d, "d_dot": data.d_dot,
+              "ydot": data.y_dot, "z": data.z}
+    rng = np.random.default_rng(cfg.seed)
+    params = {k: p.copy() for k, p in model.params.items()}
+    m1 = {k: np.zeros_like(p) for k, p in params.items()}
+    m2 = {k: np.zeros_like(p) for k, p in params.items()}
+    checkpoint, history, t = {k: p.copy() for k, p in params.items()}, {"train": [], "val": []}, 0
+
+    def batch_loss(sel):
+        g = model.clone(params).loss_graph(q_e, len(sel))
+        return float(ad.evaluate(g, {k: a[sel] for k, a in arrays.items()}).data), g
+
+    for epoch in range(cfg.epochs):
+        step = cfg.step_size * cfg.decay ** epoch
+        perm = rng.permutation(n_train)
+        epoch_sum = 0.0
+        for start in range(0, n_train, cfg.batch_size):
+            sel = perm[start:start + cfg.batch_size]
+            try:
+                value, g = batch_loss(sel)
+                grads = ad.gradient(g)
+            except (NonFiniteError, np.linalg.LinAlgError):
+                return checkpoint, epoch
+            epoch_sum += value * len(sel)
+            norm = np.sqrt(np.sum([float(np.sum(np.square(gv))) for gv in grads.values()]))
+            clip = min(1.0, GRAD_CLIP_NORM / norm) if norm > 0 else 1.0
+            t += 1
+            for k in params:
+                gk = grads[k] * clip
+                m1[k] = 0.9 * m1[k] + (1.0 - 0.9) * gk
+                m2[k] = 0.999 * m2[k] + (1.0 - 0.999) * np.square(gk)
+                params[k] = params[k] - step * (m1[k] / (1.0 - 0.9 ** t)) / (
+                    np.sqrt(m2[k] / (1.0 - 0.999 ** t)) + 1e-8)
+        history["train"].append(epoch_sum / n_train)
+        if n_val:
+            try:
+                history["val"].append(batch_loss(np.arange(n_train, len(data)))[0])
+            except (NonFiniteError, np.linalg.LinAlgError):
+                return checkpoint, epoch
+        checkpoint = {k: p.copy() for k, p in params.items()}
+    return params, history
+
+
+def test_train_equals_the_graph_per_step_loop():
+    ds = _linear_teacher_dataset().segment(0, 400)
+    m = ELModel.for_training(ModelDims(2, 2, 1, 1), ds, seed=2)
+    cfg = TrainConfig(epochs=3, batch_size=128, step_size=0.01, seed=7)
+    trained, history = train(m, ds, cfg)
+    params, want = _train_graph_per_step(m, ds, cfg)
+    assert history == want
+    for k in params:
+        assert np.array_equal(trained.params[k], params[k]), k
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_keeps_checkpoint():
     ds = _linear_teacher_dataset().segment(0, 400)
     m = ELModel.for_training(ModelDims(2, 2, 1, 1), ds, seed=3)
+    cfg = TrainConfig(epochs=5, batch_size=128, step_size=1e6, seed=0)
     with pytest.raises(TrainingDivergedError) as info:
-        train(m, ds, TrainConfig(epochs=5, batch_size=128, step_size=1e6, seed=0))
+        train(m, ds, cfg)
     err = info.value
     assert err.epoch is not None
     assert set(err.checkpoint) == set(m.params)
     for p in err.checkpoint.values():
         assert np.all(np.isfinite(p))
+    # the replayed programs diverge where a graph per step does
+    checkpoint, epoch = _train_graph_per_step(m, ds, cfg)
+    assert err.epoch == epoch
+    for k in checkpoint:
+        assert np.array_equal(err.checkpoint[k], checkpoint[k]), k
+
+
+def test_train_runs_the_graph_once_per_batch_shape(monkeypatch):
+    # 320 training rows in batches of 128 and 64, and 80 validation rows:
+    # later epochs replay the three recorded programs
+    evaluated, differentiated = [], []
+    real_evaluate, real_gradient = ad.evaluate, ad.gradient
+
+    def evaluate(graph, inputs=None):
+        evaluated.append(len(inputs["y"]))
+        return real_evaluate(graph, inputs)
+
+    def gradient(graph, seed=None):
+        differentiated.append(evaluated[-1])
+        return real_gradient(graph, seed)
+
+    monkeypatch.setattr(ad, "evaluate", evaluate)
+    monkeypatch.setattr(ad, "gradient", gradient)
+    ds = _linear_teacher_dataset().segment(0, 400)
+    m = ELModel.for_training(ModelDims(2, 2, 1, 1), ds, seed=2)
+    _, history = train(m, ds, TrainConfig(epochs=3, batch_size=128, seed=7))
+    assert len(history["val"]) == 3
+    assert evaluated == [128, 64, 80] and differentiated == [128, 64]
 
 
 def test_train_identifies_linear_teacher():
@@ -441,6 +533,44 @@ def test_train_identifies_linear_teacher():
     # validation loss trend decreases
     h = np.array(history["val"])
     assert h[-5:].mean() < 0.1 * h[:5].mean()
+
+
+channels = st.integers(1, 3)
+depths = st.integers(1, 2)
+
+
+@settings(derandomize=True)
+@given(channels, channels, channels, channels, depths, depths, depths,
+       st.sampled_from([2, 5]), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 7, 16]))
+# the bench's SMALL_ARCH model at its 512-row batch
+@example(3, 3, 2, 2, 1, 1, 2, 8, 0, 512)
+def test_replayed_loss_and_gradients_equal_a_fresh_graph(ny, nu, nd, nz, phi_depth, psi_depth,
+                                                         xi_depth, hidden, seed, rows):
+    dims = ModelDims(ny, nu, nd, nz)
+    arch = ModelArch(phi_depth=phi_depth, phi_hidden=hidden, psi_depth=psi_depth,
+                     psi_hidden=hidden, xi_depth=xi_depth, xi_hidden=hidden, core_hidden=hidden)
+    rng = np.random.default_rng(seed)
+    widths = {"v": nu, "y": ny, "d": nd, "d_dot": nd, "ydot": ny, "z": nz}
+    q_e = np.diag(rng.uniform(0.5, 2.0, ny + nz))
+    # recorded on one model and batch, replayed on another of each
+    (recorded, first), (other, second) = (
+        (ELModel.random(dims, arch, seed=int(rng.integers(2 ** 31))),
+         {k: rng.uniform(-1.0, 1.0, (rows, w)) for k, w in widths.items()}) for _ in range(2))
+    with ad.recording() as program:
+        g = recorded.loss_graph(q_e, rows)
+        loss = ad.evaluate(g, first).data
+        grads = ad.gradient(g)
+    program.finish({**recorded.params, **first}, loss, grads)
+    g = other.loss_graph(q_e, rows)
+    want_loss, want = ad.evaluate(g, second).data, ad.gradient(g)
+    got_loss, got = program.run({**other.params, **second})
+    assert got_loss == want_loss and list(got) == list(want)
+    assert program.run({**other.params, **second}, with_gradient=False)[0] == want_loss
+    again = program.run({**other.params, **second})[1]
+    for k, g in got.items():
+        assert np.array_equal(g, want[k]), k
+        # a gradient that is a recorded constant cannot be written through
+        assert not g.flags.writeable or not np.shares_memory(g, again[k]), k
 
 
 def test_multiple_equilibria_constructed_model():
