@@ -25,7 +25,6 @@ the linearizability check is a result, not an error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -43,83 +42,14 @@ from .model import (ELModel, ModelArch, ModelDims, TrainConfig,
                     TrajectoryDataset, load_model, read_csv, save_model,
                     write_csv, write_table)
 from .model import train as train_model
+from .readers import _float, _int, _numbers, _path, _raw, _read, _read_fields, _seed, _vector
 from .simulate import (MismatchPlant, TeacherPlant, gen_excitation, metrics_r2,
                        simulate_closed_loop, simulate_open_loop, step_schedule,
                        write_trace_csv)
 
 
 # ---------------------------------------------------------------------------
-# config plumbing: each section is declared once, as mappings from its
-# required and its optional keys to readers; a reader takes (value, where)
-# and returns the value parsed, or raises ValidationError naming `where`
-
-def _read(node, where, required, optional={}):
-    """The keys of mapping `node` that are given (not null), each parsed by
-    its reader.  Unknown keys and missing required ones raise.  An omitted
-    or null key is left out, so the callee's own default applies."""
-    if not isinstance(node, dict):
-        raise ValidationError(f"{where} must be a mapping")
-    keys = {**required, **optional}
-    unknown = sorted(set(node) - set(keys), key=str)
-    if unknown:
-        raise ValidationError(
-            f"{where}: unknown keys {unknown}; allowed keys are {sorted(keys)}")
-    given = {key: value for key, value in node.items() if value is not None}
-    for key in required:
-        if key not in given:
-            raise ValidationError(f"{where}: missing required key {key!r}")
-    return {key: keys[key](value, f"{where}.{key}") for key, value in given.items()}
-
-
-def _raw(value, where):
-    return value
-
-
-def _path(value, where):
-    if not isinstance(value, str):
-        raise ValidationError(f"{where} must be a file path, got {value!r}")
-    return value
-
-
-def _float(value, where):
-    number = _numbers(value, where)
-    if number.ndim:
-        raise ValidationError(f"{where} must be a finite number, got {value!r}")
-    return float(number)
-
-
-def _int(value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _seed(value, where):
-    if _int(value, where) < 0:
-        raise ValidationError(f"{where} must be a nonnegative integer, got {value!r}")
-    return value
-
-
-def _numbers(value, where):
-    """A finite number or (nested) list of finite numbers as a float64 array."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where} must be numeric, got {value!r}") from None
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{where} must be finite, got {value!r}")
-    return arr
-
-
-def _vector(value, where, width=None):
-    arr = _numbers(value, where).reshape(-1)
-    if width is not None:
-        if arr.size == 1:
-            arr = np.full(width, arr[0])
-        elif arr.size != width:
-            raise ValidationError(f"{where} must have {width} entries, got {arr.size}")
-    return arr
-
+# config plumbing: the command-specific readers (see `readers`)
 
 def _weight(value, where, n):
     """Cost weight: scalar -> scaled identity, vector -> diagonal, else a matrix."""
@@ -133,17 +63,6 @@ def _weight(value, where, n):
     if arr.shape != (n, n):
         raise ValidationError(f"{where} must be {n}x{n}, got {arr.shape}")
     return arr
-
-
-def _read_fields(cls, node, where, **readers):
-    """`_read` with one key per field of dataclass `cls`, read by `readers`'
-    entry for it or else by its annotated type; fields without a default
-    are required."""
-    required, optional = {}, {}
-    for f in dataclasses.fields(cls):
-        keys = required if f.default is dataclasses.MISSING else optional
-        keys[f.name] = readers.get(f.name) or {"int": _int, "float": _float}[f.type]
-    return _read(node, where, required, optional)
 
 
 def _weights(node, dims):
@@ -266,21 +185,19 @@ def _run_gen_data(cfg, seed, run):
                                  ("d", partial(_vector, width=dims.nd)))]
     if duration == 0.0:
         # no samples to take; publish the column layout and succeed
-        empty = TrajectoryDataset(
+        dataset = TrajectoryDataset(
             np.zeros(0), np.zeros((0, dims.nu)), np.zeros((0, dims.nd)),
             np.zeros((0, dims.ny)), np.zeros((0, dims.nz)),
             d_dot=np.zeros((0, dims.nd)), y_dot=np.zeros((0, dims.ny)), **opts)
-        write_csv(empty, run.path("dataset.csv"))
-        run.written.append("dataset.csv.meta.json")
-        return {"rows": 0, "duration": 0.0}
-
-    v, d = (gen_excitation(s["kind"], duration, s["period"], (s["low"], s["high"]),
-                           seed=s.get("seed", seed + offset))
-            for offset, s in enumerate(signals, 1))
-    dataset = simulate_open_loop(plant, v, d, y0, step, **opts)
-    write_csv(dataset, run.path("dataset.csv"))
-    run.written.append("dataset.csv.meta.json")
-    return {"rows": len(dataset), "duration": duration, "step": step}
+        summary = {"rows": 0, "duration": 0.0}
+    else:
+        v, d = (gen_excitation(s["kind"], duration, s["period"], (s["low"], s["high"]),
+                               seed=s.get("seed", seed + offset))
+                for offset, s in enumerate(signals, 1))
+        dataset = simulate_open_loop(plant, v, d, y0, step, **opts)
+        summary = {"rows": len(dataset), "duration": duration, "step": step}
+    run.written += map(os.path.basename, write_csv(dataset, os.path.join(run.out, "dataset.csv")))
+    return summary
 
 
 def _run_train(cfg, seed, run):

@@ -40,7 +40,9 @@ from .errors import (InfeasibleError, NonFiniteError, NotRealizableError,
 from .networks import check_conditioning
 from .qpsolver import QpProblem
 
-RICCATI_TOL = 1e-8
+# the Riccati residual gate: absolute, or relative to the scale of the terms,
+# |Q| + |P| (2 |A| + |S| |P|) (Laub, IEEE TAC 1979); 1e-15 is about 5 eps
+RICCATI_TOL, RICCATI_REL_TOL = 1e-8, 1e-15
 
 
 def _as_matrix(name, M, shape):
@@ -65,10 +67,10 @@ def solve_care(A, B, Q, R):
     The stable invariant subspace of the 2n x 2n Hamiltonian gives a first
     estimate; Newton correction steps polish it below a Frobenius residual
     of 1e-8, with the residual accumulated in extended precision so stiff
-    designs (|P S P| near 1e8) can still be certified.  Raises
-    ValidationError when no stabilizing solution exists: a Hamiltonian
-    eigenvalue on the imaginary axis, or a result that is not positive
-    definite.
+    designs (|P S P| near 1e8), or their stiffer kin relative to scale, can
+    still be certified.  Raises ValidationError when no stabilizing solution
+    exists: a Hamiltonian eigenvalue on the imaginary axis, or a result that
+    is not positive definite.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     n = A.shape[0]
@@ -127,8 +129,9 @@ def solve_care(A, B, Q, R):
         P = 0.5 * (P + P.T)
     P = best_P
 
-    res_norm = float(np.linalg.norm(residual(P)))
-    if not np.isfinite(res_norm) or res_norm >= RICCATI_TOL:
+    res_norm, norm = float(np.linalg.norm(residual(P))), np.linalg.norm
+    if not res_norm < max(RICCATI_TOL, RICCATI_REL_TOL * (
+            norm(Q) + norm(P) * (2.0 * norm(A) + norm(S) * norm(P)))):
         raise ValidationError(f"Riccati iteration stalled at residual {res_norm:.3e}")
     if np.min(np.linalg.eigvalsh(P)) <= 0.0:
         raise ValidationError("Riccati solution is not positive definite")

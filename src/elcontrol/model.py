@@ -45,8 +45,8 @@ from .errors import (NonFiniteError, ShapeError, TrainingDivergedError, Validati
                      checked_count)
 from .networks import (Bnn, DiagonalBnn, MlpStack, ParamMlp, Picnn, Scaler, _read_only,
                        check_conditioning)
+from .readers import _read_fields
 
-MODEL_FORMAT_VERSION = 1
 GRAD_CLIP_NORM = 10.0
 
 
@@ -128,42 +128,36 @@ class ELModel:
         self.scalers = scalers
         if params is None:
             params = {}
-            for net in self._mlps():
+            for net in self._nets():
                 net.init_zero(params)
-            self.z_map.init_zero(params)
         self.params = params
         self._point = None
         self.validate()
 
     # -- construction -----------------------------------------------------
 
-    def _mlps(self):
+    def _nets(self):
         return (self.state_map.nets + self.input_map.nets
-                + [self.a_net, self.b_net, self.c_net])
+                + [self.a_net, self.b_net, self.c_net, self.z_map])
 
-    def param_shapes(self):
-        shapes = {}
-        for net in self._mlps():
-            shapes.update(net.param_shapes())
-        shapes.update(self.z_map.param_shapes())
+    def entry_shapes(self):
+        """The container's float64 entries after `__meta__`, in file order, with their shapes."""
+        params = {}
+        for net in self._nets():
+            params.update(net.param_shapes())
+        shapes = {f"scaler.{name}.{part}": (dim,) for name, dim in
+                  zip("yvdz", dataclasses.astuple(self.dims)) for part in ("mean", "std")}
+        shapes.update((f"param.{key}", params[key]) for key in sorted(params))
         return shapes
 
     def validate(self):
-        """Check parameter completeness/shapes and scaler dims (softplus keeps Xi's Wz >= 0)."""
-        expected = self.param_shapes()
-        got = {k: v.shape for k, v in self.params.items()}
-        if got.keys() != expected.keys():
-            missing = sorted(expected.keys() - got.keys())
-            extra = sorted(got.keys() - expected.keys())
-            raise ValidationError(f"parameter keys mismatch: missing {missing}, extra {extra}")
-        for k, shape in expected.items():
-            if got[k] != shape:
-                raise ValidationError(f"parameter {k}: shape {got[k]} != expected {shape}")
-        for name, dim in zip("yvdz", dataclasses.astuple(self.dims)):
-            s = self.scalers[name]
-            if not (s.mean.shape == s.std.shape == (dim,) and np.all(s.std > 0)):
-                raise ValidationError(
-                    f"scaler {name!r} needs mean and std of shape ({dim},) and std > 0")
+        """Check every container entry's shape and scaler std > 0 (softplus keeps Xi's Wz >= 0)."""
+        got = {name: np.shape(arr) for name, arr in _container(self).items() if name != "__meta__"}
+        wrong = sorted(set(got.items()) ^ set(self.entry_shapes().items()))
+        if wrong:
+            raise ValidationError(f"entries {wrong} differ from their declared shapes")
+        if not all(np.all(self.scalers[name].std > 0) for name in "yvdz"):
+            raise ValidationError("scaler std must be > 0")
 
     def clone(self, params=None):
         new = {k: v.copy() for k, v in (params or self.params).items()}
@@ -528,38 +522,51 @@ def write_table(path, header, rows):
             f.write(",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row) + "\n")
 
 
+def _header(widths):
+    """Column names of (name, width) blocks: `name` for width None, else numbered from 1."""
+    return [name if width is None else f"{name}{i + 1}"
+            for name, width in widths for i in range(1 if width is None else width)]
+
+
 def write_blocks(path, blocks):
-    """`write_table` for named blocks of channels: a 1-D block is one column
-    under its name, a 2-D block one column per channel numbered from 1."""
-    header = []
-    for name, arr in blocks:
-        header.extend([name] if arr.ndim == 1 else
-                      [f"{name}{i + 1}" for i in range(arr.shape[1])])
-    write_table(path, header, np.column_stack([arr for _, arr in blocks]).tolist())
+    """`write_table` for named blocks of channels: a 1-D block is one column."""
+    write_table(path, _header((name, arr.shape[1] if arr.ndim == 2 else None)
+                              for name, arr in blocks),
+                np.column_stack([arr for _, arr in blocks]).tolist())
+
+
+# the dataset CSV's column blocks in file order, each with the attribute it holds
+_CSV_BLOCKS = {"t": "t", "v": "v", "d": "d", "y": "y", "z": "z", "ydot": "y_dot", "ddot": "d_dot"}
+
+
+def _sidecar(dataset):
+    """The sidecar `write_csv` writes with `dataset`, the only one `read_csv` accepts."""
+    return {"format_version": 1, "period": dataset.period if len(dataset) > 1 else None,
+            "fd_tol": dataset.fd_tol, "units": {"t": "s"}}
 
 
 def write_csv(dataset: TrajectoryDataset, path):
-    """Write the dataset as CSV plus a `<path>.meta.json` sidecar.
-
-    Values are formatted with %.17g so float64 round trips exactly.
-    """
-    write_blocks(path, [("t", dataset.t), ("v", dataset.v), ("d", dataset.d),
-                        ("y", dataset.y), ("z", dataset.z),
-                        ("ydot", dataset.y_dot), ("ddot", dataset.d_dot)])
-    meta = {"format_version": 1,
-            "period": dataset.period if len(dataset) > 1 else None,
-            "fd_tol": dataset.fd_tol,
-            "units": {"t": "s"}}
-    with open(f"{path}.meta.json", "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=1)
+    """Write the dataset as CSV (values as %.17g, so float64 round trips
+    exactly) plus its sidecar; returns the two paths."""
+    write_blocks(path, [(name, getattr(dataset, attr)) for name, attr in _CSV_BLOCKS.items()])
+    sidecar = f"{path}.meta.json"
+    with open(sidecar, "w") as f:
+        json.dump(_sidecar(dataset), f, sort_keys=True, indent=1)
         f.write("\n")
+    return [path, sidecar]
 
 
 def read_csv(path):
-    """Read a dataset CSV; derivative columns are used if present else differenced."""
+    """Read a dataset as `write_csv` writes it, with the sidecar optional (fd_tol
+    then takes its default); anything else raises ValidationError naming the file."""
     with open(path) as f:
         header = f.readline().strip().split(",")
         body = f.read()
+    base = [column.rstrip("0123456789") for column in header]
+    widths = [None] + [base.count(name) for name in list(_CSV_BLOCKS)[1:]]
+    if 0 in widths or header != _header(zip(_CSV_BLOCKS, widths)):
+        raise ValidationError(f"{path}: header {','.join(header)} is not t, then the "
+                              f"{', '.join(list(_CSV_BLOCKS)[1:])} channels numbered from 1")
     if not body.strip():
         raise ValidationError(f"{path}: no data rows")
     try:
@@ -568,37 +575,27 @@ def read_csv(path):
         raise ValidationError(f"{path}: not a numeric table ({exc})") from None
     if table.shape[1] != len(header):
         raise ValidationError(f"{path}: {table.shape[1]} columns != header {len(header)}")
-    groups: dict[str, list[int]] = {}
-    for idx, name in enumerate(header):
-        base = name.rstrip("0123456789")
-        groups.setdefault(base, []).append(idx)
-    required = ["t", "v", "d", "y", "z"]
-    missing = [g for g in required if g not in groups]
-    if missing:
-        raise ValidationError(f"{path}: missing column groups {missing}")
-    known = set(required) | {"ydot", "ddot"}
-    unknown = sorted(set(groups) - known)
-    if unknown:
-        raise ValidationError(f"{path}: unknown column groups {unknown}")
     sidecar = f"{path}.meta.json"
     try:
         with open(sidecar) as f:
             meta = json.load(f)
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
     except FileNotFoundError:
-        meta = {}
+        meta = None
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{sidecar}: unreadable ({exc})") from None
-    if not isinstance(meta, dict):
-        raise ValidationError(f"{sidecar}: not a JSON object")
-    pick = lambda g: table[:, groups[g]]
     try:
-        return TrajectoryDataset(
-            pick("t")[:, 0], pick("v"), pick("d"), pick("y"), pick("z"),
-            d_dot=pick("ddot") if "ddot" in groups else None,
-            y_dot=pick("ydot") if "ydot" in groups else None,
-            fd_tol=meta.get("fd_tol", 1e-2))
+        dataset = TrajectoryDataset(
+            **{attr: table[:, [i for i, b in enumerate(base) if b == name]]
+               for name, attr in _CSV_BLOCKS.items()},
+            fd_tol=1e-2 if meta is None else meta.get("fd_tol"))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    declared = json.dumps(_sidecar(dataset), sort_keys=True)
+    if meta is not None and json.dumps(meta, sort_keys=True) != declared:
+        raise ValidationError(f"{sidecar}: not the sidecar of its dataset, {declared}")
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -736,66 +733,61 @@ def _write_npz(path, arrays):
             zf.writestr(info, buf.getvalue())
 
 
+def _container(model):
+    """The container of `model` in file order: `__meta__`, the metadata JSON
+    as bytes, then the float64 entries `ELModel.entry_shapes` declares."""
+    meta = {"format_version": 1,
+            "dims": list(dataclasses.astuple(model.dims)), "arch": dataclasses.asdict(model.arch)}
+    entries = {"__meta__": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), np.uint8)}
+    entries.update((f"scaler.{name}.{part}", getattr(model.scalers[name], part))
+                   for name in "yvdz" for part in ("mean", "std"))
+    entries.update((f"param.{key}", model.params[key]) for key in sorted(model.params))
+    return entries
+
+
 def save_model(model: ELModel, path):
     """Write a self-describing container; parameters round trip bit-exactly."""
-    meta = {"format_version": MODEL_FORMAT_VERSION,
-            "dims": [model.dims.ny, model.dims.nu, model.dims.nd, model.dims.nz],
-            "arch": dataclasses.asdict(model.arch)}
-    arrays = {"__meta__": np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)}
-    for name in ("y", "v", "d", "z"):
-        arrays[f"scaler.{name}.mean"] = model.scalers[name].mean
-        arrays[f"scaler.{name}.std"] = model.scalers[name].std
-    for key in sorted(model.params):
-        arrays[f"param.{key}"] = model.params[key]
-    _write_npz(path, arrays)
+    _write_npz(path, _container(model))
+
+
+def _npy(zf, name, dtype, shape):
+    """Entry `name` of `zf`, refused unless its npy header, read first, declares
+    `dtype` and `shape` (None: any length), and unless its values are finite."""
+    with zf.open(f"{name}.npy") as fh:
+        npformat.read_magic(fh)
+        header = npformat.read_array_header_1_0(fh)
+        if header != (header[0][:1] if shape is None else shape, False, np.dtype(dtype)):
+            raise ValidationError(f"entry {name}: npy header {header}, not {dtype} {shape}")
+        arr = np.frombuffer(bytearray(fh.read()), dtype).reshape(header[0])
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"entry {name} has non-finite values")
+    return arr
 
 
 def load_model(path) -> ELModel:
-    """Read a model container.
-
-    Anything but a well-formed container with finite values raises
-    ValidationError; a missing file raises OSError.
-    """
-    data = {}
+    """Read a container as `save_model` writes it: the metadata's dims and arch
+    declare every entry.  Anything else raises ValidationError naming the
+    file; a missing file raises OSError."""
     try:
         with zipfile.ZipFile(path) as zf:
-            for name in zf.namelist():
-                with zf.open(name) as fh:
-                    data[name.removesuffix(".npy")] = npformat.read_array(fh, allow_pickle=False)
-    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
-        raise ValidationError(f"{path}: not a model container ({exc})") from exc
-    if "__meta__" not in data:
-        raise ValidationError(f"{path}: not a model container")
-    try:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-    except ValueError as exc:
-        raise ValidationError(f"{path}: unreadable model metadata") from exc
-    if not isinstance(meta, dict):
-        raise ValidationError(f"{path}: unreadable model metadata")
-    if meta.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValidationError(
-            f"{path}: unsupported format_version {meta.get('format_version')}")
-    arch, dims = meta.get("arch"), meta.get("dims")
-    if not (isinstance(arch, dict) and isinstance(dims, list) and len(dims) == 4
-            and all(type(v) is int for v in [*dims, *arch.values()])):
-        raise ValidationError(f"{path}: model metadata lacks integer dims or arch")
-    unknown = sorted(set(arch) - {f.name for f in dataclasses.fields(ModelArch)})
-    if unknown:
-        raise ValidationError(f"{path}: unknown arch keys {unknown}")
-    scaler_keys = [f"scaler.{name}.{part}" for name in ("y", "v", "d", "z")
-                   for part in ("mean", "std")]
-    missing = [key for key in scaler_keys if key not in data]
-    if missing:
-        raise ValidationError(f"{path}: missing entries {missing}")
-    bad = sorted(key for key, arr in data.items() if key != "__meta__"
-                 and not (arr.dtype.kind == "f" and np.all(np.isfinite(arr))))
-    if bad:
-        raise ValidationError(f"{path}: non-float or non-finite values in {bad}")
-    scalers = {name: Scaler(data[f"scaler.{name}.mean"], data[f"scaler.{name}.std"])
-               for name in ("y", "v", "d", "z")}
-    params = {key[len("param."):]: arr for key, arr in data.items() if key.startswith("param.")}
-    try:
-        return ELModel(ModelDims(*dims), ModelArch(**arch), scalers, params)
+            meta = bytes(_npy(zf, "__meta__", np.uint8, None))
+            try:
+                fields = json.loads(meta)
+                dims, arch = ModelDims(*fields["dims"]), fields["arch"]
+            except (TypeError, KeyError):
+                raise ValidationError(f"metadata {meta.decode()} lacks dims or arch") from None
+            model = ELModel(dims, ModelArch(**_read_fields(ModelArch, arch, "metadata.arch")))
+            if meta != _container(model)["__meta__"].tobytes():
+                raise ValidationError(f"metadata {meta.decode()} is not as save_model writes it")
+            want = {f"{name}.npy" for name in ["__meta__", *model.entry_shapes()]}
+            if sorted(zf.namelist()) != sorted(want):
+                raise ValidationError(f"missing or extra entries {sorted({*zf.namelist()} ^ want)}")
+            data = {name.removeprefix("param."): _npy(zf, name, np.float64, shape)
+                    for name, shape in model.entry_shapes().items()}
+        scalers = {name: Scaler(*(data.pop(f"scaler.{name}.{part}") for part in ("mean", "std")))
+                   for name in "yvdz"}
+        return ELModel(dims, model.arch, scalers, data)
+    except (zipfile.BadZipFile, ValueError, EOFError, KeyError) as exc:
+        raise ValidationError(f"{path}: not a model container ({exc})") from None
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

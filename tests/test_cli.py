@@ -2,13 +2,16 @@
 
 import copy
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
 import yaml
+from numpy.lib import format as npformat
 
 from elcontrol import qpsolver
 from elcontrol.cli import main
@@ -396,27 +399,37 @@ def _bad_model_file(path, source, case):
     elif case == "truncated archive":
         data = open(source, "rb").read()
         open(path, "wb").write(data[:len(data) // 2])
-    elif case in ("unknown arch key", "non-integer dims", "huge dims"):
+    elif case in ("unknown arch key", "non-integer dims", "huge dims", "unknown metadata key",
+                  "arch missing a field"):
         with np.load(source) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
         if case == "unknown arch key":
             meta["arch"]["phi_width"] = 3
+        elif case == "unknown metadata key":
+            meta["units"] = "si"
+        elif case == "arch missing a field":
+            del meta["arch"]["xi_depth"]    # its value is the default
         else:
             meta["dims"][0] = "2" if case == "non-integer dims" else 10**6
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as f:
             np.savez(f, **arrays)
-    elif case in ("scaler std too wide", "zero scaler std", "string parameter"):
+    elif case in ("scaler std too wide", "zero scaler std", "string parameter",
+                  "float32 parameter", "float16 scaler"):
         with np.load(source) as data:
             arrays = {k: data[k] for k in data.files}
         std = arrays["scaler.y.std"]
+        key = sorted(k for k in arrays if k.startswith("param."))[0]
         if case == "scaler std too wide":
             arrays["scaler.y.std"] = np.concatenate([std, std])
         elif case == "zero scaler std":
             arrays["scaler.y.std"] = np.zeros_like(std)
+        elif case == "float32 parameter":
+            arrays[key] = arrays[key].astype(np.float32)
+        elif case == "float16 scaler":
+            arrays["scaler.y.std"] = std.astype(np.float16)
         else:
-            key = sorted(k for k in arrays if k.startswith("param."))[0]
             arrays[key] = np.full(arrays[key].shape, "x")
         with open(path, "wb") as f:
             np.savez(f, **arrays)
@@ -429,7 +442,9 @@ def _bad_model_file(path, source, case):
 
 @pytest.mark.parametrize("case", ["not a zip archive", "truncated archive", "unknown arch key",
                                   "non-integer dims", "huge dims", "nan parameter",
-                                  "scaler std too wide", "zero scaler std", "string parameter"])
+                                  "scaler std too wide", "zero scaler std", "string parameter",
+                                  "float32 parameter", "float16 scaler", "unknown metadata key",
+                                  "arch missing a field"])
 def test_eval_rejects_bad_model_files(tmp_path, teacher_run, capsys, case):
     bad = tmp_path / "bad.npz"
     _bad_model_file(bad, teacher_run / "plant_model.npz", case)
@@ -552,22 +567,65 @@ def run_cli_subprocess(*argv):
     return proc.stderr.splitlines()
 
 
+# headers the writer never writes: the inputs swapped or duplicated, the last
+# column named t
+HEADERS = {"header v2,v1": {"v1": "v2", "v2": "v1"}, "header v1,v1": {"v2": "v1"},
+           "header t,...,t": {"ddot1": "t"}}
+
+
 @pytest.mark.parametrize("case", ["sidecar not json", "sidecar list", "fd_tol string",
-                                  "fd_tol nan", "fd_tol negative", "header only"])
+                                  "fd_tol nan", "fd_tol negative", "header only", *HEADERS,
+                                  "sidecar unknown key", "sidecar period string"])
 def test_bad_dataset_files_are_one_error_line_naming_them(tmp_path, teacher_run, case):
     csv = tmp_path / "data.csv"
     lines = (teacher_run / "dataset.csv").read_text().splitlines(keepends=True)
+    if case in HEADERS:
+        names = lines[0].strip().split(",")
+        assert names[-1] == "ddot1"
+        lines[0] = ",".join(HEADERS[case].get(name, name) for name in names) + "\n"
     csv.write_text(lines[0] if case == "header only" else "".join(lines))
     meta = json.loads((teacher_run / "dataset.csv.meta.json").read_text())
     sidecar = {"sidecar not json": "{", "sidecar list": json.dumps([meta]),
                "fd_tol string": json.dumps({**meta, "fd_tol": "abc"}),
                "fd_tol nan": json.dumps({**meta, "fd_tol": float("nan")}),
-               "fd_tol negative": json.dumps({**meta, "fd_tol": -1})}
+               "fd_tol negative": json.dumps({**meta, "fd_tol": -1}),
+               "sidecar unknown key": json.dumps({**meta, "bogus": 1}),
+               "sidecar period string": json.dumps({**meta, "period": "x"})}
     (tmp_path / "data.csv.meta.json").write_text(sidecar.get(case, json.dumps(meta)))
     cfg = {"output": str(tmp_path / "run"), "model": str(teacher_run / "plant_model.npz"),
            "dataset": str(csv)}
     err = run_cli_subprocess("eval", "--config", write_config(tmp_path / "c.yaml", cfg))
     assert len(err) == 1 and err[0].startswith("error:") and str(csv) in err[0], err
+
+
+def test_entry_claiming_2_40_floats_is_one_error_line_before_any_allocation(tmp_path,
+                                                                            teacher_run):
+    # the command runs with its address space capped at 4 GiB, so a reader
+    # that sizes its array from this header fails instead of allocating 8 TiB
+    with np.load(teacher_run / "plant_model.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    huge = sorted(k for k in arrays if k.startswith("param."))[0]
+    bad = tmp_path / "huge.npz"
+    with zipfile.ZipFile(bad, "w") as zf:
+        for name, arr in arrays.items():
+            buf = io.BytesIO()
+            if name == huge:
+                npformat.write_array_header_1_0(
+                    buf, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 40,)})
+                buf.write(arr.tobytes())
+            else:
+                npformat.write_array(buf, arr)
+            zf.writestr(f"{name}.npy", buf.getvalue())
+    config = write_config(tmp_path / "c.yaml", {
+        "output": str(tmp_path / "run"), "model": str(bad),
+        "dataset": str(teacher_run / "dataset.csv")})
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32)); "
+            "from elcontrol.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, "eval", "--config", config],
+                          capture_output=True, text=True, timeout=300)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 1 and len(err) == 1 and err[0].startswith("error:"), err
+    assert str(bad) in err[0]
 
 
 def test_simulate_non_finite_tick_is_one_error_line_with_finite_partial_trace(tmp_path):

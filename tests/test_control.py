@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elcontrol.control import (RICCATI_TOL, BarrierSpec, ControllerState,
+from elcontrol.control import (RICCATI_REL_TOL, RICCATI_TOL, BarrierSpec, ControllerState,
                                DesignCache, LqrDesign, barrier_values, design_lqr,
                                equilibrium_kkt_residual,
                                icbf_problem, icbf_step, lqr_control,
@@ -56,12 +56,13 @@ def test_care_scalar_closed_form():
     assert abs(solve_care(-1.0, 1.0, 1.0, 1.0)[0, 0] - (np.sqrt(2) - 1)) < 1e-12
 
 
-@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-def test_care_random_residual_and_hurwitz(n, m, seed):
-    """A certified P with A - BK Hurwitz that matches the library solve.
-    Stiff designs (|P| above 1e5, which single-input draws reach) may be
-    refused instead: no float64 P brings the residual under the absolute
-    RICCATI_TOL there."""
+def check_care_draw(n, m, seed):
+    """`solve_care` on a random draw gives a symmetric positive definite P
+    inside the gate it applies, with A - BK Hurwitz, that matches the library
+    solve to 1e-8 of its largest entry; where only the gate relative to scale
+    certifies P, to 1e-6, since there (|P| up to 1.6e9) the library's own P
+    can be 4e-8 off a 60-digit Newton solution (seed 1043, n 4, m 1).
+    Returns whether the absolute RICCATI_TOL alone certifies P."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
@@ -71,17 +72,36 @@ def test_care_random_residual_and_hurwitz(n, m, seed):
     N = rng.normal(size=(m, m))
     R = N @ N.T + np.eye(m)
     P_ref = scipy_linalg.solve_continuous_are(A, B, Q, R)
-    try:
-        P = solve_care(A, B, Q, R)
-    except ValidationError:
-        assert np.max(np.abs(P_ref)) > 1e5
-        return
+    P = solve_care(A, B, Q, R)
     assert np.max(np.abs(P - P.T)) < 1e-12
     assert np.min(np.linalg.eigvalsh(P)) > 0
-    assert care_residual(A, B, Q, R, P) < RICCATI_TOL
+    S, norm = B @ np.linalg.solve(R, B.T), np.linalg.norm
+    scale = norm(Q) + norm(P) * (2 * norm(A) + norm(S) * norm(P))
+    residual = care_residual(A, B, Q, R, P)
+    assert residual < max(RICCATI_TOL, RICCATI_REL_TOL * scale)
     K = np.linalg.solve(R, B.T @ P)
     assert np.max(np.linalg.eigvals(A - B @ K).real) < 0
-    assert np.max(np.abs(P - P_ref)) < 1e-8 * (1 + np.max(np.abs(P_ref)))
+    tol = 1e-8 if residual < RICCATI_TOL else 1e-6
+    assert np.max(np.abs(P - P_ref)) < tol * (1 + np.max(np.abs(P_ref)))
+    return residual < RICCATI_TOL
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_care_random_residual_and_hurwitz(n, m, seed):
+    check_care_draw(n, m, seed)
+
+
+# the draws of seeds 0-1499 that the absolute RICCATI_TOL alone refuses:
+# |P| 1.1e5 to 1.6e9, residuals 6e-22 to 7e-20 of the scale of the terms
+STIFF_DRAWS = [(4, 1, seed) for seed in (113, 233, 286, 312, 397, 611, 723, 727, 756, 823,
+                                         840, 986, 999, 1043, 1060, 1258, 1386, 1400, 1415,
+                                         1485)] + [(3, 1, seed) for seed in (385, 705, 741)] \
+    + [(2, 1, seed) for seed in (281, 477, 544)]
+
+
+@pytest.mark.parametrize("n, m, seed", STIFF_DRAWS)
+def test_care_certifies_stiff_draws_relative_to_scale(n, m, seed):
+    assert not check_care_draw(n, m, seed)
 
 
 def test_care_matches_library_solver():
