@@ -120,9 +120,6 @@ def seed(x, offset=0):
     return Tangent(x, tan)
 
 
-_softplus = functools.partial(np.logaddexp, 0.0)
-
-
 def _elementwise(value, graph, slope):
     """`value` of a numpy operand, `graph` of a `Tensor`, and the tangent of a
     `Tangent`, whose derivative is slope(x, value(x))."""
@@ -139,7 +136,7 @@ def _elementwise(value, graph, slope):
 
 
 # sigmoid(x) = exp(x - softplus(x)) is stable in both tails
-softplus = _elementwise(_softplus, ad.softplus, lambda x, out: np.exp(x - out))
+softplus = _elementwise(ad._softplus, ad.softplus, lambda x, out: np.exp(x - out))
 exp = _elementwise(np.exp, ad.exp, lambda x, out: out)
 sinh = _elementwise(np.sinh, ad.sinh, lambda x, out: np.cosh(x))
 asinh = _elementwise(np.arcsinh, ad.asinh, lambda x, out: 1.0 / np.sqrt(1.0 + x * x))

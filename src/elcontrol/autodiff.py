@@ -11,10 +11,17 @@ The mathematical primitive set is deliberately small and auditable:
     add, sub, mul, matmul, sinh, asinh, cosh, exp, log,
     softplus, relu, square, sum, solve
 
-plus structural operations (reshape, transpose, concat, narrow, ...) whose
+The elementwise ones are the rows of `ELEMENTWISE`, each a numpy function
+and its slope; add, sub and mul share one broadcasting rule.  Plus
+structural operations (reshape, transpose, concat, narrow, ...) whose
 backward rules move data without arithmetic.  `solve` is the dense linear
 system solve used to apply Jacobian inverses; its backward rule is two more
 solves and a rank-one product.
+
+A node's vjp is called as vjp(g, node): it reads its operands from
+`node.parents` and its value from `node`, and returns one adjoint per
+parent.  No vjp holds its own node, so no node refers to itself and a
+dropped graph is freed by reference counting at once.
 
 `jacobian_rows` is the one Jacobian helper; its results stay in the graph.
 
@@ -36,7 +43,7 @@ import numpy as np
 from .errors import GraphStateError, NonFiniteError, ShapeError
 
 __all__ = [
-    "Tensor", "Graph", "as_tensor", "constant",
+    "Tensor", "Graph", "as_tensor", "constant", "ELEMENTWISE",
     "add", "sub", "mul", "matmul", "sinh", "asinh", "cosh", "exp", "log",
     "softplus", "relu", "square", "sum", "solve",
     "reshape", "transpose", "concat", "narrow", "stack", "expand_dims",
@@ -50,20 +57,18 @@ class Tensor:
 
     Leaf tensors (parameters, inputs, constants) have no parents.  Interior
     tensors keep references to their parents and a `vjp` callable that maps
-    the output adjoint to one adjoint per parent.  Adjoints are Tensors, so
-    backward passes extend the same graph.
+    the output adjoint and the tensor itself to one adjoint per parent.
+    Adjoints are Tensors, so backward passes extend the same graph.
     """
 
-    __slots__ = ("data", "parents", "vjp", "name")
+    __slots__ = ("data", "parents", "vjp")
 
-    def __init__(self, data, parents=(), vjp=None, name=""):
+    def __init__(self, data):
         if isinstance(data, Tensor):
             raise TypeError("Tensor data must be array-like, not Tensor")
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
-        self.parents = parents
-        self.vjp = vjp
-        self.name = name
+        self.data = np.asarray(data, dtype=np.float64)
+        self.parents = ()
+        self.vjp = None
 
     @property
     def shape(self):
@@ -78,8 +83,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag})"
+        return f"Tensor(shape={self.shape})"
 
     # operator sugar; all routed through the primitive functions below
     def __add__(self, other):
@@ -120,11 +124,11 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def constant(x, name="const") -> Tensor:
-    return Tensor(x, name=name)
+def constant(x) -> Tensor:
+    return Tensor(x)
 
 
-def _node(fn, operands, vjp, name, *args, **kw) -> Tensor:
+def _node(fn, operands, vjp, *args, **kw) -> Tensor:
     """The tensor fn(*operand data, *args, **kw) with the tuple `operands` as
     its parents; an open `recording` appends the call to its program.  Every
     node comes through here, so one or two operands are unpacked by hand, and
@@ -135,14 +139,14 @@ def _node(fn, operands, vjp, name, *args, **kw) -> Tensor:
         data = fn(operands[0].data, operands[1].data, *args, **kw)
     else:
         data = fn(*[t.data for t in operands], *args, **kw)
-    out = Tensor.__new__(Tensor)
-    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
-    out.parents, out.vjp, out.name = operands, vjp, name
+    node = Tensor.__new__(Tensor)
+    node.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    node.parents, node.vjp = operands, vjp
     if _recording is not None:
         slot = _recording.slot
         _recording.ops.append((fn, tuple(slot(t.data) for t in operands), args, kw,
-                               slot(out.data)))
-    return out
+                               slot(node.data)))
+    return node
 
 
 _softplus = functools.partial(np.logaddexp, 0.0)
@@ -170,46 +174,42 @@ def _sum_to_shape(g: Tensor, shape) -> Tensor:
     return g
 
 
-def _check_broadcast(a: Tensor, b: Tensor, name: str):
-    if a.shape == b.shape:
-        return
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as exc:
-        raise ShapeError(f"{name!r}: operands {a.shape} and {b.shape} do not broadcast") from exc
-
-
 # ---------------------------------------------------------------------------
 # arithmetic primitives
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "add")
+def _broadcasting(name, fn, adjoint_a, adjoint_b):
+    """The primitive fn(a, b) on operands that broadcast together; the
+    adjoints of a and b are adjoint_a(g, a, b) and adjoint_b(g, a, b),
+    summed back to each operand's shape."""
 
-    def vjp(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(g, b.shape)
+    def vjp(g, node):
+        a, b = node.parents
+        return (_sum_to_shape(adjoint_a(g, a, b), a.shape),
+                _sum_to_shape(adjoint_b(g, a, b), b.shape))
 
-    return _node(np.add, (a, b), vjp, "add")
+    def op(a, b) -> Tensor:
+        a, b = as_tensor(a), as_tensor(b)
+        if a.shape != b.shape:
+            try:
+                np.broadcast_shapes(a.shape, b.shape)
+            except ValueError as exc:
+                raise ShapeError(f"{name!r}: operands {a.shape} and {b.shape} "
+                                 f"do not broadcast") from exc
+        return _node(fn, (a, b), vjp)
+
+    op.__name__ = op.__qualname__ = name
+    return op
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "sub")
-
-    def vjp(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(mul(g, -1.0), b.shape)
-
-    return _node(np.subtract, (a, b), vjp, "sub")
+add = _broadcasting("add", np.add, lambda g, a, b: g, lambda g, a, b: g)
+sub = _broadcasting("sub", np.subtract, lambda g, a, b: g, lambda g, a, b: mul(g, -1.0))
+mul = _broadcasting("mul", np.multiply, lambda g, a, b: mul(g, b), lambda g, a, b: mul(g, a))
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "mul")
-
-    def vjp(g):
-        return _sum_to_shape(mul(g, b), a.shape), _sum_to_shape(mul(g, a), b.shape)
-
-    return _node(np.multiply, (a, b), vjp, "mul")
+def _matmul_vjp(g, node):
+    a, b = node.parents
+    return (_sum_to_shape(matmul(g, transpose(b)), a.shape),
+            _sum_to_shape(matmul(transpose(a), g), b.shape))
 
 
 def matmul(a, b) -> Tensor:
@@ -218,13 +218,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"'matmul': operands must have ndim >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"'matmul': inner dimensions differ, {a.shape} @ {b.shape}")
+    return _node(np.matmul, (a, b), _matmul_vjp)
 
-    def vjp(g):
-        ga = _sum_to_shape(matmul(g, transpose(b)), a.shape)
-        gb = _sum_to_shape(matmul(transpose(a), g), b.shape)
-        return ga, gb
 
-    return _node(np.matmul, (a, b), vjp, "matmul")
+def _solve_vjp(g, node):
+    a, b = node.parents
+    gb = solve(transpose(a), g)
+    ga = _sum_to_shape(mul(matmul(gb, transpose(node)), -1.0), a.shape)
+    return ga, _sum_to_shape(gb, b.shape)
 
 
 def solve(a, b) -> Tensor:
@@ -234,81 +235,11 @@ def solve(a, b) -> Tensor:
         raise ShapeError(f"'solve': coefficient matrix must be square, got {a.shape}")
     if b.ndim < 2 or b.shape[-2] != a.shape[-1]:
         raise ShapeError(f"'solve': incompatible shapes {a.shape} and {b.shape}")
-    out = _node(np.linalg.solve, (a, b), None, "solve")
-
-    def vjp(g):
-        gb = solve(transpose(a), g)
-        ga = _sum_to_shape(mul(matmul(gb, transpose(out)), -1.0), a.shape)
-        return ga, _sum_to_shape(gb, b.shape)
-
-    out.vjp = vjp
-    return out
+    return _node(np.linalg.solve, (a, b), _solve_vjp)
 
 
 # ---------------------------------------------------------------------------
 # elementwise primitives
-
-def sinh(x) -> Tensor:
-    x = as_tensor(x)
-
-    def vjp(g):
-        return (mul(g, cosh(x)),)
-
-    return _node(np.sinh, (x,), vjp, "sinh")
-
-
-def cosh(x) -> Tensor:
-    x = as_tensor(x)
-
-    def vjp(g):
-        return (mul(g, sinh(x)),)
-
-    return _node(np.cosh, (x,), vjp, "cosh")
-
-
-def asinh(x) -> Tensor:
-    x = as_tensor(x)
-
-    def vjp(g):
-        # d/dx asinh = (1 + x^2)^(-1/2), written with exp/log primitives
-        return (mul(g, exp(mul(log(add(square(x), 1.0)), -0.5))),)
-
-    return _node(np.arcsinh, (x,), vjp, "asinh")
-
-
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    out = _node(np.exp, (x,), None, "exp")
-
-    def vjp(g):
-        return (mul(g, out),)
-
-    out.vjp = vjp
-    return out
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    out = _node(np.log, (x,), None, "log")
-
-    def vjp(g):
-        return (mul(g, exp(mul(out, -1.0))),)
-
-    out.vjp = vjp
-    return out
-
-
-def softplus(x) -> Tensor:
-    x = as_tensor(x)
-    out = _node(_softplus, (x,), None, "softplus")
-
-    def vjp(g):
-        # sigmoid(x) = exp(x - softplus(x)), stable for all x
-        return (mul(g, exp(sub(x, out))),)
-
-    out.vjp = vjp
-    return out
-
 
 def _positive(x):
     return (x > 0).astype(np.float64)
@@ -318,25 +249,42 @@ def _relu(x):
     return x * _positive(x)
 
 
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-
-    def vjp(g):
-        # the mask is computed from x when it runs, but differentiates as a constant
-        mask = _node(_positive, (x,), None, "relu_mask")
-        mask.parents = ()
-        return (mul(g, mask),)
-
-    return _node(_relu, (x,), vjp, "relu")
+def _mask(x):
+    """relu's slope: computed from x when it runs, but a constant to
+    differentiation."""
+    mask = _node(_positive, (x,), None)
+    mask.parents = ()
+    return mask
 
 
-def square(x) -> Tensor:
-    x = as_tensor(x)
+def _elementwise(name, fn, slope):
+    """The primitive fn(x) whose adjoint is g * slope(x, out), the slope
+    written in graph operations so that it can be differentiated again."""
 
-    def vjp(g):
-        return (mul(g, mul(x, 2.0)),)
+    def vjp(g, node):
+        return (mul(g, slope(node.parents[0], node)),)
 
-    return _node(np.square, (x,), vjp, "square")
+    def op(x) -> Tensor:
+        return _node(fn, (as_tensor(x),), vjp)
+
+    op.__name__ = op.__qualname__ = name
+    return op
+
+
+# (name, numpy function, slope(x, out))
+ELEMENTWISE = {name: _elementwise(name, fn, slope) for name, fn, slope in (
+    ("sinh", np.sinh, lambda x, out: cosh(x)),
+    ("cosh", np.cosh, lambda x, out: sinh(x)),
+    # d/dx asinh = (1 + x^2)^(-1/2), written with exp/log primitives
+    ("asinh", np.arcsinh, lambda x, out: exp(mul(log(add(square(x), 1.0)), -0.5))),
+    ("exp", np.exp, lambda x, out: out),
+    ("log", np.log, lambda x, out: exp(mul(out, -1.0))),
+    # sigmoid(x) = exp(x - softplus(x)), stable for all x
+    ("softplus", _softplus, lambda x, out: exp(sub(x, out))),
+    ("relu", _relu, lambda x, out: _mask(x)),
+    ("square", np.square, lambda x, out: mul(x, 2.0)),
+)}
+sinh, cosh, asinh, exp, log, softplus, relu, square = ELEMENTWISE.values()
 
 
 # ---------------------------------------------------------------------------
@@ -351,27 +299,24 @@ def _kept_shape(shape, axis):
 
 
 def sum(x, axis=None, keepdims=False) -> Tensor:
-    x = as_tensor(x)
-
-    def vjp(g):
+    def vjp(g, node):
+        shape = node.parents[0].shape
         if not keepdims:
-            g = reshape(g, _kept_shape(x.shape, axis))
-        return (mul(g, constant(np.ones(x.shape), "ones")),)
+            g = reshape(g, _kept_shape(shape, axis))
+        return (mul(g, constant(np.ones(shape))),)
 
-    return _node(np.sum, (x,), vjp, "sum", axis=axis, keepdims=keepdims)
+    return _node(np.sum, (as_tensor(x),), vjp, axis=axis, keepdims=keepdims)
 
 
 # ---------------------------------------------------------------------------
 # structural operations (data movement only)
 
+def _reshape_vjp(g, node):
+    return (reshape(g, node.parents[0].shape),)
+
+
 def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    shape = tuple(shape)
-
-    def vjp(g):
-        return (reshape(g, x.shape),)
-
-    return _node(np.reshape, (x,), vjp, "reshape", shape)
+    return _node(np.reshape, (as_tensor(x),), _reshape_vjp, tuple(shape))
 
 
 def transpose(x, axes=None) -> Tensor:
@@ -385,10 +330,10 @@ def transpose(x, axes=None) -> Tensor:
         perm = tuple(axes)
     inv = tuple(np.argsort(perm))
 
-    def vjp(g):
+    def vjp(g, node):
         return (transpose(g, inv),)
 
-    return _node(np.transpose, (x,), vjp, "transpose", perm)
+    return _node(np.transpose, (x,), vjp, perm)
 
 
 def concat(parts, axis=0) -> Tensor:
@@ -397,10 +342,10 @@ def concat(parts, axis=0) -> Tensor:
     sizes = [p.shape[ax] for p in parts]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
-    def vjp(g):
-        return tuple(narrow(g, ax, int(offsets[i]), sizes[i]) for i in range(len(parts)))
+    def vjp(g, node):
+        return tuple(narrow(g, ax, int(offsets[i]), sizes[i]) for i in range(len(sizes)))
 
-    return _node(_concat, tuple(parts), vjp, "concat", axis=ax)
+    return _node(_concat, tuple(parts), vjp, axis=ax)
 
 
 def narrow(x, axis, start, length) -> Tensor:
@@ -408,23 +353,17 @@ def narrow(x, axis, start, length) -> Tensor:
     x = as_tensor(x)
     ax = axis % x.ndim
     idx = tuple(slice(None) if i != ax else slice(start, start + length) for i in range(x.ndim))
-    before = start
-    after = x.shape[ax] - start - length
 
-    def vjp(g):
-        pieces = []
-        if before:
-            shp = list(x.shape)
-            shp[ax] = before
-            pieces.append(constant(np.zeros(shp), "pad"))
-        pieces.append(g)
-        if after:
-            shp = list(x.shape)
-            shp[ax] = after
-            pieces.append(constant(np.zeros(shp), "pad"))
-        return (concat(pieces, axis=ax) if len(pieces) > 1 else pieces[0],)
+    def vjp(g, node):
+        def pad(size):
+            shape = list(node.parents[0].shape)
+            shape[ax] = size
+            return [constant(np.zeros(shape))] if size else []
 
-    return _node(operator.getitem, (x,), vjp, "narrow", idx)
+        pieces = pad(start) + [g] + pad(node.parents[0].shape[ax] - start - length)
+        return (concat(pieces, axis=ax) if len(pieces) > 1 else g,)
+
+    return _node(operator.getitem, (x,), vjp, idx)
 
 
 def expand_dims(x, axis) -> Tensor:
@@ -505,12 +444,12 @@ def backward(out: Tensor, seed, wrt, _plan=None) -> list[Tensor]:
             g = grads.get(id(node))
             if g is None or node.vjp is None:
                 continue
-            for parent, pg in zip(node.parents, node.vjp(g)):
+            for parent, pg in zip(node.parents, node.vjp(g, node)):
                 if pg is None or id(parent) not in needed:
                     continue
                 held = grads.get(id(parent))
                 grads[id(parent)] = pg if held is None else add(held, pg)
-    return [grads.get(id(w)) or constant(np.zeros(w.shape), "zero_grad") for w in wrt]
+    return [grads.get(id(w)) or constant(np.zeros(w.shape)) for w in wrt]
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,9 @@ def _write_r2(run, model, ds):
 # ---------------------------------------------------------------------------
 # commands
 
-def _plant_from(node, seed, where):
+def _plant_from(node, seed, where, loaded=(None, None)):
+    """The plant `node` declares, and whether it was synthesized.  A teacher
+    at the path of `loaded`, a (path, model) pair, runs that model."""
     kind = node.get("kind") if isinstance(node, dict) else None
     if kind == "mismatch":
         _read(node, where, {"kind": _raw})
@@ -158,7 +160,10 @@ def _plant_from(node, seed, where):
     if kind != "teacher":
         raise ValidationError(f"{where}.kind must be teacher or mismatch, got {kind!r}")
     if "model" in plant:
-        return TeacherPlant(load_model(plant["model"])), False
+        path, model = loaded
+        if plant["model"] != path:
+            model = load_model(plant["model"])
+        return TeacherPlant(model), False
     dims = (ModelDims(**_read_fields(ModelDims, plant["dims"], f"{where}.dims"))
             if "dims" in plant else ModelDims(3, 3, 2, 2))
     arch = ModelArch(**_read_fields(ModelArch, plant.get("arch", {}), f"{where}.arch"))
@@ -293,7 +298,7 @@ _LOOP_OPTIONS = {"control_period": _float, "substeps": _int, "noise_std": _float
 def _run_simulate(cfg, seed, run):
     model = load_model(cfg["model"])
     dims = model.dims
-    plant, _ = _plant_from(cfg["plant"], seed, "plant")
+    plant, _ = _plant_from(cfg["plant"], seed, "plant", (cfg["model"], model))
 
     controllers = cfg["controllers"]
     if not isinstance(controllers, list) or not controllers:

@@ -196,7 +196,7 @@ def _tower(f, g, n, x):
 
 def _check_point(system, y, tol):
     """(rank ratio, rank, worst involutivity residual) at one point; the
-    tower is freed when this returns."""
+    tower is freed when this returns, since no graph node refers to itself."""
     # [a, b] = -[b, a] and [a, a] = 0, so only i < j pairs carry information
     span_count = system.n - 1
     with np.errstate(all="ignore"):
@@ -256,9 +256,6 @@ def noninvolutive_chain():
 # ---------------------------------------------------------------------------
 # restricted expression compiler
 
-_FUNCS = {"sinh": ad.sinh, "asinh": ad.asinh, "cosh": ad.cosh, "exp": ad.exp,
-          "log": ad.log, "softplus": ad.softplus, "relu": ad.relu,
-          "square": ad.square}
 _BINOPS = {ast.Add: ad.add, ast.Sub: ad.sub, ast.Mult: ad.mul}
 
 
@@ -305,11 +302,11 @@ def _compile_node(node, n, depth=0):
 
         return repeated
     if isinstance(node, ast.Call):
-        if (not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS
+        if (not isinstance(node.func, ast.Name) or node.func.id not in ad.ELEMENTWISE
                 or len(node.args) != 1 or node.keywords):
             raise ValidationError(
-                f"only single-argument calls to {sorted(_FUNCS)} are allowed")
-        fn = _FUNCS[node.func.id]
+                f"only single-argument calls to {sorted(ad.ELEMENTWISE)} are allowed")
+        fn = ad.ELEMENTWISE[node.func.id]
         inner = _compile_node(node.args[0], n, depth + 1)
         return lambda x: fn(inner(x))
     raise ValidationError(f"expression element {type(node).__name__} is not allowed")

@@ -426,6 +426,12 @@ def _grid_derivative(x, dt):
     return dx
 
 
+def _fd_tol(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
+        raise ValidationError(f"fd_tol must be a number >= 0, got {value!r}")
+    return float(value)
+
+
 class TrajectoryDataset:
     """Uniformly sampled records (t, v, d, d_dot, y, y_dot, z).
 
@@ -454,9 +460,7 @@ class TrajectoryDataset:
         self.d = col("d", d)
         self.y = col("y", y)
         self.z = col("z", z)
-        if isinstance(fd_tol, bool) or not isinstance(fd_tol, numbers.Real) or not fd_tol >= 0:
-            raise ValidationError(f"fd_tol must be a number >= 0, got {fd_tol!r}")
-        self.fd_tol = float(fd_tol)
+        self.fd_tol = _fd_tol(fd_tol)
         period = float(self.t[1] - self.t[0]) if n > 1 else 0.0
         self.y_dot = (col("y_dot", y_dot, self.y.shape[1]) if y_dot is not None
                       else _grid_derivative(self.y, period))
@@ -586,10 +590,13 @@ def read_csv(path):
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{sidecar}: unreadable ({exc})") from None
     try:
+        fd_tol = 1e-2 if meta is None else _fd_tol(meta.get("fd_tol"))
+    except ValidationError as exc:
+        raise ValidationError(f"{sidecar}: {exc}") from None
+    try:
         dataset = TrajectoryDataset(
             **{attr: table[:, [i for i, b in enumerate(base) if b == name]]
-               for name, attr in _CSV_BLOCKS.items()},
-            fd_tol=1e-2 if meta is None else meta.get("fd_tol"))
+               for name, attr in _CSV_BLOCKS.items()}, fd_tol=fd_tol)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     declared = json.dumps(_sidecar(dataset), sort_keys=True)

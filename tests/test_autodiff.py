@@ -4,11 +4,15 @@ Analytic gradients are checked against central finite differences computed
 here, independently of the engine.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
 import elcontrol.autodiff as ad
+from elcontrol import liecheck
 from elcontrol.errors import GraphStateError, NonFiniteError, ShapeError
+from elcontrol.model import ELModel, ModelArch, ModelDims
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -441,3 +445,42 @@ def test_program_raises_what_the_graph_raises():
                                           {"x": run.get("x", np.ones(2))}))
             got = _raised(lambda: program.run({"x": np.ones(2), **run}))
             assert got == want and message in got[1]
+
+
+def _recorded_training_step():
+    arch = ModelArch(phi_depth=1, phi_hidden=8, psi_depth=1, psi_hidden=8,
+                     xi_depth=2, xi_hidden=8, core_hidden=8)
+    model = ELModel.random(ModelDims(3, 3, 2, 2), arch, seed=0)
+    rng = np.random.default_rng(0)
+    batch = {k: rng.uniform(-1.0, 1.0, (512, w))
+             for k, w in {"v": 3, "y": 3, "d": 2, "d_dot": 2, "ydot": 3, "z": 2}.items()}
+
+    def step():
+        with ad.recording() as program:
+            g = model.loss_graph(np.eye(5), 512)
+            loss = ad.evaluate(g, batch).data
+            grads = ad.gradient(g)
+        program.finish({**model.params, **batch}, loss, grads)
+
+    return step
+
+
+def _liecheck_sample():
+    system = liecheck.VectorFieldPair(
+        f=liecheck.compile_field(["exp(y2)", "log(1 + square(y1))", "softplus(y1)"], 3),
+        g=liecheck.compile_field(["0", "0", "1"], 3), n=3)
+    return lambda: liecheck.check_linearizable(system, (-1.0, 1.0), samples=1)
+
+
+@pytest.mark.parametrize("make", [_recorded_training_step, _liecheck_sample],
+                         ids=["512-row training step", "liecheck sample"])
+def test_a_dropped_graph_is_freed_without_the_cycle_collector(make):
+    # no node refers to itself, so reference counting frees every graph
+    run = make()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,7 +13,7 @@ import pytest
 import yaml
 from numpy.lib import format as npformat
 
-from elcontrol import qpsolver
+from elcontrol import cli, qpsolver
 from elcontrol.cli import main
 from elcontrol.control import design_lqr
 from elcontrol.model import (ELModel, ModelArch, ModelDims, TrajectoryDataset, load_model,
@@ -510,6 +510,21 @@ def test_simulate_paired_run_emits_traces_and_comparison(tmp_path, teacher_run):
     assert "trace_lqr.csv" in script and "trace_icbf.csv" in script
 
 
+@pytest.mark.parametrize("copy, loads", [(False, 1), (True, 2)])
+def test_simulate_loads_a_plant_at_the_model_path_once(tmp_path, teacher_run, monkeypatch,
+                                                       copy, loads):
+    model_path = teacher_run / "plant_model.npz"
+    plant_path = tmp_path / "copy.npz" if copy else model_path
+    if copy:
+        plant_path.write_bytes(model_path.read_bytes())
+    cfg = sim_config(tmp_path / "run", str(model_path), ["lqr"])
+    cfg["plant"]["model"] = str(plant_path)
+    calls = []
+    monkeypatch.setattr(cli, "load_model", lambda path: calls.append(path) or load_model(path))
+    assert run_cli(tmp_path, "simulate", cfg) == 0
+    assert len(calls) == loads
+
+
 def test_simulate_is_byte_identical_across_reruns(tmp_path, teacher_run):
     config = write_config(tmp_path / "config.yaml", sim_config(
         tmp_path / "a", str(teacher_run / "plant_model.npz"), ["sontag"]))
@@ -574,8 +589,9 @@ HEADERS = {"header v2,v1": {"v1": "v2", "v2": "v1"}, "header v1,v1": {"v2": "v1"
 
 
 @pytest.mark.parametrize("case", ["sidecar not json", "sidecar list", "fd_tol string",
-                                  "fd_tol nan", "fd_tol negative", "header only", *HEADERS,
-                                  "sidecar unknown key", "sidecar period string"])
+                                  "fd_tol nan", "fd_tol negative", "fd_tol missing",
+                                  "header only", *HEADERS, "sidecar unknown key",
+                                  "sidecar period string"])
 def test_bad_dataset_files_are_one_error_line_naming_them(tmp_path, teacher_run, case):
     csv = tmp_path / "data.csv"
     lines = (teacher_run / "dataset.csv").read_text().splitlines(keepends=True)
@@ -589,13 +605,15 @@ def test_bad_dataset_files_are_one_error_line_naming_them(tmp_path, teacher_run,
                "fd_tol string": json.dumps({**meta, "fd_tol": "abc"}),
                "fd_tol nan": json.dumps({**meta, "fd_tol": float("nan")}),
                "fd_tol negative": json.dumps({**meta, "fd_tol": -1}),
+               "fd_tol missing": json.dumps({k: v for k, v in meta.items() if k != "fd_tol"}),
                "sidecar unknown key": json.dumps({**meta, "bogus": 1}),
                "sidecar period string": json.dumps({**meta, "period": "x"})}
     (tmp_path / "data.csv.meta.json").write_text(sidecar.get(case, json.dumps(meta)))
     cfg = {"output": str(tmp_path / "run"), "model": str(teacher_run / "plant_model.npz"),
            "dataset": str(csv)}
     err = run_cli_subprocess("eval", "--config", write_config(tmp_path / "c.yaml", cfg))
-    assert len(err) == 1 and err[0].startswith("error:") and str(csv) in err[0], err
+    named = f"{csv}.meta.json" if case.startswith(("sidecar", "fd_tol")) else csv
+    assert len(err) == 1 and err[0].startswith(f"error: {named}: "), err
 
 
 def test_entry_claiming_2_40_floats_is_one_error_line_before_any_allocation(tmp_path,

@@ -349,6 +349,15 @@ def test_csv_round_trip(tmp_path):
     assert meta["period"] == pytest.approx(0.02)
 
 
+def test_csv_keeps_an_infinite_fd_tol(tmp_path):
+    # an fd_tol of inf turns the derivative check off, and the sidecar keeps it
+    t = np.arange(5) * 0.1
+    ds = TrajectoryDataset(t, np.zeros((5, 1)), np.zeros((5, 1)), np.zeros((5, 1)),
+                           np.zeros((5, 1)), y_dot=np.ones((5, 1)), fd_tol=np.inf)
+    write_csv(ds, tmp_path / "traj.csv")
+    assert read_csv(tmp_path / "traj.csv").fd_tol == np.inf
+
+
 def test_csv_rejects_unknown_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,v1,d1,y1,z1,w1\n0,0,0,0,0,0\n1,0,0,0,0,0\n")
