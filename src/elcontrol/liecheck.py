@@ -9,14 +9,13 @@ values of the bracket matrix, involutivity through the least-squares
 residual of each pairwise bracket against the spanning set.  The result is
 a report over the sampled box, not a proof for all y.
 
-Each sample point builds one tower on one input tensor: the values
-ad^0 g ... ad^{n-1} g and the Jacobians of ad^0 g ... ad^{n-2} g.  Every
-pairwise bracket is then J(ad^j) ad^i - J(ad^i) ad^j from those tensors,
-with no further backward passes.  Level k evaluates f and Df again rather
-than reusing the previous level's: with one shared f node, the Jacobian of
-the next level would sum the adjoints reaching f in another order, and the
-last bits would differ from the public `bracket_field` / `ad_power_field`,
-which the tower reproduces exactly.
+Brackets have one implementation, `_tower`: on one input tensor it
+evaluates f and Df once, then the values ad^0 g ... ad^{n-1} g and the
+Jacobians of ad^0 g ... ad^{n-2} g.  `ad_power_field` and `bracket_field`
+are levels of that tower, and each sample point of `check_linearizable`
+builds one, forming every pairwise bracket J(ad^j) ad^i - J(ad^i) ad^j from
+its tensors with no further backward passes.  A tower grows 20-30x per
+state, so the check refuses n above MAX_STATES.
 
 Vector fields are callables mapping an autodiff tensor to an autodiff
 tensor, so Jacobians (and Jacobians of bracket fields, which contain
@@ -38,6 +37,10 @@ from .errors import MAX_COUNT, NonFiniteError, ValidationError
 
 # the largest literal exponent the compiler expands into repeated products
 MAX_POWER = 16
+
+# the largest state dimension checked: a sample's tower grows 20-30x per
+# state, to over a minute and 1.5 GB at n = 6
+MAX_STATES = 6
 
 # the deepest expression tree the compiler accepts; evaluating a compiled
 # field recurses once per level
@@ -68,17 +71,10 @@ def _bracket(fx, jf, gx, jg):
     return ad.sub(ad.matvec(jg, fx), ad.matvec(jf, gx))
 
 
-def bracket_field(f, g):
-    """The field y -> (dg/dy) f(y) - (df/dy) g(y), differentiable again."""
-
-    def field(x):
-        fx = f(x)
-        (jf,) = ad.jacobian_rows(fx, [x])
-        gx = g(x)
-        (jg,) = ad.jacobian_rows(gx, [x])
-        return _bracket(fx, jf, gx, jg)
-
-    return field
+def _checked_states(n):
+    if n > MAX_STATES:
+        raise ValidationError(f"the state dimension is {n}; liecheck checks at most {MAX_STATES}")
+    return n
 
 
 def _finite(value):
@@ -99,13 +95,15 @@ def lie_bracket(f, g, y):
 
 
 def ad_power_field(f, g, k):
-    """The iterated bracket field ad_f^k g as a callable."""
+    """The iterated bracket field ad_f^k g as a callable, differentiable again."""
     if k < 0:
         raise ValidationError("bracket power must be nonnegative")
-    field = g
-    for _ in range(k):
-        field = bracket_field(f, field)
-    return field
+    return lambda x: _tower(f, g, k + 1, x)[0][k]
+
+
+def bracket_field(f, g):
+    """The field y -> (dg/dy) f(y) - (df/dy) g(y), differentiable again."""
+    return ad_power_field(f, g, 1)
 
 
 def ad_power(f, g, k, y):
@@ -157,7 +155,7 @@ def check_linearizable(system, domain, samples=100, tol=1e-6, seed=0):
         raise ValidationError(f"the sample count must be from 1 to {MAX_COUNT:g}, got {samples}")
     if not tol > 0:
         raise ValidationError("tolerance must be positive")
-    n = system.n
+    n = _checked_states(system.n)
     low, high = domain
     low = np.broadcast_to(np.asarray(low, dtype=np.float64), (n,))
     high = np.broadcast_to(np.asarray(high, dtype=np.float64), (n,))
@@ -180,16 +178,15 @@ def check_linearizable(system, domain, samples=100, tol=1e-6, seed=0):
 
 
 def _tower(f, g, n, x):
-    """ad_f^0 g ... ad_f^{n-1} g at x, and the Jacobians of all but the last.
-
-    Level k repeats the nested bracket_field(f, ad^{k-1}) evaluation, f and
-    Df included (see the module docstring)."""
+    """ad_f^0 g ... ad_f^{n-1} g at x, and the Jacobians of all but the last;
+    f and Df are evaluated once and every level reuses them."""
     values, jacs = [g(x)], []
+    if n > 1:
+        fx = f(x)
+        (jf,) = ad.jacobian_rows(fx, [x])
     for _ in range(1, n):
         (jv,) = ad.jacobian_rows(values[-1], [x])
         jacs.append(jv)
-        fx = f(x)
-        (jf,) = ad.jacobian_rows(fx, [x])
         values.append(_bracket(fx, jf, values[-1], jv))
     return values, jacs
 
@@ -224,6 +221,7 @@ def integrator_chain(n):
     """y1' = y2, ..., y_{n-1}' = y_n, y_n' = v: linearizable by inspection."""
     if n < 2:
         raise ValidationError("the chain needs at least two states")
+    _checked_states(n)
     return VectorFieldPair(f=compile_field([f"y{i}" for i in range(2, n + 1)] + ["0"], n),
                            g=compile_field(["0"] * (n - 1) + ["1"], n), n=n)
 

@@ -367,6 +367,8 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
         raise ValidationError("horizon must be nonnegative")
     if substeps < 1:
         raise ValidationError("at least one integration substep is required")
+    if not noise_std >= 0:
+        raise ValidationError("measurement noise_std must be nonnegative")
     if controller == "icbf" and spec is None:
         raise ValidationError("the rate-based filter needs a BarrierSpec")
 
@@ -382,6 +384,7 @@ def simulate_closed_loop(plant, model, controller, y_d, d, horizon,
 
     dt = float(control_period)
     ticks = checked_count(horizon / dt, "the tick count horizon / control_period")
+    checked_count(ticks * substeps, "the integration step count ticks * substeps")
     caches = {}
     meta = {"controller": controller, "control_period": dt, "horizon": float(horizon),
             "substeps": int(substeps), "seed": int(seed), "noise_std": float(noise_std)}

@@ -269,8 +269,8 @@ def test_gen_data_step_count_overflow_is_one_error_line(tmp_path, capsys):
 
 def _over_the_cap(tmp_path, source, case):
     """(command, config) asking for more than MAX_COUNT rows, chips, ticks,
-    samples or model floats; the finite ones would allocate that many without
-    the cap."""
+    integration steps, samples or model floats; the finite ones would
+    allocate or run that many without the cap."""
     gen = gen_config(tmp_path / "run")
     prbs = {"kind": "prbs", "period": 1e-3, "low": -1.0, "high": 1.0}
     if case == "infinite prbs chip count":
@@ -290,6 +290,9 @@ def _over_the_cap(tmp_path, source, case):
     elif case == "huge sample count":
         return "check-linearizable", check_config(
             tmp_path / "run", {"fixture": "integrator-chain"}) | {"samples": 10**8}
+    elif case == "huge integration step count":
+        return "simulate", sim_config(tmp_path / "run", str(source / "plant_model.npz"),
+                                      ["lqr"]) | {"substeps": 10**9}
     else:
         return "simulate", sim_config(tmp_path / "run", str(source / "plant_model.npz"),
                                       ["lqr"]) | {"horizon": 1e300}
@@ -298,7 +301,8 @@ def _over_the_cap(tmp_path, source, case):
 
 @pytest.mark.parametrize("case", ["infinite prbs chip count", "huge prbs chip count",
                                   "huge step count", "huge tick count", "huge sample count",
-                                  "huge teacher dims", "huge train arch"])
+                                  "huge teacher dims", "huge train arch",
+                                  "huge integration step count"])
 def test_counts_over_the_cap_are_one_error_line(tmp_path, teacher_run, capsys, case):
     command, cfg = _over_the_cap(tmp_path, teacher_run, case)
     assert run_cli(tmp_path, command, cfg) == 1
@@ -915,6 +919,25 @@ def test_check_faults_are_one_error_line(tmp_path, f):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
     assert len(err[0]) <= 200, err[0]
+
+
+@pytest.mark.parametrize("system", [
+    {"fixture": "integrator-chain", "n": 7},
+    {"fixture": "integrator-chain", "n": 10**9},
+    {"n": 7, "f": ["y2", "y3", "y4", "y5", "y6", "y7", "0"], "g": ["0"] * 6 + ["1"]},
+], ids=["chain", "huge chain", "inline"])
+def test_check_state_dimension_over_the_cap_is_one_error_line(tmp_path, capsys, system):
+    cfg = check_config(tmp_path / "run", system) | {"samples": 1}
+    assert run_cli(tmp_path, "check-linearizable", cfg) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "state dimension" in err[0], err
+
+
+def test_simulate_negative_noise_std_is_one_error_line(tmp_path, teacher_run, capsys):
+    cfg = sim_config(tmp_path / "run", str(teacher_run / "plant_model.npz"), ["lqr"])
+    assert run_cli(tmp_path, "simulate", cfg | {"noise_std": -1.0}) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "noise_std" in err[0], err
 
 
 def test_check_rejects_ambiguous_system_blocks(tmp_path, capsys):

@@ -4,6 +4,8 @@ import ast
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elcontrol import autodiff as ad
 from elcontrol.errors import NonFiniteError, ValidationError
@@ -133,6 +135,45 @@ def test_noninvolutive_chain_hand_values():
         assert np.abs(cross - np.array([-2.0, 0.0, 0.0])).max() < 1e-12
 
 
+def nested_bracket_field(f, g):
+    """[f, g] as one closure that evaluates f, g and both Jacobians afresh:
+    the definition the tower's shared f and Df must reproduce."""
+
+    def field(x):
+        fx, gx = f(x), g(x)
+        (jf,) = ad.jacobian_rows(fx, [x])
+        (jg,) = ad.jacobian_rows(gx, [x])
+        return ad.sub(ad.matvec(jg, fx), ad.matvec(jf, gx))
+
+    return field
+
+
+def random_component(draw, n):
+    """One expression over y1..yn: a sum of one to three smooth terms."""
+    state = st.integers(1, n)
+    coef = st.sampled_from(["0.5", "-1.5", "2"])
+    kinds = ["y{i}", "{c}*y{i}*y{j}", "sinh(y{i})", "square(y{i})", "cosh(y{i}) - 1", "{c}"]
+    terms = [draw(st.sampled_from(kinds)).format(i=draw(state), j=draw(state), c=draw(coef))
+             for _ in range(draw(st.integers(1, 3)))]
+    return " + ".join(terms)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ad_power_field_equals_the_nested_bracket_definition(data):
+    n = data.draw(st.integers(2, 4), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    f = compile_field([random_component(data.draw, n) for _ in range(n)], n)
+    g = compile_field([random_component(data.draw, n) for _ in range(n)], n)
+    y = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(-1.0, 1.0, n)
+    nested = g
+    for _ in range(k):
+        nested = nested_bracket_field(f, nested)
+    expected = nested(ad.as_tensor(y)).data
+    value = ad_power_field(f, g, k)(ad.as_tensor(y)).data
+    assert np.abs(value - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 # ---------------------------------------------------------------------------
 # sampled check
 
@@ -234,8 +275,9 @@ def _replayed_point(powers, pairs, n, y):
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("name", sorted(REPLAY_SYSTEMS))
 def test_report_equals_the_public_fields_bit_for_bit(name, seed):
-    # the bench system catches a tower that shares f or Df across levels:
-    # the next level's Jacobian then sums adjoints in another order
+    # the report and the public fields read one tower, so they agree to the
+    # last bit even on the n = 4 and 5 systems, where summing adjoints in
+    # another order would show
     system = REPLAY_SYSTEMS[name]()
     n = system.n
     report = check_linearizable(system, (-1.0, 1.0), samples=3, seed=seed)
@@ -273,6 +315,20 @@ def test_check_input_validation():
     assert np.all(report.points[:, 1] >= 0.0)
     with pytest.raises(ValidationError):
         report.verdict_at(-1e-6)
+
+
+def test_check_refuses_a_state_dimension_over_the_cap_before_any_evaluation():
+    def unevaluated(x):
+        raise AssertionError("a refused system must not be evaluated")
+
+    with pytest.raises(ValidationError, match="state dimension"):
+        check_linearizable(VectorFieldPair(f=unevaluated, g=unevaluated, n=7),
+                           (-1.0, 1.0), samples=1)
+
+
+def test_integrator_chain_refuses_a_state_dimension_over_the_cap():
+    with pytest.raises(ValidationError, match="state dimension"):
+        integrator_chain(7)
 
 
 def test_vector_field_pair_validation():

@@ -417,6 +417,10 @@ def test_closed_loop_input_validation():
                              control_period=0.0)
     with pytest.raises(ValidationError):
         simulate_closed_loop(plant, m, "icbf", np.zeros(1), np.zeros(1), 1.0)
+    for noise_std in (-1.0, float("nan")):
+        with pytest.raises(ValidationError, match="noise_std"):
+            simulate_closed_loop(plant, m, "lqr", np.zeros(1), np.zeros(1), 0.01,
+                                 noise_std=noise_std)
 
 
 def replay_spec(dims):
@@ -490,6 +494,15 @@ class FailingPlant(TeacherPlant):
         if self.calls == self.fail_at:
             raise ElcontrolError("injected plant failure")
         return super().derivative(y, v, d, d_dot)
+
+
+def test_integration_step_count_is_capped_before_the_loop():
+    # without the cap, 10^9 substeps per tick integrate without end; the
+    # plant's fifth call fails instead, so the test ends either way
+    m = scalar_core_model(-1.0, 1.0)
+    with pytest.raises(ValidationError, match="integration step count"):
+        simulate_closed_loop(FailingPlant(m, fail_at=5), m, "lqr", np.zeros(1), np.zeros(1),
+                             horizon=0.02, control_period=2e-3, substeps=10**9)
 
 
 @pytest.mark.parametrize("controller", ["lqr", "icbf", "sontag"])
