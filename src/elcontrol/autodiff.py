@@ -27,9 +27,10 @@ dropped graph is freed by reference counting at once.
 
 Each node is one numpy call on its operands' arrays, relu's mask included.
 Inside `with recording() as program` the calls are also noted, and
-`program.finish` makes them a `Program` that replays a loss and its
-gradients on new leaf arrays with no nodes, bit for bit; training replays
-every batch after the first of its shape.
+`program.finish` makes them a `Program` that replays named outputs on new
+leaf arrays with no nodes, bit for bit: training replays a loss and its
+gradients at every batch after the first of its shape, and liecheck a
+bracket tower at every sample point after the first.
 """
 
 from __future__ import annotations
@@ -143,9 +144,7 @@ def _node(fn, operands, vjp, *args, **kw) -> Tensor:
     node.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
     node.parents, node.vjp = operands, vjp
     if _recording is not None:
-        slot = _recording.slot
-        _recording.ops.append((fn, tuple(slot(t.data) for t in operands), args, kw,
-                               slot(node.data)))
+        _recording.ops.append((fn, operands, args, kw, node))
     return node
 
 
@@ -506,7 +505,7 @@ def gradient(graph: Graph, seed=None) -> dict[str, np.ndarray]:
         seed = 1.0
     names = list(graph.parameters)
     adj = backward(out, seed, [graph.parameters[k] for k in names])
-    return _checked_gradients(names, [g.data for g in adj])
+    return _checked_gradients({k: g.data for k, g in zip(names, adj)})
 
 
 _LOSS_NOT_FINITE = "graph evaluation produced non-finite entries"
@@ -517,11 +516,11 @@ def _check_finite(array, message):
         raise NonFiniteError(message)
 
 
-def _checked_gradients(names, arrays):
-    """{name: array}, raising at the first non-finite array in order."""
-    for name, array in zip(names, arrays):
+def _checked_gradients(gradients):
+    """`gradients`, raising at the first non-finite array in order."""
+    for name, array in gradients.items():
         _check_finite(array, f"gradient of parameter {name!r} is non-finite")
-    return dict(zip(names, arrays))
+    return gradients
 
 
 def jacobian_rows(out: Tensor, wrt) -> list[Tensor]:
@@ -547,88 +546,92 @@ def jacobian_rows(out: Tensor, wrt) -> list[Tensor]:
 # recorded programs
 
 class Program:
-    """A loss and its gradients, recorded once as numpy calls and replayed
-    on new leaf arrays, as ADOL-C replays a tape (Griewank, Juedes & Utke,
-    ACM TOMS 1996).
+    """Named outputs of a computation, recorded once as numpy calls and
+    replayed on new leaf arrays, as ADOL-C replays a tape (Griewank, Juedes &
+    Utke, ACM TOMS 1996).
 
-    A `recording` fills `ops` with (function, operand slots, args, kwargs,
-    output slot), a slot being one array told apart by identity.  `finish`
-    keeps each leaf not named in `inputs` as a read-only constant, one slot
-    per value, and drops repeated calls and calls that no output reads.
-    `run` makes the rest in order, the loss's first, so it returns the
-    graph's results bit for bit and raises what `evaluate` and `gradient`
-    raise at the same call.
+    A `recording` fills `ops` with (function, operands, args, kwargs,
+    output), and `finish` turns each operand and output into a slot, one
+    array told apart by identity; `ops` keeps only each call's output slot,
+    so no graph outlives `finish`.  It keeps each leaf not named in `inputs`
+    as a read-only constant, one slot per value, and drops repeated calls and
+    calls that no output reads.  `replay` makes the rest in order, each
+    output's calls when it is asked for, so it returns the graph's results
+    bit for bit.  `run` replays a loss and its gradients and raises what
+    `evaluate` and `gradient` raise at the same call.
     """
 
     def __init__(self):
-        self.ops, self.slots, self.values = [], {}, []
+        self.ops = []
 
-    def slot(self, array):
-        if id(array) not in self.slots:
-            self.slots[id(array)] = len(self.values)
-            self.values.append(array)
-        return self.slots[id(array)]
+    def finish(self, inputs, outputs):
+        """`inputs` and `outputs` map names to arrays the recording read and
+        made; `outputs` is in the order a replay computes them."""
+        self.inputs, self.values = list(inputs), [None] * len(inputs)
+        slots, seen, ops = {id(a): s for s, a in enumerate(inputs.values())}, {}, []
 
-    def finish(self, inputs, loss, gradients=None):
-        """`loss` is the evaluated output's data and `gradients` what
-        `gradient` returned, or None for a loss alone."""
-        names = {id(a): k for k, a in inputs.items()}
-        wanted = [self.slot(a) for a in (loss, *(gradients or {}).values())]
-        made, same, seen, ops = {op[-1] for op in self.ops}, {}, {}, []
-        self.inputs = [(names[id(a)], s) for s, a in enumerate(self.values) if id(a) in names]
-        for s, a in enumerate(self.values):
-            self.values[s] = None
-            if s not in made and id(a) not in names:
-                same[s] = seen.setdefault((a.shape, a.tobytes()), s)
-                self.values[s] = np.array(a)
-                self.values[s].setflags(write=False)
-        for fn, ins, args, kw, out in self.ops:
-            ins = tuple(same.get(i, i) for i in ins)
-            same[out] = seen.setdefault((fn, ins, repr((args, kw))), out)
-            if same[out] == out:
-                ops.append((fn, ins, args, kw, out))
-        self.loss, *grads = (same.get(s, s) for s in wanted)
-        forward = _reads(ops, [self.loss])
-        done = {op[-1] for op in forward}
-        ops = forward + [op for op in _reads(ops, grads) if op[-1] not in done]
+        def leaf(a):
+            """The slot of a constant, one read-only copy per value."""
+            key = (a.shape, a.tobytes())
+            if key not in seen:
+                seen[key] = len(self.values)
+                self.values.append(np.array(a))
+                self.values[-1].setflags(write=False)
+            slots[id(a)] = seen[key]
+            return seen[key]
+
+        for k, (fn, operands, args, kw, node) in enumerate(self.ops):
+            ins = tuple([slots.get(id(t.data)) for t in operands])
+            if None in ins:
+                ins = tuple(leaf(t.data) if s is None else s for s, t in zip(ins, operands))
+            key = (fn, ins, repr((args, kw)) if args or kw else None)
+            s = seen.get(key)
+            if s is None:
+                s = seen[key] = len(self.values)
+                self.values.append(None)
+                ops.append((fn, ins, args, kw, s))
+            slots[id(node.data)] = self.ops[k] = s
+        wanted = [slots[id(a)] if id(a) in slots else leaf(a) for a in outputs.values()]
+        # each call runs with the first output that reads it, directly or
+        # through others; calls no output reads are dropped
+        first = {s: k for k, s in reversed(list(enumerate(wanted)))}
+        for fn, ins, args, kw, out in reversed(ops):
+            if out in first:
+                for s in ins:
+                    first[s] = min(first.get(s, first[out]), first[out])
+        stages = [[] for _ in wanted]
+        for op in ops:
+            if op[-1] in first:
+                stages[first[op[-1]]].append(op)
         # each call also names the slots it reads last, so a run frees them
         # as it goes and reuses their memory within the run
-        last = {s: i for i, op in enumerate(ops) for s in op[1]}
-        ops = [op + (tuple({s for s in op[1] if last[s] == i} - {self.loss, *grads}),)
-               for i, op in enumerate(ops)]
-        self.forward, self.backward = ops[:len(forward)], ops[len(forward):]
-        self.gradients = gradients and dict(zip(gradients, grads))
+        read = set(wanted)
+        for stage in reversed(stages):
+            for i, op in reversed(list(enumerate(stage))):
+                stage[i] = op + (tuple(set(op[1]) - read),)
+                read.update(op[1])
+        self.outputs = list(zip(outputs, wanted, stages))
         return self
 
+    def replay(self, inputs):
+        """Each output at `inputs` as (name, array), in order; the calls of
+        an output run when it is asked for."""
+        values = [inputs[name] for name in self.inputs] + self.values[len(self.inputs):]
+        for name, s, ops in self.outputs:
+            for fn, ins, args, kw, out, read_last in ops:
+                values[out] = fn(*[values[i] for i in ins], *args, **kw)
+                for i in read_last:
+                    values[i] = None
+            yield name, values[s]
+
     def run(self, inputs, with_gradient=True):
-        """The loss at `inputs`, and the gradients (None unless `with_gradient`)."""
-        values = self.values.copy()
-        for name, s in self.inputs:
-            values[s] = inputs[name]
-        _replay(self.forward, values)
-        _check_finite(values[self.loss], _LOSS_NOT_FINITE)
-        if not with_gradient:
-            return values[self.loss], None
-        _replay(self.backward, values)
-        return values[self.loss], _checked_gradients(
-            self.gradients, [values[s] for s in self.gradients.values()])
-
-
-def _reads(ops, slots):
-    """The calls of `ops` that `slots` read, directly or through others, in order."""
-    wanted, kept = set(slots), []
-    for op in reversed(ops):
-        if op[-1] in wanted:
-            wanted.update(op[1])
-            kept.append(op)
-    return kept[::-1]
-
-
-def _replay(ops, values):
-    for fn, ins, args, kw, out, read_last in ops:
-        values[out] = fn(*[values[i] for i in ins], *args, **kw)
-        for s in read_last:
-            values[s] = None
+        """The loss at `inputs` of a program whose first output is a loss and
+        whose others are gradients named by parameter, and the gradients
+        (None unless `with_gradient`)."""
+        outputs = self.replay(inputs)
+        loss = next(outputs)[1]
+        _check_finite(loss, _LOSS_NOT_FINITE)
+        return loss, _checked_gradients(dict(outputs)) if with_gradient else None
 
 
 _recording = None

@@ -12,10 +12,12 @@ a report over the sampled box, not a proof for all y.
 Brackets have one implementation, `_tower`: on one input tensor it
 evaluates f and Df once, then the values ad^0 g ... ad^{n-1} g and the
 Jacobians of ad^0 g ... ad^{n-2} g.  `ad_power_field` and `bracket_field`
-are levels of that tower, and each sample point of `check_linearizable`
-builds one, forming every pairwise bracket J(ad^j) ad^i - J(ad^i) ad^j from
-its tensors with no further backward passes.  A tower grows 20-30x per
-state, so the check refuses n above MAX_STATES.
+are levels of that tower.  `check_linearizable` builds one at a sample point
+and forms every pairwise bracket J(ad^j) ad^i - J(ad^i) ad^j from its
+tensors with no further backward passes.  For fields from `compile_field`
+or `linear_fields` it records the first point's as an `autodiff.Program`
+and replays that at every later point, bit for bit and about 7x cheaper.  A
+tower grows 20-30x per state, so the check refuses n above MAX_STATES.
 
 Vector fields are callables mapping an autodiff tensor to an autodiff
 tensor, so Jacobians (and Jacobians of bracket fields, which contain
@@ -27,6 +29,7 @@ for the command line.
 from __future__ import annotations
 
 import ast
+import contextlib
 import reprlib
 from dataclasses import dataclass
 
@@ -165,11 +168,20 @@ def check_linearizable(system, domain, samples=100, tol=1e-6, seed=0):
     rng = np.random.default_rng(seed)
     points = rng.uniform(low, high, size=(samples, n))
 
+    # a field marked straight_line builds the same graph at every point, as
+    # no branch reads a value; when f and g both are, the first sample's
+    # tower is recorded and every later sample replays it
+    record = samples > 1 and all(getattr(h, "straight_line", False) for h in (system.f, system.g))
+    program = None
     rank_ratios = np.empty(samples)
     ranks = np.empty(samples, dtype=int)
     invol = np.zeros(samples)
-    for s in range(samples):
-        rank_ratios[s], ranks[s], invol[s] = _check_point(system, points[s], tol)
+    for s, y in enumerate(points):
+        with ad.recording() if record and s == 0 else contextlib.nullcontext() as recorded:
+            outputs = _point_outputs(system, y, program)
+        rank_ratios[s], ranks[s], invol[s] = _statistics(outputs, n, tol)
+        if recorded is not None:
+            program = recorded.finish({"x": y}, dict(enumerate(outputs)))
 
     report = CheckReport(points=points, rank_ratios=rank_ratios, ranks=ranks,
                          involutivity_residuals=invol, tol=float(tol), verdict="")
@@ -191,21 +203,31 @@ def _tower(f, g, n, x):
     return values, jacs
 
 
-def _check_point(system, y, tol):
-    """(rank ratio, rank, worst involutivity residual) at one point; the
-    tower is freed when this returns, since no graph node refers to itself."""
+def _point_outputs(system, y, program=None):
+    """The arrays ad^0 g ... ad^{n-1} g at y, then every pairwise bracket of
+    all but the last: `program`'s replay if given, else a tower's values,
+    freed with it when no recording holds it (no graph refers to itself)."""
     # [a, b] = -[b, a] and [a, a] = 0, so only i < j pairs carry information
     span_count = system.n - 1
     with np.errstate(all="ignore"):
+        if program is not None:
+            return [value for _, value in program.replay({"x": y})]
         values, jacs = _tower(system.f, system.g, system.n, ad.as_tensor(y))
-        D = np.column_stack([_finite(v.data) for v in values])
-        pairs = [_finite(_bracket(values[i], jacs[i], values[j], jacs[j]).data)
+        pairs = [_bracket(values[i], jacs[i], values[j], jacs[j])
                  for i in range(span_count) for j in range(i + 1, span_count)]
+        return [t.data for t in values + pairs]
+
+
+def _statistics(outputs, n, tol):
+    """(rank ratio, rank, worst involutivity residual) from `_point_outputs`,
+    raising at its first non-finite array."""
+    outputs = [_finite(v) for v in outputs]
+    D = np.column_stack(outputs[:n])
     sigma = np.linalg.svd(D, compute_uv=False)
     top = sigma[0] if sigma[0] > 0 else 1.0
-    span = D[:, :span_count]
+    span = D[:, :n - 1]
     worst = 0.0
-    for b in pairs:
+    for b in outputs[n:]:
         norm_b = float(np.linalg.norm(b))
         if norm_b <= ZERO_FLOOR * (1.0 + sigma[0]):
             continue
@@ -239,6 +261,8 @@ def linear_fields(F, G):
 
     def g(x):
         return ad.constant(G)
+
+    f.straight_line = g.straight_line = True
 
     return VectorFieldPair(f=f, g=g, n=n)
 
@@ -337,4 +361,5 @@ def compile_field(components, n):
     def field(x):
         return ad.concat([comp(x) for comp in compiled], axis=0)
 
+    field.straight_line = True
     return field

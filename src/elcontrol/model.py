@@ -679,7 +679,7 @@ def train(model: ELModel, data: TrajectoryDataset, cfg: TrainConfig):
                 g = trained.loss_graph(q_e, count)
                 value = ad.evaluate(g, arrays).data
                 grads = ad.gradient(g) if with_gradient else None
-            programs[count] = program.finish(leaves, value, grads)
+            programs[count] = program.finish(leaves, {"loss": value, **(grads or {})})
         else:
             value, grads = program.run(leaves, with_gradient)
         return float(value), grads

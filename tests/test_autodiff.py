@@ -374,7 +374,7 @@ def _record(graph, inputs):
         loss = ad.evaluate(graph, inputs).data
         grads = ad.gradient(graph)
     leaves = {k: t.data for k, t in graph.parameters.items()}
-    return program.finish({**leaves, **inputs}, loss, grads)
+    return program.finish({**leaves, **inputs}, {"loss": loss, **grads})
 
 
 def _fresh(fn, params, names, inputs):
@@ -403,9 +403,10 @@ def test_program_drops_repeated_and_unread_calls():
         return ad.add(ad.sum(ad.sinh(ad.mul(x, p))), ad.sum(ad.sinh(ad.mul(x, p))))
 
     program = _record(ad.Graph(fn, {"p": np.ones(3)}, ("x",)), {"x": np.arange(3.0)})
-    calls = [op[0] for op in program.forward + program.backward]
+    forward, *backward = [[op[0] for op in ops] for _, _, ops in program.outputs]
+    calls = forward + [fn for stage in backward for fn in stage]
     assert len(program.ops) > len(calls) and np.exp not in calls
-    assert [op[0] for op in program.forward] == [np.multiply, np.sinh, np.sum, np.add]
+    assert forward == [np.multiply, np.sinh, np.sum, np.add]
 
 
 def test_program_gradient_of_unreached_parameter_is_a_read_only_zero():
@@ -460,7 +461,7 @@ def _recorded_training_step():
             g = model.loss_graph(np.eye(5), 512)
             loss = ad.evaluate(g, batch).data
             grads = ad.gradient(g)
-        program.finish({**model.params, **batch}, loss, grads)
+        program.finish({**model.params, **batch}, {"loss": loss, **grads})
 
     return step
 

@@ -897,6 +897,16 @@ def test_check_bad_expression_file_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_a_later_non_finite_sample_is_one_error_line(tmp_path):
+    # y1 > 0 at seed 0's first point and y1 < 0 at its second, so the field
+    # turns non-finite in a replayed sample, which must ignore numpy's
+    # warnings as the first sample's graph does
+    config = write_config(tmp_path / "config.yaml", check_config(
+        tmp_path / "run", {"n": 2, "f": ["log(y1)", "y1"], "g": ["0", "1"]}))
+    err = run_cli_subprocess("check-linearizable", "--config", config)
+    assert err == ["error: vector field evaluation produced non-finite entries"], err
+
+
 @pytest.mark.parametrize("f", [
     5,                                              # not a list
     [1, 2, 3, 4],                                   # numbers, not expressions

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elcontrol import autodiff as ad
+from elcontrol import liecheck
 from elcontrol.errors import NonFiniteError, ValidationError
 from elcontrol.liecheck import (CheckReport, VectorFieldPair, ad_power,
                                 ad_power_field, bracket_field,
@@ -300,6 +301,94 @@ def test_sampling_is_deterministic():
     other = check_linearizable(noninvolutive_chain(), (-2.0, 2.0),
                                samples=25, tol=1e-6, seed=12)
     assert not np.array_equal(a.points, other.points)
+
+
+def _graph_report(system, points, tol=1e-6):
+    """Each point's (rank ratio, rank, residual) from its own graph, as
+    check_linearizable computes a sample it does not replay."""
+    return [liecheck._statistics(liecheck._point_outputs(system, y), system.n, tol)
+            for y in points]
+
+
+def _assert_report_is(report, rows):
+    ratios, ranks, residuals = (np.array(column) for column in zip(*rows))
+    assert np.array_equal(report.rank_ratios, ratios)
+    assert np.array_equal(report.ranks, ranks)
+    assert np.array_equal(report.involutivity_residuals, residuals)
+
+
+@settings(derandomize=True)
+@given(data=st.data())
+def test_replayed_samples_equal_their_own_graphs_bit_for_bit(data):
+    n = data.draw(st.integers(2, 4), label="n")
+    system = VectorFieldPair(
+        compile_field([random_component(data.draw, n) for _ in range(n)], n),
+        compile_field([random_component(data.draw, n) for _ in range(n)], n), n)
+    report = check_linearizable(system, (-1.0, 1.0), samples=data.draw(st.integers(4, 6)),
+                                seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+    _assert_report_is(report, _graph_report(system, report.points))
+
+
+def _statistics_calls(monkeypatch):
+    """A list that grows by one at each sample's statistics."""
+    calls = []
+    statistics = liecheck._statistics
+
+    def counted(*args):
+        calls.append(None)
+        return statistics(*args)
+
+    monkeypatch.setattr(liecheck, "_statistics", counted)
+    return calls
+
+
+def _raised(call):
+    try:
+        call()
+    except NonFiniteError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_later_non_finite_sample_raises_what_the_graph_raises(monkeypatch):
+    # y1 > 0 at the first of seed 0's points and y1 < 0 at the second
+    f, g = compile_field(["log(y1)", "y1"], 2), compile_field(["0", "1"], 2)
+    calls = _statistics_calls(monkeypatch)
+    kwargs = dict(domain=(-1.0, 1.0), samples=4, seed=0)
+    got = _raised(lambda: check_linearizable(VectorFieldPair(f, g, 2), **kwargs))
+    replayed_calls = len(calls)
+    calls.clear()
+    # wrapped fields are not straight-line, so every sample is its own graph
+    want = _raised(lambda: check_linearizable(
+        VectorFieldPair(lambda x: f(x), lambda x: g(x), 2), **kwargs))
+    assert got == want == "vector field evaluation produced non-finite entries"
+    assert replayed_calls == len(calls) == 2
+
+
+def test_a_field_that_branches_on_values_is_never_replayed():
+    chain, cross = (compile_field(f, 3) for f in (["y2", "y3", "0"], ["y2 + y3**2", "y3", "0"]))
+
+    def f(x):
+        return chain(x) if x.data[0] > 0 else cross(x)
+
+    system = VectorFieldPair(f, compile_field(["0", "0", "1"], 3), 3)
+    report = check_linearizable(system, (-1.0, 1.0), samples=8, seed=0)
+    # both branches are sampled, the first sample's included
+    assert report.points[0, 0] > 0 and np.any(report.points[:, 0] <= 0)
+    assert np.any(report.involutivity_residuals == 0.0)
+    assert np.any(report.involutivity_residuals > 0.1)
+    _assert_report_is(report, _graph_report(system, report.points))
+
+
+def test_only_a_check_of_more_than_one_sample_records(monkeypatch):
+    def refused():
+        raise AssertionError("recorded")
+
+    monkeypatch.setattr(ad, "recording", refused)
+    assert check_linearizable(integrator_chain(3), (-1.0, 1.0), samples=1).verdict == "pass"
+    with pytest.raises(AssertionError, match="recorded"):
+        check_linearizable(integrator_chain(3), (-1.0, 1.0), samples=2)
 
 
 def test_check_input_validation():

@@ -569,7 +569,7 @@ def test_replayed_loss_and_gradients_equal_a_fresh_graph(ny, nu, nd, nz, phi_dep
         g = recorded.loss_graph(q_e, rows)
         loss = ad.evaluate(g, first).data
         grads = ad.gradient(g)
-    program.finish({**recorded.params, **first}, loss, grads)
+    program.finish({**recorded.params, **first}, {"loss": loss, **grads})
     g = other.loss_graph(q_e, rows)
     want_loss, want = ad.evaluate(g, second).data, ad.gradient(g)
     got_loss, got = program.run({**other.params, **second})
