@@ -12,7 +12,8 @@ float64 array evaluated by numpy, so in tangent mode plain arrays are
 constants.  For an array or a tangent a stack runs as one net, through
 `ParamMlp.forward_np` or `ParamMlp.forward_and_input_jacobian_np` with a
 plain array input, so code that wraps those two methods sees every
-conditioning evaluation; a tensor evaluates the nets one by one.
+conditioning evaluation; a tensor evaluates the nets one by one.  Tangent
+mode is the reference for the numpy Jacobian kernels in `networks`.
 """
 
 from __future__ import annotations

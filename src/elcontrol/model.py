@@ -311,7 +311,7 @@ class ELModel:
         phi = self.state_map.coefficients(self.params, b["ds"])
         y = self._y_with(phi, b["x"])
         b["ys"] = sy.transform(y)
-        dx_dy = self.state_map.forward_with(phi, seed(b["ys"])).tan / sy.std
+        dx_dy = self.state_map.jacobians_with(phi, b["ys"])[1] / sy.std
         psi = self.input_map.coefficients(self.params, seed(self._cond(b)))
         psi_row = [[t.val[0] for t in layer] for layer in psi]
         maps = PointMaps(*_read_only((y[0], dx_dy[0])), lambda v: self._u_with(psi, v)[:2],
@@ -349,18 +349,23 @@ class ELModel:
     # -- predictions --------------------------------------------------------
 
     def predict_ydot(self, v, y, d, d_dot):
-        """Output-derivative prediction; Jacobian inverse applied by dense solve."""
+        """Output-derivative prediction; Jacobian inverse applied by dense solve.
+        At d_dot = 0 Phi runs on array coefficients (x_from_y's kept entry)."""
         b, single = self._batch(v=v, y=y, d=d, d_dot=d_dot)
         ds = b["ds"]
+        dds = b["d_dot"] / self.scalers["d"].std
+        nd = ds.shape[-1] if dds.any() else 0
         # an overflowing Jacobian pass shows up in the checks that follow
         with np.errstate(over="ignore", invalid="ignore"):
-            x, J_y, J_d = self.state_map.forward_with_jacobians(self.params, b["ys"], ds)
+            phi = self.state_map.coefficients(self.params, seed(ds) if nd else ds)
+            x, J = self.state_map.jacobians_with(phi, b["ys"])
+        J_y = J[..., nd:]
         check_conditioning(J_y, "state-map output Jacobian")
         u = self.input_map.inverse(self.params, b["vs"], self._cond(b))
         A, B, c = self._core(self.params, ds)
-        dds = b["d_dot"] / self.scalers["d"].std
-        rhs = (np.einsum("bij,bj->bi", A, x) + np.einsum("bij,bj->bi", B, u) + c
-               - np.einsum("bij,bj->bi", J_d, dds))
+        rhs = np.einsum("bij,bj->bi", A, x) + np.einsum("bij,bj->bi", B, u) + c
+        if nd:
+            rhs = rhs - np.einsum("bij,bj->bi", J[..., :nd], dds)
         ydot = np.linalg.solve(J_y, rhs[..., None])[..., 0] * self.scalers["y"].std
         return _unbatch(single, ydot)
 

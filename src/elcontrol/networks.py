@@ -6,6 +6,8 @@ training, and forward-mode tangents for the value plus its input Jacobian;
 `Bnn.inverse` takes arrays only.  `ParamMlp.forward_np` and
 `forward_and_input_jacobian_np` stay because every array and tangent
 conditioning pass goes through them, so code that wraps them sees each.
+`MlpStack`'s Jacobian and `Bnn.jacobians_with` are numpy kernels, bit for
+bit the tangent pass, which stays the reference their tests compare with.
 
 A block's conditioning nets all read the same input, so for arrays and
 tangents they run as one stacked net (`MlpStack`) per block and call; graph
@@ -132,6 +134,9 @@ class ParamMlp:
 
     def forward_and_input_jacobian_np(self, params, x):
         """Value and d(out)/d(x), shapes (..., O) and (..., O, I)."""
+        return self._value_and_jacobian(params, x)
+
+    def _value_and_jacobian(self, params, x):
         out = self.forward(params, seed(x))
         return out.val, out.tan
 
@@ -190,6 +195,21 @@ class MlpStack(ParamMlp):
             for array in source:
                 array.setflags(write=False)
         return self._packed
+
+    def _value_and_jacobian(self, params, x):
+        """`forward(params, seed(x))` in plain numpy, bit for bit: the same
+        products in the same shapes, the identity seed's first one W1 itself."""
+        W1, b1, W2, b2, W3, b3 = self._pack(params)
+        K, H, I = W1.shape
+        z, J = W1 @ np.transpose(np.reshape(x, (-1, I)), (1, 0)) + b1, W1[:, :, None, :]
+        for W, b in ((W2, b2), (W3, b3)):
+            h = softplus(z)
+            J = J * np.exp(z - h)[..., None]
+            z = W @ h + b
+            J = (W @ J.reshape(K, H, -1)).reshape(z.shape + (I,))
+        lead = x.shape[:-1] + (self.out_dim,)
+        return (np.reshape(np.transpose(z, (2, 0, 1)), lead),
+                np.reshape(np.transpose(J, (2, 0, 1, 3)), lead + (I,)))
 
     def forward(self, params, x):
         W1, b1, W2, b2, W3, b3 = self._pack(params)
@@ -284,10 +304,31 @@ class Bnn(_Stacked):
         return y
 
     def forward_with_jacobians(self, params, y, dc):
-        """Value, d(out)/dy and d(out)/dd by one tangent pass over [d | y]."""
+        """Value, d(out)/dy and d(out)/dd: `jacobians_with` at seed(dc)."""
         nd = dc.shape[-1]
-        out = self.forward(params, seed(y, offset=nd), seed(dc))
-        return out.val, out.tan[..., nd:], out.tan[..., :nd]
+        x, J = self.jacobians_with(self.coefficients(params, seed(dc)), y)
+        return x, J[..., nd:], J[..., :nd]
+
+    def jacobians_with(self, coef, y):
+        """forward_with(coef, seed(y, offset=nd)) in plain numpy, bit for bit:
+        x and [dx/dd | dx/dy] for coefficients tangent in nd columns, else dx/dy."""
+        nd = coef[0][0].tan.shape[-1] if isinstance(coef[0][0], Tangent) else 0
+        J = seed(y, offset=nd).tan
+        for W, b, c, _ in coef:
+            Wv, bv, cv = (a.val if isinstance(a, Tangent) else a for a in (W, b, c))
+            col = np.reshape(y, y.shape + (1,))
+            t = np.reshape(Wv @ col, y.shape) + bv
+            J = Wv @ J      # one product over all nd + n columns: split, J_d's bits move
+            if nd:
+                J[..., :nd] += (np.swapaxes(col, -1, -2)[..., None, :, :] @ W.tan)[..., 0, :]
+                J[..., :nd] += b.tan
+            J = J * np.cosh(t)[..., None]
+            if nd:
+                J[..., :nd] += c.tan
+            t = cv + np.sinh(t)
+            y = np.arcsinh(t)
+            J = J * (1.0 / np.sqrt(1.0 + t * t))[..., None]
+        return y, J
 
     def inverse_with(self, coef, x):
         for k in reversed(range(len(coef))):
