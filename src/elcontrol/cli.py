@@ -134,8 +134,8 @@ def _safe_r2(predicted, actual):
 def _write_r2(run, model, ds):
     """Per-channel R^2 of the model on `ds`: written to r2.csv and returned
     as summary entries."""
-    pred_ydot = model.predict_ydot(ds.v, ds.y, ds.d, ds.d_dot)
-    pred_z = model.predict_z(ds.v, ds.y, ds.d)
+    pred_z = np.empty(ds.z.shape)
+    pred_ydot = model.predict_ydot(ds.v, ds.y, ds.d, ds.d_dot, z_out=pred_z)
     rows = []
     for j in range(ds.y_dot.shape[1]):
         rows.append((f"ydot{j + 1}", _safe_r2(pred_ydot[:, j], ds.y_dot[:, j])))

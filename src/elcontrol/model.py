@@ -20,10 +20,11 @@ All published operations take and return physical-unit arrays; feature
 standardization is internal and frozen when the model is constructed, so a
 zero-epoch training run cannot change a model.  Operations accept a single
 record (dim,) or a batch (N, dim).  For a single record, Phi's d-only layer
-data and the core's A(d), B(d), c(d) are kept, as arrays and as tangents,
-once d comes twice in a row, and reused while it repeats with the same bytes
-(`networks.MlpStack.memo`); replacing a parameter entry invalidates them,
-and the kept arrays are read-only.
+data and the core's A(d), B(d), c(d) at the last d are kept, as arrays and
+as tangents, from their first evaluation and reused while d repeats with the
+same bytes (`networks.MlpStack.memo`), as at an RK4 step's paired stage
+times; replacing a parameter entry invalidates them, and the kept arrays
+are read-only.
 """
 
 from __future__ import annotations
@@ -348,9 +349,11 @@ class ELModel:
 
     # -- predictions --------------------------------------------------------
 
-    def predict_ydot(self, v, y, d, d_dot):
+    def predict_ydot(self, v, y, d, d_dot, z_out=None):
         """Output-derivative prediction; Jacobian inverse applied by dense solve.
-        At d_dot = 0 Phi runs on array coefficients (x_from_y's kept entry)."""
+        At d_dot = 0 Phi runs on array coefficients (x_from_y's kept entry).
+        Given `z_out`, shaped as `predict_z`'s result, it receives z at this
+        prediction's own x and u, bit for bit `predict_z(v, y, d)`."""
         b, single = self._batch(v=v, y=y, d=d, d_dot=d_dot)
         ds = b["ds"]
         dds = b["d_dot"] / self.scalers["d"].std
@@ -367,6 +370,11 @@ class ELModel:
         if nd:
             rhs = rhs - np.einsum("bij,bj->bi", J[..., :nd], dds)
         ydot = np.linalg.solve(J_y, rhs[..., None])[..., 0] * self.scalers["y"].std
+        if z_out is not None:
+            z = _unbatch(single, self.z_from_latent(x, u, b["d"]))
+            if np.shape(z_out) != z.shape:
+                raise ShapeError(f"z_out: expected shape {z.shape}, got {np.shape(z_out)}")
+            z_out[...] = z
         return _unbatch(single, ydot)
 
     def predict_z(self, v, y, d):

@@ -6,8 +6,9 @@ training, and forward-mode tangents for the value plus its input Jacobian;
 `Bnn.inverse` takes arrays only.  `ParamMlp.forward_np` and
 `forward_and_input_jacobian_np` stay because every array and tangent
 conditioning pass goes through them, so code that wraps them sees each.
-`MlpStack`'s Jacobian and `Bnn.jacobians_with` are numpy kernels, bit for
-bit the tangent pass, which stays the reference their tests compare with.
+`MlpStack`'s Jacobian, `Bnn.weight` on a tangent and `Bnn.jacobians_with`
+are numpy kernels, bit for bit the tangent pass, which stays the reference
+their tests compare with.
 
 A block's conditioning nets all read the same input, so for arrays and
 tangents they run as one stacked net (`MlpStack`) per block and call; graph
@@ -15,8 +16,9 @@ evaluation keeps them separate, net by net, so the training graph does not
 depend on the stacking.  `coefficients` returns every layer's net outputs
 and the `*_with` methods run the layers on them, so a caller can evaluate
 the conditioning once and use it for several passes.  `Bnn`'s finished
-layers (W(d), b(d), c(d), cond W) at a one-row d that repeats are kept by
-`MlpStack.memo`, bit for bit what evaluating them again would give.
+layers (W(d), b(d), c(d)) at the last one-row d are kept by `MlpStack.memo`
+from their first evaluation, with cond W from their first reuse, bit for bit
+what evaluating them again would give.
 
 * `Bnn` - a bijective map y <-> x conditioned on a disturbance vector.  Each
   layer is ``asinh(c(d) + sinh(W(d) y + b(d)))`` with W(d) = L(d) U(d), L
@@ -158,31 +160,35 @@ class MlpStack(ParamMlp):
         self.width = max(net.out_dim for net in self.nets)
         self.out_dim = len(self.nets) * self.width
         self.keys = tuple(key for net in self.nets for key in net.keys)
+        # a net has six keys, so this returns a tuple
+        self._entries = operator.itemgetter(*self.keys)
         self._source = self._packed = None
         self._memo = {}
 
-    def memo(self, params, x, build, keep=lambda value: value):
+    def memo(self, params, x, build, keep=None):
         """`build(params, x)` at a one-row input x: an array, or a tangent
-        seeded with the identity.  Once the same row comes twice in a row
-        with the same bytes, `keep(value)` of its value is kept read-only,
-        one entry for arrays and one for tangents, and returned while the
-        packed weights it was built from are current.  A row seen once keeps
-        only its bytes; batches, other tangents and graphs keep nothing."""
+        seeded with the identity.  The last row's value is kept read-only from
+        its first build, one entry for arrays and one for tangents, and returned
+        while the row repeats with the same bytes and the packed weights it was
+        built from are current; its first reuse replaces it by `keep(value)`,
+        so a row seen once never pays for `keep`.  Batches, other tangents and
+        graphs keep nothing."""
         row = x.val if isinstance(x, Tangent) and x.eye else x
         if not isinstance(row, np.ndarray) or row.shape != (1, self.in_dim):
             return build(params, x)
         mode, key = row is not x, row.tobytes()
         entry = self._memo.get(mode)
-        if entry is None or entry[1] != key:
-            self._memo[mode] = None, key, None
-            return build(params, x)
-        packed = self._pack(params)
-        if entry[0] is not packed:
-            entry = self._memo[mode] = packed, key, _read_only(keep(build(params, x)))
+        if entry is None or entry[1] != key or entry[0] is not self._pack(params):
+            value = _read_only(build(params, x))
+            # the packed weights the build ran on
+            self._memo[mode] = self._packed, key, value, keep
+            return value
+        if entry[3] is not None:
+            entry = self._memo[mode] = entry[0], key, _read_only(entry[3](entry[2])), None
         return entry[2]
 
     def _pack(self, params):
-        source = list(map(params.__getitem__, self.keys))
+        source = self._entries(params)
         if self._source is None or not all(map(operator.is_, source, self._source)):
             K, H, O = len(self.nets), self.hidden, self.width
             W1, b1, W2, b2, W3, b3 = zip(*(source[i:i + 6] for i in range(0, len(source), 6)))
@@ -272,19 +278,31 @@ class Bnn(_Stacked):
                           for k in range(depth) for name in "wbc"])
 
     def weight(self, raw):
-        """W(d) = L(d) U(d), shape (..., n, n), from a layer's w-net output."""
+        """W(d) = L(d) U(d), shape (..., n, n), from a layer's w-net output.
+        A tangent raw runs in plain numpy, bit for bit the tangent pass of the
+        formula below: the same products in the same shapes and order."""
         n, k = self.n, self.k_low
+        shape = raw.shape[:-1] + (n, n)
+        if isinstance(raw, Tangent):
+            val, tan = raw.val, raw.tan
+            e = np.exp(val[..., k:k + n])
+            L = np.reshape(val[..., :k] @ self.s_low + np.eye(n).reshape(-1), shape)
+            U = np.reshape(e @ self.s_diag + val[..., k + n:] @ self.s_up, shape)
+            dL = np.reshape(self.s_low.T @ tan[..., :k, :], shape + tan.shape[-1:])
+            dU = np.reshape(self.s_diag.T @ (tan[..., k:k + n, :] * e[..., None])
+                            + self.s_up.T @ tan[..., k + n:, :], shape[:-1] + (-1,))
+            return Tangent(L @ U, np.swapaxes(U, -1, -2)[..., None, :, :] @ dL
+                           + np.reshape(L @ dU, dL.shape))
         L_flat = narrow(raw, 0, k) @ self.s_low + np.eye(n).reshape(-1)
         U_flat = (exp(narrow(raw, k, n)) @ self.s_diag
                   + narrow(raw, k + n, n * n - k - n) @ self.s_up)
-        shape = raw.shape[:-1] + (n, n)
         return reshape(L_flat, shape) @ reshape(U_flat, shape)
 
     def coefficients(self, params, cond):
-        """Every layer's (W(d), b(d), c(d), cond W), W from `weight`.  cond W
-        is None but for a finite W in an array entry `memo` keeps, where
-        `_guard` computes it once for `inverse_with`, which rejects a W that
-        is not finite before taking its condition number."""
+        """Every layer's (W(d), b(d), c(d), cond W), W from `weight`.  cond W is
+        None but for a finite W in an array entry `memo` serves again: `_guard`
+        computes it at the entry's first reuse for `inverse_with`, which rejects
+        a W that is not finite before taking its condition number."""
         return self.stack.memo(params, cond, self._layers, self._guard)
 
     def _layers(self, params, cond):

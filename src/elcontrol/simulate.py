@@ -163,7 +163,9 @@ class Plant:
     Subclasses set `dims` and `operating_box` (a (low, high) pair over y);
     simulations abort once the state leaves SAFETY_FACTOR times that box.
     d_dot feeds plants whose output coordinates are disturbance-dependent and
-    may be omitted when the disturbance is frozen.
+    may be omitted when the disturbance is frozen.  `derivative_and_outputs`
+    gives both at one point, as the two calls do; a plant that shares work
+    between them overrides it.
     """
 
     dims: ModelDims
@@ -174,6 +176,9 @@ class Plant:
 
     def outputs(self, y, v, d):
         raise NotImplementedError
+
+    def derivative_and_outputs(self, y, v, d, d_dot=None):
+        return self.derivative(y, v, d, d_dot), self.outputs(y, v, d)
 
 
 class TeacherPlant(Plant):
@@ -195,6 +200,13 @@ class TeacherPlant(Plant):
 
     def outputs(self, y, v, d):
         return self.model.predict_z(v, y, d)
+
+    def derivative_and_outputs(self, y, v, d, d_dot=None):
+        """One model evaluation: z from the x and u the derivative computes."""
+        if d_dot is None:
+            d_dot = np.zeros(self.dims.nd)
+        z = np.empty(self.dims.nz)
+        return self.model.predict_ydot(v, y, d, d_dot, z_out=z), z
 
 
 class MismatchPlant(Plant):
@@ -279,8 +291,8 @@ def simulate_open_loop(plant, v, d, y0, step, steps=None, fd_tol=1e-2):
     for k, t in enumerate(t_grid):
         _check_inside_safety_box(y, plant)
         v_k, d_k, dd_k = (_signal(f, t) for f in (v, d, d_slope))
-        ydot = plant.derivative(y, v_k, d_k, dd_k)
-        rows.append((v_k, d_k, dd_k, y.copy(), ydot, np.atleast_1d(plant.outputs(y, v_k, d_k))))
+        ydot, z = plant.derivative_and_outputs(y, v_k, d_k, dd_k)
+        rows.append((v_k, d_k, dd_k, y.copy(), ydot, np.atleast_1d(z)))
         if k < steps:
             y = _hold(plant, y, ydot, v_k, d, d_slope, t, step, 1)
     v_col, d_col, dd_col, y_col, ydot_col, z_col = (np.array(col) for col in zip(*rows))

@@ -3,8 +3,9 @@
 A model that has already evaluated a disturbance (the kept entry is warm)
 must give bit for bit what a model that never saw it gives (a cold clone),
 in every map that reads the entries: the same d twice, a step to a new d,
-and a fresh d at every call as in data generation.  The same holds for the
-point `ELModel.maps_at` keeps.  Replacing a parameter entry invalidates what
+and, as in data generation, a fresh d at every call and each d twice in a
+row (an RK4 step's paired stage times).  The same holds for the point
+`ELModel.maps_at` keeps.  Replacing a parameter entry invalidates what
 was kept, and kept arrays are read-only.
 """
 
@@ -65,8 +66,9 @@ def test_warm_model_equals_a_cold_model(ny, nu, nd, depth, s):
     m = random_model(ny, nu, nd, depth, s)
     y, v, x = (0.3 * rng.normal(size=k) for k in (ny, nu, ny))
     d1, d2 = 0.3 * rng.normal(size=(2, nd))
-    # an entry is made at the second call in a row and used from the third:
-    # misses, entries and hits in every mode, around a step and back
+    # an entry is kept from its first call, served from the second and
+    # guarded there: misses, entries and hits in every mode, around a step
+    # and back
     for d in (d1, d1, d1, d2, d2, d2, d1):
         other_tangent_passes(m, y, d)
         assert_bit_equal(evaluations(m, y, v, x, d), evaluations(m.clone(), y, v, x, d))
@@ -76,10 +78,14 @@ def test_warm_model_equals_a_cold_model(ny, nu, nd, depth, s):
 def test_fresh_disturbances_equal_cache_free_results(ny, nu, nd, depth, s):
     rng = np.random.default_rng(s)
     m = random_model(ny, nu, nd, depth, s)
-    for _ in range(4):
-        v, y, d, d_dot = (0.3 * rng.normal(size=k) for k in (nu, ny, nd, nd))
-        assert_bit_equal([m.predict_ydot(v, y, d, d_dot)],
-                         [m.clone().predict_ydot(v, y, d, d_dot)])
+    d1, d2, d3, d4, d5 = 0.3 * rng.normal(size=(5, nd))
+    # a fresh d at every call, then the RK4 pattern: each d twice in a row,
+    # at a fresh y, v and a nonzero d_dot each call
+    for d in (d1, d2, d3, d3, d4, d4, d5, d5):
+        v, y, d_dot = (0.3 * rng.normal(size=k) for k in (nu, ny, nd))
+        warm, cold = np.empty(1), np.empty(1)
+        assert_bit_equal([m.predict_ydot(v, y, d, d_dot, z_out=warm), warm],
+                         [m.clone().predict_ydot(v, y, d, d_dot, z_out=cold), cold])
 
 
 @given(dims, dims, dims, depths, seeds)
@@ -105,7 +111,7 @@ def test_kept_arrays_are_read_only():
     m = ELModel.random(ModelDims(3, 3, 2, 2), seed=0)
     d = np.array([0.2, -0.1])
     ds = m.scalers["d"].transform(d)[None, :]
-    # an entry is made at the second call in a row
+    # an entry is kept from the first call and guarded (cond W) at the second
     for _ in range(2):
         A, B, c = m.linear_core(d)
         (W, b, c_phi, cond), *_ = m.state_map.coefficients(m.params, ds)

@@ -1,12 +1,13 @@
 """The plain-numpy Jacobian kernels equal the tangent pass bit for bit.
 
-`MlpStack`'s value and input Jacobian, `Bnn.jacobians_with` (through
-`state_jacobians` and `maps_at`) and the two branches of
-`ELModel.predict_ydot` (d_dot zero: Phi's array coefficients and no dPhi/dd;
-d_dot nonzero: tangent coefficients seeded with d) are checked
+`MlpStack`'s value and input Jacobian, `Bnn.weight` on a tangent,
+`Bnn.jacobians_with` (through `state_jacobians` and `maps_at`) and the two
+branches of `ELModel.predict_ydot` (d_dot zero: Phi's array coefficients and
+no dPhi/dd; d_dot nonzero: tangent coefficients seeded with d) are checked
 against tangent-mode evaluation, which stays the reference, over random
-dimensions (1-4), depths (1-3), hidden sizes and row counts.  Equality is of
-bytes, not to a tolerance.
+dimensions (1-4), depths (1-3), hidden sizes and row counts; the z that
+`predict_ydot` writes into `z_out` is checked against `predict_z`.  Equality
+is of bytes, not to a tolerance.
 """
 
 import numpy as np
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elcontrol.arrays import seed
-from elcontrol.errors import NonFiniteError
+from elcontrol.arrays import Tangent, exp, narrow, reshape, seed
+from elcontrol.errors import NonFiniteError, ShapeError
 from elcontrol.model import ELModel, ModelArch, ModelDims
-from elcontrol.networks import MlpStack, ParamMlp
+from elcontrol.networks import Bnn, MlpStack, ParamMlp
 
 dims = st.integers(1, 4)
 depths = st.integers(1, 3)
@@ -71,6 +72,28 @@ def test_stack_kernel_equals_the_tangent_pass(in_dim, out_dims, hidden, n, s):
         assert_bytes_equal(jac, out.tan)
 
 
+def generic_weight(bnn, raw):
+    """W(d) = L(d) U(d) through the `arrays` ops, the formula `Bnn.weight`
+    runs on arrays and graph tensors."""
+    n, k = bnn.n, bnn.k_low
+    L_flat = narrow(raw, 0, k) @ bnn.s_low + np.eye(n).reshape(-1)
+    U_flat = (exp(narrow(raw, k, n)) @ bnn.s_diag
+              + narrow(raw, k + n, n * n - k - n) @ bnn.s_up)
+    shape = raw.shape[:-1] + (n, n)
+    return reshape(L_flat, shape) @ reshape(U_flat, shape)
+
+
+@given(dims, st.integers(1, 3), rows, seeds)
+def test_weight_kernel_equals_the_generic_tangent_formula(n, nd, N, s):
+    rng = np.random.default_rng(s)
+    bnn = Bnn("phi", n, cond_dim=nd, depth=1)
+    val, tan = rng.normal(size=(N, n * n)), rng.normal(size=(N, n * n, nd))
+    for raw in (Tangent(val, tan), Tangent(val[0], tan[0])):
+        got, want = bnn.weight(raw), generic_weight(bnn, raw)
+        assert_bytes_equal(got.val, want.val)
+        assert_bytes_equal(got.tan, want.tan)
+
+
 @given(dims, dims, dims, depths, hiddens, rows, seeds)
 def test_predict_ydot_and_state_jacobians_equal_the_tangent_pass(ny, nu, nd, depth, hidden, n, s):
     rng = np.random.default_rng(s)
@@ -87,6 +110,22 @@ def test_predict_ydot_and_state_jacobians_equal_the_tangent_pass(ny, nu, nd, dep
     want = out.val, out.tan[..., nd:] / m.scalers["y"].std, out.tan[..., :nd] / m.scalers["d"].std
     for got, want in zip(m.state_jacobians(y, d), want, strict=True):
         assert_bytes_equal(got, want)
+
+
+@given(dims, dims, dims, depths, hiddens, rows, seeds)
+def test_predict_ydot_z_out_equals_predict_z(ny, nu, nd, depth, hidden, n, s):
+    rng = np.random.default_rng(s)
+    m = random_model(ny, nu, nd, depth, hidden, s)
+    v, y, d, d_dot = (0.3 * rng.normal(size=(n, k)) for k in (nu, ny, nd, nd))
+    for rate in (np.zeros_like(d_dot), d_dot):
+        # a batch, and one row as a plant gives it, twice so that kept entries serve
+        for args in [(v, y, d, rate)] + 2 * [tuple(a[0] for a in (v, y, d, rate))]:
+            want = m.clone().predict_z(*args[:3])
+            z = np.full(want.shape, np.nan)
+            assert_bytes_equal(m.predict_ydot(*args, z_out=z), m.clone().predict_ydot(*args))
+            assert_bytes_equal(z, want)
+    with pytest.raises(ShapeError, match="z_out"):
+        m.predict_ydot(v, y, d, d_dot, z_out=np.empty(1))
 
 
 @given(dims, dims, dims, depths, hiddens, seeds)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from elcontrol.arrays import Tangent
 from elcontrol.control import (CONTROLLERS, BarrierSpec, ControllerState,
                                DesignCache, icbf_step, lqr_control)
 from elcontrol.errors import ElcontrolError, InfeasibleError, ValidationError
@@ -219,6 +220,29 @@ def test_open_loop_evaluates_each_row_derivative_once():
     assert len(ds) == steps + 1 and Counted.calls == 4 * steps + 1
 
 
+def test_open_loop_builds_phi_once_per_rk4_time():
+    # k2 and k3 share the time t + h/2, k4 and the next row's derivative
+    # t + h; a step of 2^-8 keeps those times equal in floating point, so a
+    # sum-of-sines d (d_dot != 0) repeats in pairs and Phi's tangent entry
+    # serves the second call of each pair; z reuses the row derivative's x
+    m = ELModel.random(ModelDims(3, 3, 2, 2), ModelArch(phi_depth=1, phi_hidden=8, psi_depth=1,
+                                                        psi_hidden=8, core_hidden=8), seed=2)
+    builds = {"tangent": 0, "array": 0}
+    layers = m.state_map._layers
+
+    def counted(params, cond):
+        builds["tangent" if isinstance(cond, Tangent) else "array"] += 1
+        return layers(params, cond)
+
+    m.state_map._layers = counted
+    box = (-0.5 * np.ones(2), 0.5 * np.ones(2))
+    steps = 50
+    simulate_open_loop(TeacherPlant(m), lambda t: np.array([0.3, np.sin(t), -0.2]),
+                       gen_excitation("sum-of-sines", 1.0, 0.01, box, seed=3),
+                       np.zeros(3), step=2.0 ** -8, steps=steps)
+    assert builds == {"tangent": 2 * steps + 1, "array": 0}
+
+
 def test_open_loop_uses_signal_duration_and_validates_arguments():
     sig = gen_excitation("sum-of-sines", 1.0, 0.25, (-0.1, 0.1), seed=1)
     ds = simulate_open_loop(DecayPlant(), sig, ZERO1, np.zeros(1), step=0.25)
@@ -254,6 +278,20 @@ def test_teacher_plant_defaults_and_derivative():
     assert ydot.shape == (3,) and np.all(np.isfinite(ydot))
     assert np.array_equal(ydot, plant.derivative(y, v, d, np.zeros(2)))
     assert plant.outputs(y, v, d).shape == (2,)
+
+
+@pytest.mark.parametrize("plant", [TeacherPlant(seed=5), MismatchPlant()],
+                         ids=["teacher", "mismatch"])
+def test_derivative_and_outputs_equals_the_two_calls(plant):
+    rng = np.random.default_rng(8)
+    dims = plant.dims
+    for d_dot in (None, np.zeros(dims.nd), 0.4 * rng.normal(size=dims.nd)):
+        y, v, d = (0.5 * rng.normal(size=k) for k in (dims.ny, dims.nu, dims.nd))
+        want = plant.derivative(y, v, d, d_dot), plant.outputs(y, v, d)
+        got = plant.derivative_and_outputs(y, v, d, d_dot)
+        assert len(got) == 2
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
