@@ -23,7 +23,11 @@ A node's vjp is called as vjp(g, node): it reads its operands from
 parent.  No vjp holds its own node, so no node refers to itself and a
 dropped graph is freed by reference counting at once.
 
-`jacobian_rows` is the one Jacobian helper; its results stay in the graph.
+An adjoint may carry leading seed axes: `backward` takes a seed of shape
+L + out.shape and pushes all of its seeds through one sweep, and each vjp
+reads their count as `g.ndim - node.ndim` and never reduces over them.
+`jacobian_rows` is the one Jacobian helper, one such sweep seeded with the
+identity; its results stay in the graph, so nested passes stack seed axes.
 
 Each node is one numpy call on its operands' arrays, relu's mask included.
 Inside `with recording() as program` the calls are also noted, and
@@ -47,7 +51,7 @@ __all__ = [
     "Tensor", "Graph", "as_tensor", "constant", "ELEMENTWISE",
     "add", "sub", "mul", "matmul", "sinh", "asinh", "cosh", "exp", "log",
     "softplus", "relu", "square", "sum", "solve",
-    "reshape", "transpose", "concat", "narrow", "stack", "expand_dims",
+    "reshape", "transpose", "concat", "narrow", "expand_dims",
     "squeeze", "matvec",
     "backward", "evaluate", "gradient", "jacobian_rows", "recording", "Program",
 ]
@@ -158,18 +162,20 @@ def _concat(*parts, axis):
 # ---------------------------------------------------------------------------
 # broadcasting support
 
-def _sum_to_shape(g: Tensor, shape) -> Tensor:
-    """Reduce a broadcast adjoint back to `shape` by summation."""
-    if g.shape == tuple(shape):
+def _sum_to_shape(g: Tensor, shape, lead) -> Tensor:
+    """Reduce a broadcast adjoint back to its `lead` seed axes plus `shape`
+    by summation; the seed axes are never summed."""
+    shape = g.shape[:lead] + tuple(shape)
+    if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = sum(g, axis=tuple(range(extra)))
+        g = sum(g, axis=tuple(range(lead, lead + extra)))
     axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
     if axes:
         g = sum(g, axis=axes, keepdims=True)
-    if g.shape != tuple(shape):
-        raise ShapeError(f"cannot reduce adjoint of shape {g.shape} to {tuple(shape)}")
+    if g.shape != shape:
+        raise ShapeError(f"cannot reduce adjoint of shape {g.shape} to {shape}")
     return g
 
 
@@ -183,8 +189,9 @@ def _broadcasting(name, fn, adjoint_a, adjoint_b):
 
     def vjp(g, node):
         a, b = node.parents
-        return (_sum_to_shape(adjoint_a(g, a, b), a.shape),
-                _sum_to_shape(adjoint_b(g, a, b), b.shape))
+        lead = g.ndim - node.ndim
+        return (_sum_to_shape(adjoint_a(g, a, b), a.shape, lead),
+                _sum_to_shape(adjoint_b(g, a, b), b.shape, lead))
 
     def op(a, b) -> Tensor:
         a, b = as_tensor(a), as_tensor(b)
@@ -207,8 +214,9 @@ mul = _broadcasting("mul", np.multiply, lambda g, a, b: mul(g, b), lambda g, a, 
 
 def _matmul_vjp(g, node):
     a, b = node.parents
-    return (_sum_to_shape(matmul(g, transpose(b)), a.shape),
-            _sum_to_shape(matmul(transpose(a), g), b.shape))
+    lead = g.ndim - node.ndim
+    return (_sum_to_shape(matmul(g, transpose(b)), a.shape, lead),
+            _sum_to_shape(matmul(transpose(a), g), b.shape, lead))
 
 
 def matmul(a, b) -> Tensor:
@@ -222,9 +230,10 @@ def matmul(a, b) -> Tensor:
 
 def _solve_vjp(g, node):
     a, b = node.parents
+    lead = g.ndim - node.ndim
     gb = solve(transpose(a), g)
-    ga = _sum_to_shape(mul(matmul(gb, transpose(node)), -1.0), a.shape)
-    return ga, _sum_to_shape(gb, b.shape)
+    ga = _sum_to_shape(mul(matmul(gb, transpose(node)), -1.0), a.shape, lead)
+    return ga, _sum_to_shape(gb, b.shape, lead)
 
 
 def solve(a, b) -> Tensor:
@@ -301,7 +310,7 @@ def sum(x, axis=None, keepdims=False) -> Tensor:
     def vjp(g, node):
         shape = node.parents[0].shape
         if not keepdims:
-            g = reshape(g, _kept_shape(shape, axis))
+            g = reshape(g, g.shape[:g.ndim - node.ndim] + _kept_shape(shape, axis))
         return (mul(g, constant(np.ones(shape))),)
 
     return _node(np.sum, (as_tensor(x),), vjp, axis=axis, keepdims=keepdims)
@@ -311,7 +320,7 @@ def sum(x, axis=None, keepdims=False) -> Tensor:
 # structural operations (data movement only)
 
 def _reshape_vjp(g, node):
-    return (reshape(g, node.parents[0].shape),)
+    return (reshape(g, g.shape[:g.ndim - node.ndim] + node.parents[0].shape),)
 
 
 def reshape(x, shape) -> Tensor:
@@ -330,7 +339,8 @@ def transpose(x, axes=None) -> Tensor:
     inv = tuple(np.argsort(perm))
 
     def vjp(g, node):
-        return (transpose(g, inv),)
+        lead = g.ndim - node.ndim
+        return (transpose(g, tuple(range(lead)) + tuple(lead + i for i in inv)),)
 
     return _node(np.transpose, (x,), vjp, perm)
 
@@ -342,7 +352,8 @@ def concat(parts, axis=0) -> Tensor:
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
     def vjp(g, node):
-        return tuple(narrow(g, ax, int(offsets[i]), sizes[i]) for i in range(len(sizes)))
+        axis = g.ndim - node.ndim + ax
+        return tuple(narrow(g, axis, int(offsets[i]), sizes[i]) for i in range(len(sizes)))
 
     return _node(_concat, tuple(parts), vjp, axis=ax)
 
@@ -354,13 +365,15 @@ def narrow(x, axis, start, length) -> Tensor:
     idx = tuple(slice(None) if i != ax else slice(start, start + length) for i in range(x.ndim))
 
     def vjp(g, node):
+        lead = g.ndim - node.ndim
+
         def pad(size):
-            shape = list(node.parents[0].shape)
-            shape[ax] = size
+            shape = list(g.shape[:lead] + node.parents[0].shape)
+            shape[lead + ax] = size
             return [constant(np.zeros(shape))] if size else []
 
         pieces = pad(start) + [g] + pad(node.parents[0].shape[ax] - start - length)
-        return (concat(pieces, axis=ax) if len(pieces) > 1 else g,)
+        return (concat(pieces, axis=lead + ax) if len(pieces) > 1 else g,)
 
     return _node(operator.getitem, (x,), vjp, idx)
 
@@ -378,10 +391,6 @@ def squeeze(x, axis) -> Tensor:
     if x.shape[ax] != 1:
         raise ShapeError(f"'squeeze': axis {axis} of {x.shape} is not 1")
     return reshape(x, x.shape[:ax] + x.shape[ax + 1:])
-
-
-def stack(parts, axis=0) -> Tensor:
-    return concat([expand_dims(p, axis) for p in parts], axis=axis)
 
 
 def matvec(a, x) -> Tensor:
@@ -412,31 +421,25 @@ def _topo_order(root: Tensor):
     return order
 
 
-def _backward_plan(out: Tensor, wrt):
-    """`out`'s ancestors in topological order, and the ids of those on a
-    path to a `wrt` tensor: adjoints propagate only along those paths."""
-    order = _topo_order(out)
-    wrt_ids = {id(w) for w in wrt}
-    needed = set()
+def backward(out: Tensor, seed, wrt) -> list[Tensor]:
+    """Vector-Jacobian product: adjoints of `wrt` tensors given `seed` at `out`.
+
+    `seed` has shape L + out.shape, where the leading seed axes L (often
+    none) stack independent seeds: each adjoint has shape L + w.shape and
+    equals one pass per seed.  The returned adjoints are graph tensors, so
+    they can be differentiated again.  Tensors in `wrt` that the output does
+    not depend on get exact zeros.  Accumulation for shared subexpressions
+    is by summation in reverse topological order.
+    """
+    seed = as_tensor(seed)
+    lead = seed.ndim - out.ndim
+    if lead < 0 or seed.shape[lead:] != out.shape:
+        raise ShapeError(f"seed shape {seed.shape} does not match output shape {out.shape}")
+    # adjoints propagate only along the paths from `out` to a `wrt` tensor
+    order, wrt_ids, needed = _topo_order(out), {id(w) for w in wrt}, set()
     for node in order:
         if id(node) in wrt_ids or any(id(p) in needed for p in node.parents):
             needed.add(id(node))
-    return order, needed
-
-
-def backward(out: Tensor, seed, wrt, _plan=None) -> list[Tensor]:
-    """Vector-Jacobian product: adjoints of `wrt` tensors given `seed` at `out`.
-
-    The returned adjoints are graph tensors, so they can be differentiated
-    again.  Tensors in `wrt` that the output does not depend on get exact
-    zeros.  Accumulation for shared subexpressions is by summation in
-    reverse topological order.  `_plan` is `_backward_plan(out, wrt)` when
-    the caller already holds it.
-    """
-    seed = as_tensor(seed)
-    if seed.shape != out.shape:
-        raise ShapeError(f"seed shape {seed.shape} does not match output shape {out.shape}")
-    order, needed = _plan if _plan is not None else _backward_plan(out, wrt)
     grads: dict[int, Tensor] = {id(out): seed}
     if id(out) in needed:
         for node in reversed(order):
@@ -448,7 +451,7 @@ def backward(out: Tensor, seed, wrt, _plan=None) -> list[Tensor]:
                     continue
                 held = grads.get(id(parent))
                 grads[id(parent)] = pg if held is None else add(held, pg)
-    return [grads.get(id(w)) or constant(np.zeros(w.shape)) for w in wrt]
+    return [grads.get(id(w)) or constant(np.zeros(seed.shape[:lead] + w.shape)) for w in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -526,20 +529,21 @@ def _checked_gradients(gradients):
 def jacobian_rows(out: Tensor, wrt) -> list[Tensor]:
     """Jacobians of `out` with respect to each tensor in `wrt`.
 
-    One backward pass per component of the last axis of `out`, seeded with
-    that component; the adjoints are stacked along that axis, so for `out`
-    of shape (..., m) and an input of shape (..., n) the Jacobian has shape
-    (..., m, n).  The results stay connected to the graph.  The m passes
-    share one backward plan: their seeds differ, their graph does not.
+    One backward pass whose seed stacks, on a leading seed axis, one seed per
+    component of the last axis of `out` (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., section 3.3).  The seed axis then moves to
+    position out.ndim - 1, so for `out` of shape (..., m) and an input of
+    shape (..., n) the Jacobian has shape (..., m, n), the same as one pass
+    per component stacked along that axis.  The results stay connected to
+    the graph.
     """
-    m = out.shape[-1]
-    plan = _backward_plan(out, wrt)
-    rows = []
-    for i in range(m):
-        seed = np.zeros(out.shape)
-        seed[..., i] = 1.0
-        rows.append(backward(out, constant(seed), wrt, _plan=plan))
-    return [stack([r[j] for r in rows], axis=out.ndim - 1) for j in range(len(wrt))]
+    m, k = out.shape[-1], out.ndim - 1
+    eye = np.eye(m).reshape((m,) + (1,) * k + (m,))
+    adjoints = backward(out, np.broadcast_to(eye, (m,) + out.shape).copy(), wrt)
+    if k == 0:
+        return adjoints
+    return [transpose(a, tuple(range(1, k + 1)) + (0,) + tuple(range(k + 1, a.ndim)))
+            for a in adjoints]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ are levels of that tower.  `check_linearizable` builds one at a sample point
 and forms every pairwise bracket J(ad^j) ad^i - J(ad^i) ad^j from its
 tensors with no further backward passes.  For fields from `compile_field`
 or `linear_fields` it records the first point's as an `autodiff.Program`
-and replays that at every later point, bit for bit and about 7x cheaper.  A
-tower grows 20-30x per state, so the check refuses n above MAX_STATES.
+and replays that at every later point, bit for bit and about 6x cheaper.
+Each Jacobian in the tower is one reverse pass with a seed axis, so level k
+carries k nested seed axes of n entries each; the check refuses n above
+MAX_STATES, where a sample would take seconds and over a gigabyte.
 
 Vector fields are callables mapping an autodiff tensor to an autodiff
 tensor, so Jacobians (and Jacobians of bracket fields, which contain
@@ -41,8 +43,9 @@ from .errors import MAX_COUNT, NonFiniteError, ValidationError
 # the largest literal exponent the compiler expands into repeated products
 MAX_POWER = 16
 
-# the largest state dimension checked: a sample's tower grows 20-30x per
-# state, to over a minute and 1.5 GB at n = 6
+# the largest state dimension checked: a sample's tower takes about 0.1 s
+# and 80 MB at n = 6, but 2-3 s and 1.1 GB at n = 7, as the adjoints at
+# level k of the tower carry n**k seed entries each
 MAX_STATES = 6
 
 # the deepest expression tree the compiler accepts; evaluating a compiled

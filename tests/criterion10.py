@@ -22,13 +22,16 @@ arithmetic changed,
     python tests/criterion10.py --compare A B
 
 checks two such output trees (moved apart after their runs) against the
-1e-12 relative rule: each numeric CSV column and each numeric JSON leaf
-array is compared relative to its largest magnitude in either tree, and
-all other text must be equal.  It prints the worst entry of each file that
-differs and of the whole tree, and exits 1 when the file sets differ, text
-differs, or a relative difference is above 1e-12.
+1e-12 relative rule: each numeric CSV column, each numeric JSON leaf
+array and each numeric `.npz` entry is compared relative to its largest
+magnitude in either tree.  All other text must be equal, and so must an
+`.npz`'s entry names, shapes and dtypes and its `__meta__` bytes.  It
+prints the worst entry of each file that differs and of the whole tree,
+and exits 1 when the file sets differ, text differs, or a relative
+difference is above 1e-12.
 """
 
+import io
 import json
 import pathlib
 import sys
@@ -168,6 +171,23 @@ def _csv_leaves(a, b):
             yield from ((f"{name}[{i}]", x, y) for i, (x, y) in enumerate(zip(col_a, col_b)))
 
 
+def _npz_leaves(a, b):
+    """(entry name, a, b) per entry of two `.npz` files: the arrays of a
+    numeric entry, else its bytes; names, shapes and dtypes compare as text."""
+    with np.load(io.BytesIO(a)) as za, np.load(io.BytesIO(b)) as zb:
+        if za.files != zb.files:
+            yield "entry names", za.files, zb.files
+            return
+        for name in za.files:
+            x, y = za[name], zb[name]
+            if (x.dtype, x.shape) != (y.dtype, y.shape):
+                yield f"{name} dtype and shape", f"{x.dtype}{x.shape}", f"{y.dtype}{y.shape}"
+            elif name == "__meta__" or x.dtype.kind not in "fiu":
+                yield name, x.tobytes(), y.tobytes()
+            else:
+                yield name, x, y
+
+
 def compare(a, b):
     """Print where two output trees differ; True when they agree to REL_TOL."""
     a, b = pathlib.Path(a), pathlib.Path(b)
@@ -186,6 +206,8 @@ def compare(a, b):
             leaves = _csv_leaves(raw_a.decode(), raw_b.decode())
         elif name.suffix == ".json":
             leaves = _json_leaves(json.loads(raw_a), json.loads(raw_b), "")
+        elif name.suffix == ".npz":
+            leaves = _npz_leaves(raw_a, raw_b)
         else:
             leaves = [("bytes", "differ", "")]
         rel, label, x, y = max((_difference(*leaf) for leaf in leaves), key=lambda d: d[0])

@@ -8,6 +8,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import elcontrol.autodiff as ad
 from elcontrol import liecheck
@@ -364,6 +366,85 @@ def test_jacobian_rows_equals_one_backward_per_row():
     (got,) = ad.jacobian_rows(out, [x])
     (expected,) = _rows_one_backward_each(out, [x])
     assert np.array_equal(got.data, expected)
+
+
+def _well_posed(a):
+    return a + 3.0 * np.eye(a.shape[-1])
+
+
+# name -> (input shapes, the primitive on those inputs, input transform);
+# each output goes through sinh so that a Jacobian of the Jacobian reaches
+# the primitive's own vjp nodes
+PRIMITIVE_CASES = {
+    **{name: ([(2, 1, 3), (4, 3)], getattr(ad, name), None) for name in ("add", "sub", "mul")},
+    "mul-scalar-operand": ([(3,), ()], ad.mul, None),
+    "matmul-batch-broadcast": ([(2, 1, 3, 4), (5, 4, 2)], ad.matmul, None),
+    "solve": ([(2, 3, 3), (3, 2)], ad.solve, _well_posed),
+    "solve-broadcast-matrix": ([(3, 3), (2, 3, 2)], ad.solve, _well_posed),
+    "sum-axis": ([(2, 3, 4)], lambda x: ad.sum(x, axis=1), None),
+    "sum-axes-keepdims": ([(2, 3, 4)], lambda x: ad.sum(x, axis=(0, 2), keepdims=True), None),
+    "sum-last-keepdims": ([(2, 3)], lambda x: ad.sum(x, axis=-1, keepdims=True), None),
+    "reshape": ([(2, 6)], lambda x: ad.reshape(x, (3, 4)), None),
+    "transpose-default": ([(2, 3, 4)], ad.transpose, None),
+    "transpose-perm": ([(2, 3, 4)], lambda x: ad.transpose(x, (2, 0, 1)), None),
+    "concat-last": ([(2, 3), (2, 1)], lambda x, y: ad.concat([x, y], axis=1), None),
+    "concat-first": ([(2, 3), (1, 3)], lambda x, y: ad.concat([x, y], axis=0), None),
+    "narrow-middle": ([(3, 5)], lambda x: ad.narrow(x, 1, 1, 3), None),
+    "narrow-first": ([(3, 2)], lambda x: ad.narrow(x, 0, 0, 2), None),
+    "expand-dims": ([(2, 3)], lambda x: ad.expand_dims(x, 0), None),
+    "squeeze": ([(2, 1, 3)], lambda x: ad.squeeze(x, 1), None),
+    "matvec": ([(2, 3, 3), (2, 3)], ad.matvec, None),
+    **{name: ([(2, 3)], fn, None) for name, fn in ad.ELEMENTWISE.items()},
+}
+
+
+def _primitive_case(name, seed):
+    """The case's input tensors and its output, sinh of the primitive."""
+    shapes, primitive, transform = PRIMITIVE_CASES[name]
+    rng = np.random.default_rng(seed)
+    low = 0.2 if name == "log" else -1.0
+    arrays = [rng.uniform(low, 1.0, shape) for shape in shapes]
+    if transform is not None:
+        arrays[0] = transform(arrays[0])
+    tensors = [ad.as_tensor(a) for a in arrays]
+    out = ad.sinh(primitive(*tensors))
+    return tensors, (out if out.ndim else ad.reshape(out, (1,)))
+
+
+def _equal_bytes(got, expected):
+    return all(g.data.shape == e.shape and g.data.tobytes() == np.ascontiguousarray(e).tobytes()
+               for g, e in zip(got, expected))
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_jacobian_rows_is_one_backward_per_row_for_every_primitive(name, seed):
+    wrt, out = _primitive_case(name, seed)
+    assert _equal_bytes(ad.jacobian_rows(out, wrt), _rows_one_backward_each(out, wrt))
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_jacobian_rows_of_a_jacobian_is_one_backward_per_row(name, seed):
+    # the inner pass's adjoints carry one seed axis, so the outer pass's
+    # adjoints at the inner pass's nodes carry two
+    wrt, out = _primitive_case(name, seed)
+    (inner,) = ad.jacobian_rows(out, wrt[:1])
+    # a Jacobian's row axis lands at inner.ndim - 2, which every input must have
+    wrt = [w for w in wrt if w.ndim >= inner.ndim - 1]
+    assert _equal_bytes(ad.jacobian_rows(inner, wrt), _rows_one_backward_each(inner, wrt))
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+@given(seed=st.integers(0, 2 ** 32 - 1), lead=st.sampled_from([(3,), (2, 2)]))
+def test_backward_with_stacked_seeds_is_one_call_per_seed(name, seed, lead):
+    wrt, out = _primitive_case(name, seed)
+    seeds = np.random.default_rng(seed + 1).normal(size=lead + out.shape)
+    got = ad.backward(out, seeds, wrt)
+    each = [ad.backward(out, s, wrt) for s in seeds.reshape((-1,) + out.shape)]
+    expected = [np.stack([e[j].data for e in each]).reshape(lead + w.shape)
+                for j, w in enumerate(wrt)]
+    assert _equal_bytes(got, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from numpy.lib import format as npformat
 from elcontrol import cli, qpsolver
 from elcontrol.cli import main
 from elcontrol.control import design_lqr
+from elcontrol.liecheck import MAX_STATES
 from elcontrol.model import (ELModel, ModelArch, ModelDims, TrajectoryDataset, load_model,
                              read_csv, save_model, write_csv)
 from elcontrol.simulate import TeacherPlant
@@ -876,6 +877,16 @@ def test_check_fixture_verdicts(tmp_path):
     report = json.load(open(tmp_path / "fail" / "report.json"))
     assert report["verdict"] == "fail-involutive"
     assert report["max_involutivity_residual"] > 10.0 * report["tol"]
+
+
+def test_check_at_the_state_cap(tmp_path):
+    n = MAX_STATES
+    system = {"n": n, "f": [f"y{i + 1} + sinh(y1)*y{i}" for i in range(1, n)] + ["-y1*y2"],
+              "g": ["0"] * (n - 1) + ["1 + square(y1)"]}
+    cfg = {**check_config(tmp_path / "run", system), "samples": 2}
+    assert run_cli(tmp_path, "check-linearizable", cfg) == 0
+    report = json.load(open(tmp_path / "run" / "report.json"))
+    assert (report["samples"], report["verdict"]) == (2, "pass")
 
 
 def test_check_reads_expression_file(tmp_path):

@@ -3,6 +3,8 @@
 import json
 import shutil
 
+import numpy as np
+
 import criterion10
 
 
@@ -42,3 +44,30 @@ def test_text_and_file_set_differences_fail(tmp_path):
     c = write_tree(tmp_path / "c")
     (c / "run" / "extra.csv").write_text("t\n0\n")
     assert criterion10.main(["--compare", str(a), str(c)]) == 1
+
+
+def write_model(root, scale=1.0, name="param.w", meta=b'{"format_version": 1}'):
+    (root / "train").mkdir(parents=True)
+    np.savez(root / "train" / "model.npz", __meta__=np.frombuffer(meta, np.uint8),
+             **{name: np.array([[0.5, -2.0], [1.0, 0.25]]) * scale})
+    return root
+
+
+def test_npz_entries_within_1e_13_pass(tmp_path):
+    a = write_model(tmp_path / "a")
+    assert criterion10.main(["--compare", str(a), str(write_model(tmp_path / "b", 1 + 1e-13))]) == 0
+
+
+def test_npz_entries_off_by_1e_10_fail(tmp_path, capsys):
+    a = write_model(tmp_path / "a")
+    assert criterion10.main(["--compare", str(a), str(write_model(tmp_path / "b", 1 + 1e-10))]) == 1
+    assert "train/model.npz: param.w" in capsys.readouterr().out
+
+
+def test_npz_renamed_entry_or_other_meta_fails(tmp_path, capsys):
+    a = write_model(tmp_path / "a")
+    assert criterion10.main(["--compare", str(a), str(write_model(tmp_path / "b", name="param.v"))]) == 1
+    assert "train/model.npz: entry names" in capsys.readouterr().out
+    other = write_model(tmp_path / "c", meta=b'{"format_version": 2}')
+    assert criterion10.main(["--compare", str(a), str(other)]) == 1
+    assert "train/model.npz: __meta__" in capsys.readouterr().out

@@ -420,6 +420,37 @@ def test_integrator_chain_refuses_a_state_dimension_over_the_cap():
         integrator_chain(7)
 
 
+def strict_feedback(n):
+    """f_i = y_{i+1} + sinh(y1) y_i, f_n = -y1 y2, g_n = 1 + y1^2."""
+    return ([f"y{i + 1} + sinh(y1)*y{i}" for i in range(1, n)] + ["-y1*y2"],
+            ["0"] * (n - 1) + ["1 + square(y1)"])
+
+
+def recorded_tower_calls(f, g):
+    """(calls recorded, calls kept by `Program.finish`) for one sample's tower."""
+    n = len(f)
+    system = VectorFieldPair(compile_field(f, n), compile_field(g, n), n)
+    y = np.linspace(-0.5, 0.5, n)
+    with ad.recording() as program:
+        outputs = liecheck._point_outputs(system, y)
+    recorded = len(program.ops)
+    program.finish({"x": y}, dict(enumerate(outputs)))
+    return recorded, sum(len(ops) for _, _, ops in program.outputs)
+
+
+def test_the_bench_system_tower_keeps_at_most_600_calls():
+    # the liecheck-n4 bench system keeps 335 calls; a backward pass per
+    # Jacobian row would keep 4105
+    f = ["y2 + sinh(y1)", "y3 + square(y1)", "y4 + y2*y3", "-y1*y2"]
+    g = ["0", "0", "0", "1 + square(y1)"]
+    assert recorded_tower_calls(f, g)[1] <= 600
+
+
+def test_a_tower_at_the_state_cap_records_at_most_20000_calls():
+    # 7737 at n = 6; the tower grows about 3.4x per state
+    assert recorded_tower_calls(*strict_feedback(liecheck.MAX_STATES))[0] <= 20000
+
+
 def test_vector_field_pair_validation():
     with pytest.raises(ValidationError):
         VectorFieldPair(f=1.0, g=zero_field(2), n=2)
