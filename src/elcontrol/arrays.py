@@ -168,15 +168,24 @@ def transpose(x, axes):
     return (ad.transpose if isinstance(x, ad.Tensor) else np.transpose)(x, axes)
 
 
+def read_only(x):
+    """`x` with its array, or a tangent's two arrays, made read-only."""
+    for array in (x.val, x.tan) if isinstance(x, Tangent) else (x,):
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return x
+
+
 def mlps(stack, params, x):
     """The member nets' outputs of a `networks.MlpStack` at x.  A `Tensor`
     runs the nets one by one; otherwise the stack runs once, through
-    `forward_np` or, for a `Tangent`, `forward_and_input_jacobian_np`."""
+    `forward_np` or, for a `Tangent`, `forward_and_input_jacobian_np`, made
+    read-only, and each output is a view of it."""
     if isinstance(x, ad.Tensor):
         return [net.forward(params, x) for net in stack.nets]
     if isinstance(x, Tangent):
         val, jac = stack.forward_and_input_jacobian_np(params, x.val)
-        out = Tangent(val, jac if x.eye else jac @ x.tan)
+        out = read_only(Tangent(val, jac if x.eye else jac @ x.tan))
     else:
-        out = stack.forward_np(params, x)
+        out = read_only(stack.forward_np(params, x))
     return [narrow(out, k * stack.width, net.out_dim) for k, net in enumerate(stack.nets)]

@@ -12,9 +12,11 @@ The mathematical primitive set is deliberately small and auditable:
     softplus, relu, square, sum, solve
 
 The elementwise ones are the rows of `ELEMENTWISE`, each a numpy function
-and its slope; add, sub and mul share one broadcasting rule.  Plus
-structural operations (reshape, transpose, concat, narrow, ...) whose
-backward rules move data without arithmetic.  `solve` is the dense linear
+and its slope; add, sub and mul share one broadcasting rule.  softplus picks
+its kernel by array size: np.logaddexp(0, x) for small arrays, a composite
+within 2 ulp of it for large ones.  Plus structural operations (reshape,
+transpose, concat, narrow, ...) whose backward rules move data without
+arithmetic.  `solve` is the dense linear
 system solve used to apply Jacobian inverses; its backward rule is two more
 solves and a rank-one product.
 
@@ -40,7 +42,6 @@ bracket tower at every sample point after the first.
 from __future__ import annotations
 
 import contextlib
-import functools
 import operator
 
 import numpy as np
@@ -152,7 +153,16 @@ def _node(fn, operands, vjp, *args, **kw) -> Tensor:
     return node
 
 
-_softplus = functools.partial(np.logaddexp, 0.0)
+# softplus's composite kernel is the faster one from this many elements up
+_SOFTPLUS_COMPOSITE_SIZE = 256
+
+
+def _softplus(x):
+    """log(1 + exp(x)): np.logaddexp(0, x) below _SOFTPLUS_COMPOSITE_SIZE elements,
+    and from there up its formula, max(x, 0) + log1p(exp(-|x|)), in whole-array calls."""
+    if x.size < _SOFTPLUS_COMPOSITE_SIZE:
+        return np.logaddexp(0.0, x)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def _concat(*parts, axis):
@@ -287,7 +297,7 @@ ELEMENTWISE = {name: _elementwise(name, fn, slope) for name, fn, slope in (
     ("asinh", np.arcsinh, lambda x, out: exp(mul(log(add(square(x), 1.0)), -0.5))),
     ("exp", np.exp, lambda x, out: out),
     ("log", np.log, lambda x, out: exp(mul(out, -1.0))),
-    # sigmoid(x) = exp(x - softplus(x)), stable for all x
+    # a kernel chosen by size; sigmoid(x) = exp(x - softplus(x)), stable for all x
     ("softplus", _softplus, lambda x, out: exp(sub(x, out))),
     ("relu", _relu, lambda x, out: _mask(x)),
     ("square", np.square, lambda x, out: mul(x, 2.0)),
@@ -520,9 +530,11 @@ def _check_finite(array, message):
 
 
 def _checked_gradients(gradients):
-    """`gradients`, raising at the first non-finite array in order."""
-    for name, array in gradients.items():
-        _check_finite(array, f"gradient of parameter {name!r} is non-finite")
+    """`gradients`, raising at the first non-finite array in order: one
+    isfinite pass over them all, and a search by name only if it fails."""
+    if gradients and not np.isfinite(np.concatenate(list(gradients.values()), axis=None)).all():
+        for name, array in gradients.items():
+            _check_finite(array, f"gradient of parameter {name!r} is non-finite")
     return gradients
 
 

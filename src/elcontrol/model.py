@@ -41,11 +41,10 @@ import numpy as np
 from numpy.lib import format as npformat
 
 from . import autodiff as ad
-from .arrays import mlps, reshape, seed
+from .arrays import mlps, read_only, reshape, seed
 from .errors import (NonFiniteError, ShapeError, TrainingDivergedError, ValidationError,
                      checked_count)
-from .networks import (Bnn, DiagonalBnn, MlpStack, ParamMlp, Picnn, Scaler, _read_only,
-                       check_conditioning)
+from .networks import Bnn, DiagonalBnn, MlpStack, ParamMlp, Picnn, Scaler, check_conditioning
 from .readers import _read_fields
 
 GRAD_CLIP_NORM = 10.0
@@ -289,8 +288,8 @@ class ELModel:
         return _unbatch(single, x, J_y / self.scalers["y"].std, J_d / self.scalers["d"].std)
 
     def linear_core(self, d):
-        """A(d), B(d), c(d) of the latent dynamics; for a single d they may be
-        the read-only arrays `MlpStack.memo` keeps, so copy before writing."""
+        """A(d), B(d), c(d) of the latent dynamics, read-only views (for a
+        single d, maybe the ones `MlpStack.memo` keeps), so copy before writing."""
         b, single = self._batch(d=d)
         return _unbatch(single, *self._core(self.params, b["ds"]))
 
@@ -315,7 +314,7 @@ class ELModel:
         dx_dy = self.state_map.jacobians_with(phi, b["ys"])[1] / sy.std
         psi = self.input_map.coefficients(self.params, seed(self._cond(b)))
         psi_row = [[t.val[0] for t in layer] for layer in psi]
-        maps = PointMaps(*_read_only((y[0], dx_dy[0])), lambda v: self._u_with(psi, v)[:2],
+        maps = PointMaps(read_only(y[0]), read_only(dx_dy[0]), lambda v: self._u_with(psi, v)[:2],
                          lambda u: self._v_with(psi_row, u))
         # the packed weights the evaluation above ran on
         self._point = key, stacks[0]._packed, stacks[1]._packed, maps
@@ -653,7 +652,10 @@ def train(model: ELModel, data: TrajectoryDataset, cfg: TrainConfig):
     leakage across adjacent samples) is held out; per-epoch train and
     validation losses are returned as the history.  Deterministic for a
     fixed (seed, data, config).  On divergence the error carries the last
-    finite parameter checkpoint.
+    finite parameter checkpoint.  The parameters and both Adam moments are
+    flat vectors in `model.params`'s order, and each step makes a new
+    parameter vector, so `trained.params` and each checkpoint are views of
+    one; the clip norm is summed entry by entry in each gradient's layout.
     """
     data.validate()
     q_e = default_q_e(data)
@@ -670,14 +672,20 @@ def train(model: ELModel, data: TrajectoryDataset, cfg: TrainConfig):
     va = {k: a[n_train:] for k, a in arrays.items()}
 
     rng = np.random.default_rng(cfg.seed)
-    params = {k: p.copy() for k, p in model.params.items()}
-    trained = model.clone(params)
-    m1 = {k: np.zeros_like(p) for k, p in params.items()}
-    m2 = {k: np.zeros_like(p) for k, p in params.items()}
+    keys = list(model.params)
+    flat = np.concatenate(list(model.params.values()), axis=None)
+    ends = np.cumsum([p.size for p in model.params.values()]).tolist()
+    layout = [(k, slice(e - p.size, e), p.shape) for (k, p), e in zip(model.params.items(), ends)]
+
+    def views(vector):
+        return {k: vector[part].reshape(shape) for k, part, shape in layout}
+
+    trained = model.clone()
+    trained.params = checkpoint = views(flat)
+    m1, m2 = np.zeros_like(flat), np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step_count = 0
     history = {"train": [], "val": []}
-    checkpoint = {k: p.copy() for k, p in params.items()}
 
     programs = {}
 
@@ -711,19 +719,17 @@ def train(model: ELModel, data: TrajectoryDataset, cfg: TrainConfig):
                     f"training diverged in epoch {epoch}",
                     checkpoint=checkpoint, epoch=epoch) from exc
             epoch_sum += value * len(sel)
-            norm = np.sqrt(
-                np.sum([float(np.sum(np.square(gv))) for gv in grads.values()]))
+            # each entry summed in its own layout (`.sum()` is np.sum's reduction)
+            norm = np.sqrt(np.sum([float(np.square(gv).sum()) for gv in grads.values()]))
             clip = min(1.0, GRAD_CLIP_NORM / norm) if norm > 0 else 1.0
             step_count += 1
             bias1 = 1.0 - beta1 ** step_count
             bias2 = 1.0 - beta2 ** step_count
-            for k in params:
-                gk = grads[k] * clip
-                m1[k] = beta1 * m1[k] + (1.0 - beta1) * gk
-                m2[k] = beta2 * m2[k] + (1.0 - beta2) * np.square(gk)
-                params[k] = params[k] - step * (m1[k] / bias1) / (
-                    np.sqrt(m2[k] / bias2) + eps)
-            trained.params = params
+            g = np.concatenate([grads[k] for k in keys], axis=None) * clip
+            m1 = beta1 * m1 + (1.0 - beta1) * g
+            m2 = beta2 * m2 + (1.0 - beta2) * np.square(g)
+            flat = flat - step * (m1 / bias1) / (np.sqrt(m2 / bias2) + eps)
+            trained.params = views(flat)
         history["train"].append(epoch_sum / n_train)
         if n_val:
             try:
@@ -733,9 +739,8 @@ def train(model: ELModel, data: TrajectoryDataset, cfg: TrainConfig):
                     f"validation loss diverged in epoch {epoch}",
                     checkpoint=checkpoint, epoch=epoch) from exc
             history["val"].append(val_value)
-        checkpoint = {k: p.copy() for k, p in params.items()}
+        checkpoint = trained.params
 
-    trained.params = params
     trained.validate()
     return trained, history
 

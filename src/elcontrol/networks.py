@@ -40,7 +40,8 @@ import operator
 
 import numpy as np
 
-from .arrays import Tangent, asinh, exp, mlps, narrow, reshape, seed, sinh, softplus, transpose
+from .arrays import (Tangent, asinh, exp, mlps, narrow, read_only, reshape, seed, sinh,
+                     softplus, transpose)
 from .errors import ConditioningError, NonFiniteError
 
 COND_LIMIT = 1e12
@@ -167,24 +168,25 @@ class MlpStack(ParamMlp):
 
     def memo(self, params, x, build, keep=None):
         """`build(params, x)` at a one-row input x: an array, or a tangent
-        seeded with the identity.  The last row's value is kept read-only from
-        its first build, one entry for arrays and one for tangents, and returned
-        while the row repeats with the same bytes and the packed weights it was
-        built from are current; its first reuse replaces it by `keep(value)`,
-        so a row seen once never pays for `keep`.  Batches, other tangents and
-        graphs keep nothing."""
+        seeded with the identity, its arrays made read-only by `build` and
+        `keep`.  The last row's value is kept from its first build, one entry
+        for arrays and one for tangents, and returned while the row repeats
+        with the same bytes and the packed weights it was built from are
+        current; its first reuse replaces it by `keep(value)`, so a row seen
+        once never pays for `keep`.  Batches, other tangents and graphs keep
+        nothing."""
         row = x.val if isinstance(x, Tangent) and x.eye else x
         if not isinstance(row, np.ndarray) or row.shape != (1, self.in_dim):
             return build(params, x)
         mode, key = row is not x, row.tobytes()
         entry = self._memo.get(mode)
         if entry is None or entry[1] != key or entry[0] is not self._pack(params):
-            value = _read_only(build(params, x))
+            value = build(params, x)
             # the packed weights the build ran on
             self._memo[mode] = self._packed, key, value, keep
             return value
         if entry[3] is not None:
-            entry = self._memo[mode] = entry[0], key, _read_only(entry[3](entry[2])), None
+            entry = self._memo[mode] = entry[0], key, entry[3](entry[2]), None
         return entry[2]
 
     def _pack(self, params):
@@ -224,16 +226,6 @@ class MlpStack(ParamMlp):
         h = softplus(W2 @ softplus(W1 @ rows + b1) + b2)
         out = transpose(W3 @ h + b3, (2, 0, 1))
         return reshape(out, x.shape[:-1] + (self.out_dim,))
-
-
-def _read_only(value):
-    """`value`, every array in it (through tuples and tangents) made read-only."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, (tuple, Tangent)):
-        for part in (value.val, value.tan) if isinstance(value, Tangent) else value:
-            _read_only(part)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +270,10 @@ class Bnn(_Stacked):
                           for k in range(depth) for name in "wbc"])
 
     def weight(self, raw):
-        """W(d) = L(d) U(d), shape (..., n, n), from a layer's w-net output.
-        A tangent raw runs in plain numpy, bit for bit the tangent pass of the
-        formula below: the same products in the same shapes and order."""
+        """W(d) = L(d) U(d), shape (..., n, n), from a layer's w-net output,
+        read-only unless it is a graph tensor.  A tangent raw runs in plain
+        numpy, bit for bit the tangent pass of the formula below: the same
+        products in the same shapes and order."""
         n, k = self.n, self.k_low
         shape = raw.shape[:-1] + (n, n)
         if isinstance(raw, Tangent):
@@ -291,12 +284,12 @@ class Bnn(_Stacked):
             dL = np.reshape(self.s_low.T @ tan[..., :k, :], shape + tan.shape[-1:])
             dU = np.reshape(self.s_diag.T @ (tan[..., k:k + n, :] * e[..., None])
                             + self.s_up.T @ tan[..., k + n:, :], shape[:-1] + (-1,))
-            return Tangent(L @ U, np.swapaxes(U, -1, -2)[..., None, :, :] @ dL
-                           + np.reshape(L @ dU, dL.shape))
+            return read_only(Tangent(L @ U, np.swapaxes(U, -1, -2)[..., None, :, :] @ dL
+                                     + np.reshape(L @ dU, dL.shape)))
         L_flat = narrow(raw, 0, k) @ self.s_low + np.eye(n).reshape(-1)
         U_flat = (exp(narrow(raw, k, n)) @ self.s_diag
                   + narrow(raw, k + n, n * n - k - n) @ self.s_up)
-        return reshape(L_flat, shape) @ reshape(U_flat, shape)
+        return read_only(reshape(L_flat, shape) @ reshape(U_flat, shape))
 
     def coefficients(self, params, cond):
         """Every layer's (W(d), b(d), c(d), cond W), W from `weight`.  cond W is
@@ -311,7 +304,7 @@ class Bnn(_Stacked):
 
     @staticmethod
     def _guard(layers):
-        return tuple((W, b, c, np.linalg.cond(W) if isinstance(W, np.ndarray)
+        return tuple((W, b, c, read_only(np.linalg.cond(W)) if isinstance(W, np.ndarray)
                       and np.all(np.isfinite(W)) else None) for W, b, c, _ in layers)
 
     def forward_with(self, coef, y):

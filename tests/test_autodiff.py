@@ -8,8 +8,9 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import elcontrol.autodiff as ad
 from elcontrol import liecheck
@@ -153,6 +154,50 @@ def test_gradient_random_graphs_match_fd():
         err = rel_err(ad.gradient(g)["x"], fd_gradient(lambda v: f_generic(v, False), x0))
         worst = max(worst, err)
     assert worst < 1e-5
+
+
+def _raises_fp(call):
+    """Whether `call` raises a floating-point error other than underflow."""
+    with np.errstate(all="raise", under="ignore"):
+        try:
+            call()
+        except FloatingPointError:
+            return True
+    return False
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308,
+            36.7, -36.7, 709.8, -745.2]
+
+
+# any float64: +-0, +-inf, NaN, subnormals and |x| up to the largest float
+@given(hnp.arrays(np.float64, st.integers(1, 700), elements=st.floats(width=64)),
+       st.integers(1, 7))
+@example(np.resize(_SPECIAL, 255), 1)
+@example(np.random.default_rng(0).normal(0.0, 30.0, 255), 2)
+@example(np.resize(_SPECIAL, 256), 3)
+@example(np.random.default_rng(0).normal(0.0, 30.0, 4096), 5)
+def test_softplus_kernel_is_logaddexp_below_its_size_and_within_2_ulp_above(x, offset):
+    size = 256   # where the kernel switches (autodiff._SOFTPLUS_COMPOSITE_SIZE)
+    with np.errstate(invalid="ignore"):
+        got, want = ad._softplus(x), np.logaddexp(0.0, x)
+    if x.size < size:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        # both are >= 0 (or NaN), where the bits order as the values
+        finite = ~np.isnan(want)
+        assert np.all(np.abs(got[finite].view(np.int64) - want[finite].view(np.int64)) <= 2)
+    # no floating-point warning of its own: below the size only what
+    # np.logaddexp raises (invalid, at a NaN), above it none
+    assert _raises_fp(lambda: ad._softplus(x)) == (
+        x.size < size and _raises_fp(lambda: np.logaddexp(0.0, x)))
+    # the same bits on every call, wherever the input sits in memory
+    shifted = np.empty(x.size + offset)
+    shifted[offset:] = x
+    with np.errstate(invalid="ignore"):
+        assert ad._softplus(shifted[offset:]).tobytes() == got.tobytes()
+        assert ad._softplus(x).tobytes() == got.tobytes()
 
 
 def test_gradient_linearity_exact_for_pow2_scalars():

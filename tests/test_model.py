@@ -582,6 +582,25 @@ def test_replayed_loss_and_gradients_equal_a_fresh_graph(ny, nu, nd, nz, phi_dep
         assert not g.flags.writeable or not np.shares_memory(g, again[k]), k
 
 
+def test_a_512_row_training_step_records_at_most_893_calls_and_keeps_737():
+    # the bench's SMALL_ARCH model: a count guard on the training program in
+    # place of a wall-clock one (README gives these two figures)
+    arch = ModelArch(phi_depth=1, phi_hidden=8, psi_depth=1, psi_hidden=8,
+                     xi_depth=2, xi_hidden=8, core_hidden=8)
+    model = ELModel.random(ModelDims(3, 3, 2, 2), arch, seed=0)
+    rng = np.random.default_rng(0)
+    batch = {k: rng.uniform(-1.0, 1.0, (512, w))
+             for k, w in {"v": 3, "y": 3, "d": 2, "d_dot": 2, "ydot": 3, "z": 2}.items()}
+    with ad.recording() as program:
+        g = model.loss_graph(np.eye(5), 512)
+        loss = ad.evaluate(g, batch).data
+        grads = ad.gradient(g)
+    recorded = len(program.ops)
+    program.finish({**model.params, **batch}, {"loss": loss, **grads})
+    assert recorded <= 893
+    assert sum(len(ops) for _, _, ops in program.outputs) <= 737
+
+
 def test_multiple_equilibria_constructed_model():
     # scalar model with identity state map and input map v = u + b(y) where
     # b(y) = -4 softplus(y+1) + 4 softplus(y-1) + 4; equilibria of
